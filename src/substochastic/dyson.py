@@ -6,10 +6,13 @@ grid over a finite state window; the iteration is evaluated through the
 equivalent convolution V_{n+1}(t)u = int_0^t U(t-s) B V_n(s)u ds, whose
 integrand reuses the stored samples directly (the two forms agree because
 both telescope the same Duhamel formula).  Because A is diagonal, U and B
-are applied exactly; composite Simpson panels on nested dyadic grids keep
-all quadrature weights positive and let each refinement reuse every sample.
-Refinement stops when consecutive levels agree below tolerance; the final
-difference is reported as the quadrature error estimate, never discarded.
+are applied exactly; composite Simpson panels keep all quadrature weights
+positive.  The convolution at every node of an M-panel grid is evaluated by
+running sums (the weights depend only on the parity of a node plus two end
+corrections), so a term costs O(M*W) on a window of W states.  Each level
+re-samples on the doubled grid; refinement stops when consecutive levels
+agree below tolerance, and the final difference is reported as the
+quadrature error estimate, never discarded.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "DPState",
     "DPTerm",
     "UniformTailReport",
-    "dp_state",
     "dp_term",
     "dp_partial_sum",
     "dp_convolution_residual",
@@ -83,6 +85,46 @@ def _simpson_weights(j: int, h: float) -> np.ndarray:
     w[j - 1] += 9.0 * h / 8.0
     w[j] += 3.0 * h / 8.0
     return w
+
+
+def _simpson_convolution(g: np.ndarray, decay: np.ndarray, h: float) -> np.ndarray:
+    """f[j] = sum_i _simpson_weights(j, h)[i] * g[i] * decay[j - i] at every node.
+
+    ``g`` and ``decay`` have shape (M+1, W), with decay[d] = U(d*h) on the
+    window.  The weights depend only on the parity of i plus two end
+    corrections, so running sums give every node in O(M*W):
+
+    * even j = 2m: f = (h/3)(g_0 D_{2m} + g_{2m}) + T_m, where
+      T_m = D_2 T_{m-1} + (4h/3) g_{2m-1} D_1 + (2h/3) g_{2m-2} D_2
+      (the last addend only for m > 1);
+    * odd j >= 3: the Simpson sum up to j-3 shifted by D_3, plus the 3/8
+      block on [j-3, j] (f[0] = 0 covers j = 3);
+    * j = 1: the trapezoid.
+
+    Every addend is nonnegative and every factor is at most 1, so the cone
+    is kept and stiff rates, where D_1 underflows to 0, are safe.
+    """
+    M = g.shape[0] - 1
+    f = np.zeros_like(g)
+    if M == 0:
+        return f
+    d1 = decay[1]
+    f[1] = 0.5 * h * (g[0] * d1 + g[1])
+    if M == 1:
+        return f
+    d2 = decay[2]
+    K = M // 2
+    run = (4.0 * h / 3.0) * g[1 : 2 * K : 2] * d1
+    run[1:] += (2.0 * h / 3.0) * g[2 : 2 * K - 1 : 2] * d2
+    for m in range(1, K):
+        run[m] += d2 * run[m - 1]
+    f[2::2] = (h / 3.0) * (g[0] * decay[2::2] + g[2::2]) + run
+    if M >= 3:
+        d3 = decay[3]
+        j = np.arange(3, M + 1, 2)
+        block = g[j - 3] * d3 + 3.0 * g[j - 2] * d2 + 3.0 * g[j - 1] * d1 + g[j]
+        f[j] = d3 * f[j - 3] + (3.0 * h / 8.0) * block
+    return f
 
 
 class DPState:
@@ -142,12 +184,7 @@ class DPState:
         decay = np.exp(-np.outer(times, self.a_win))  # D[d] = U(d*h) on the window
         terms = [decay * u_win[None, :]]
         for _ in range(self.n_max):
-            g = terms[-1] @ self.b_win.T
-            f = np.zeros_like(g)
-            for j in range(1, M + 1):
-                w = _simpson_weights(j, h)
-                f[j] = np.einsum("i,ik,ik->k", w, g[: j + 1], decay[j::-1])
-            terms.append(f)
+            terms.append(_simpson_convolution(terms[-1] @ self.b_win.T, decay, h))
         return terms
 
     @staticmethod
@@ -214,10 +251,6 @@ class DPState:
 
     def b_apply(self, arr: np.ndarray) -> np.ndarray:
         return self.b_win @ arr
-
-
-def dp_state(model: ModelSpec, u: PosSeq, t: float, n_max: int, q: QuadParams = QuadParams()) -> DPState:
-    return DPState(model, u, t, n_max, q)
 
 
 def dp_term(model: ModelSpec, n: int, t: float, u: PosSeq, q: QuadParams = QuadParams()) -> DPTerm:

@@ -514,7 +514,8 @@ def delta_by_routes(
     so w = (lam-G)^{-1}(lam w + u - V(t)u) and abar(w) is evaluated by the
     resolvent series at the signed preimage.
     """
-    ev = evolve(m, t, u, params, want_integral=True)
+    # the integral feeds only the resolvent route, which is 0 on conservative models
+    ev = evolve(m, t, u, params, want_integral=not m.conservative)
     a0 = a0_on_integral(m, t, u, params, ev=ev)
 
     # expansion route

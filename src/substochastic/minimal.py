@@ -171,7 +171,6 @@ class EvolveParams:
     n_max: int = 1 << 20
     tol: float = 1e-8
     step_budget: int = 3_000_000
-    poisson_tol: float = 1e-14
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,6 @@ class EvolveResult:
     integral: PosSeq | None
     integral_bracket: Bracket | None
     ladder: TruncationLadder
-    integral_ladder: TruncationLadder | None
     n_used: int
     steps_used: int
     closed: bool
@@ -288,7 +286,6 @@ def _uniformized(
     u: PosSeq,
     n: int,
     want_integral: bool,
-    poisson_tol: float,
 ):
     """One truncation level: V_N(t)u and optionally int_0^t V_N(s)u ds.
 
@@ -354,15 +351,12 @@ def evolve(
         raise ValueError("evolve requires finitely supported input")
     u_norm = u.head_sum()
     if t == 0.0 or u.is_zero:
-        ladder = TruncationLadder((0,), (u,))
-        zero = PosSeq.zero()
         return EvolveResult(
             value=u,
             mass_bracket=Bracket(u_norm, u_norm),
-            integral=zero if want_integral else None,
+            integral=PosSeq.zero() if want_integral else None,
             integral_bracket=Bracket(0.0, 0.0) if want_integral else None,
-            ladder=ladder,
-            integral_ladder=TruncationLadder((0,), (zero,)) if want_integral else None,
+            ladder=TruncationLadder((0,), (u,)),
             n_used=0,
             steps_used=0,
             closed=True,
@@ -392,9 +386,7 @@ def evolve(
             flagged = True
             reason = "step budget reached"
             break
-        v_arr, i_arr, v_def, i_def, steps = _uniformized(
-            m, t, u, n, want_integral, params.poisson_tol
-        )
+        v_arr, i_arr, v_def, i_def, steps = _uniformized(m, t, u, n, want_integral)
         steps_total += steps
         budget -= steps
         v_defect, i_defect = v_def, i_def
@@ -434,7 +426,7 @@ def evolve(
         gap_v = min(u_norm - v_mass, 4.0 * max(inc, params.tol)) + poisson_gap
     mass_bracket = Bracket(max(0.0, v_mass - fp_slack), min(u_norm, v_mass + gap_v))
 
-    integral = integral_bracket = int_ladder = None
+    integral = integral_bracket = None
     if want_integral:
         integral = integrals[-1]
         i_mass = integral.head_sum()
@@ -448,7 +440,6 @@ def evolve(
             inc_i = last_inc_i if last_inc_i is not None else u_norm * t - i_mass
             gap_i = min(u_norm * t - i_mass, 4.0 * max(inc_i, params.tol * t)) + int_poisson_gap
         integral_bracket = Bracket(max(0.0, i_mass - fp_slack_i), min(u_norm * t, i_mass + gap_i))
-        int_ladder = TruncationLadder(tuple(levels), tuple(integrals))
 
     return EvolveResult(
         value=values[-1],
@@ -456,7 +447,6 @@ def evolve(
         integral=integral,
         integral_bracket=integral_bracket,
         ladder=TruncationLadder(tuple(levels), tuple(values)),
-        integral_ladder=int_ladder,
         n_used=levels[-1],
         steps_used=steps_total,
         closed=closed,

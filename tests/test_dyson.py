@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from substochastic.dyson import (
     QuadParams,
+    _simpson_convolution,
+    _simpson_weights,
     dp_B_integral,
     dp_convolution_residual,
     dp_laplace,
@@ -34,6 +37,35 @@ class TestDpTerm:
 
     def test_nilpotent_kernel_vanishes(self, m_two_state):
         assert dp_term(m_two_state, 2, 1.0, e0).value.is_zero
+
+
+def _direct_convolution(g, decay, h):
+    f = np.zeros_like(g)
+    for j in range(1, g.shape[0]):
+        f[j] = np.einsum("i,ik,ik->k", _simpson_weights(j, h), g[: j + 1], decay[j::-1])
+    return f
+
+
+class TestSimpsonConvolution:
+    @pytest.mark.parametrize("M", [1, 2, 4, 32, 1024])
+    @pytest.mark.parametrize("W", [1, 5, 41])
+    @pytest.mark.parametrize("stiff", [False, True])
+    def test_running_sums_match_direct_weights(self, M, W, stiff):
+        rng = np.random.default_rng(1000 * M + 10 * W + stiff)
+        t = 2.0
+        h = t / M
+        a = rng.uniform(0.0, 5.0, W)
+        if stiff:
+            a[::2] = 1e6 * M  # a*h far past exp underflow
+        decay = np.exp(-np.outer(np.linspace(0.0, t, M + 1), a))
+        if stiff:
+            assert decay[1, 0] == 0.0
+        g = rng.uniform(0.0, 1.0, (M + 1, W))
+        f = _simpson_convolution(g, decay, h)
+        ref = _direct_convolution(g, decay, h)
+        assert np.all(f >= 0.0)
+        assert np.all(f[0] == 0.0)
+        np.testing.assert_allclose(f[1:], ref[1:], rtol=1e-13, atol=0.0)
 
 
 class TestPartialSums:

@@ -129,6 +129,14 @@ class TestSemigroupV:
         assert v.get(1) == pytest.approx(EXP1 - EXP2, abs=1e-13)
         assert br.contains(EXP1 + EXP1 - EXP2)
 
+    def test_quadratic_mass_matches_theta_series(self, m_quadratic):
+        # |V(t)e0| = P(T > t) for the explosion time T = sum_n E_n/n^2,
+        # whose law is the theta series 2 sum_{n>=1} (-1)^{n+1} e^{-n^2 t}
+        exact = 2.0 * math.fsum((-1) ** (n + 1) * math.exp(-n * n) for n in range(1, 30))
+        assert exact == pytest.approx(0.69937420, abs=1e-8)
+        _, br, _ = semigroup_V(m_quadratic, 1.0, e0)
+        assert br.contains(exact)
+
     def test_yule_mass_preserved(self, m_yule):
         v, br, res = semigroup_V(m_yule, 1.0, e0)
         assert br.contains(1.0)
