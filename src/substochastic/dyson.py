@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import PosSeq
-from .models import ModelError, ModelSpec
+from .models import ModelError, ModelSpec, OperatorWindow
 
 __all__ = [
     "QuadParams",
@@ -152,36 +152,24 @@ class DPState:
         stride = model.stride
         self.lo = max(0, min(supp) - (n_max + 1) * stride)
         self.hi = max(supp) + (n_max + 1) * stride + 1
-        self._build_window()
+        self.window = OperatorWindow(model, self.lo, self.hi)
+        # states this deep inside the window are reachable by the tracked
+        # terms, so a leak there would silently truncate
+        margin = (n_max + 1) * max(stride, 1)
+        if np.any(self.window.leak[margin : self.hi - self.lo - margin] > 0):
+            raise ModelError("DPState: kernel leaks outside its stride window")
+        self.b_win = self.window.dense()
         self._sample()
 
-    def _build_window(self) -> None:
-        lo, hi = self.lo, self.hi
-        w = hi - lo
-        margin = (self.n_max + 1) * max(self.model.stride, 1)
-        self.a_win = np.array([self.model.a(k) for k in range(lo, hi)])
-        bmat = np.zeros((w, w))
-        for k in range(lo, hi):
-            for j, r in self.model.column(k):
-                if r <= 0:
-                    continue
-                if lo <= j < hi:
-                    bmat[j - lo, k - lo] += r
-                elif lo + margin <= k < hi - margin:
-                    # states this deep inside the window are reachable by the
-                    # tracked terms, so a leak here would silently truncate
-                    raise ModelError("DPState: kernel leaks outside its stride window")
-        self.b_win = bmat
-
     def _sample_level(self, mlev: int) -> list[np.ndarray]:
-        model, t = self.model, self.t
+        t = self.t
         M = 1 << mlev
         times = np.linspace(0.0, t, M + 1)
         h = t / M
         u_win = np.zeros(self.hi - self.lo)
         for k, v in self.u.entries.items():
             u_win[k - self.lo] = v
-        decay = np.exp(-np.outer(times, self.a_win))  # D[d] = U(d*h) on the window
+        decay = np.exp(-np.outer(times, self.window.a))  # D[d] = U(d*h) on the window
         terms = [decay * u_win[None, :]]
         for _ in range(self.n_max):
             terms.append(_simpson_convolution(terms[-1] @ self.b_win.T, decay, h))
@@ -195,7 +183,7 @@ class DPState:
 
     def _sample(self) -> None:
         q = self.q
-        amax = float(self.a_win.max(initial=1.0))
+        amax = float(self.window.a.max(initial=1.0))
         lev = int(math.ceil(math.log2(max(4.0, amax * self.t))))
         lev = max(q.min_level, min(q.max_level - 1, lev))
         prev = self._sample_level(lev)
@@ -249,9 +237,6 @@ class DPState:
             err = self.errors[n] * self.t
         return arr, err + self.q.tol * 1e-3
 
-    def b_apply(self, arr: np.ndarray) -> np.ndarray:
-        return self.b_win @ arr
-
 
 def dp_term(model: ModelSpec, n: int, t: float, u: PosSeq, q: QuadParams = QuadParams()) -> DPTerm:
     """V_n(t)u: exact U(t)u for n = 0, iterated convolution above."""
@@ -293,7 +278,7 @@ def dp_B_integral(model: ModelSpec, n: int, t: float, u: PosSeq, q: QuadParams =
     """B int_0^t V_n(s)u ds (equals int_0^t B V_n(s)u ds)."""
     st = DPState(model, u, t, n, q)
     arr, err = st.integral(n)
-    return DPTerm(st._to_seq(st.b_apply(arr)), err * max(1.0, float(st.a_win.max())))
+    return DPTerm(st._to_seq(st.window.apply_B(arr)), err * max(1.0, float(st.window.a.max())))
 
 
 def dp_laplace(model: ModelSpec, n: int, lam: float, u: PosSeq, q: QuadParams = QuadParams()) -> DPTerm:
@@ -344,7 +329,7 @@ def dp_uniform_tail(
         full = dp_laplace(model, n, lam, u, q)
         st = DPState(model, u, t, n, q)
         head, _ = st.integral(n, weight_lam=lam)
-        head_b = st.b_apply(head)
+        head_b = st.window.apply_B(head)
         full_b_mass = apply_B(model, full.value).head_sum()
         computed.append(max(0.0, full_b_mass - float(head_b.sum())))
     slack = 10.0 * q.tol + 1e-12

@@ -34,7 +34,7 @@ import numpy as np
 from .dyson import DPState, QuadParams
 from .l1 import Bracket, PosSeq, SignedSeq, leq
 from .minimal import EvolveParams, EvolveResult, evolve
-from .models import ModelSpec, apply_J
+from .models import ModelSpec, OperatorWindow, apply_B_entries, apply_J
 
 __all__ = [
     "VerdictPolicy",
@@ -142,11 +142,6 @@ def _j_norm_prefix(m: ModelSpec, lam: float, u: PosSeq, count: int = 40) -> tupl
         if not w.entries:
             break
     return tuple(out)
-
-
-def _pure_birth_rate(m: ModelSpec, k: int) -> float:
-    birth = m.kernel.birth
-    return m.a(k) if birth is None else birth(k)
 
 
 def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -> XiResult:
@@ -279,10 +274,10 @@ def xi_dual(m: ModelSpec, lam: float, n_top: int, iters: int) -> DualWeight:
         raise ValueError("xi_dual requires lambda > 0")
     if n_top < 1 or iters < 1:
         raise ValueError("xi_dual requires n_top >= 1 and iters >= 1")
-    a = np.array([m.a(k) for k in range(n_top + 1)])
+    win = OperatorWindow(m, 0, n_top + 1)
+    denom = lam + win.a
     if m.kernel.kind == "pure_birth":
-        r = np.array([_pure_birth_rate(m, k) for k in range(n_top + 1)])
-        f = r / (lam + a)
+        f = win.colsum / denom
         # clamp away exact zeros so prefix differences stay finite; a chain
         # crossing a dead state still underflows to 0 as it should
         logf = np.log(np.maximum(f, 1e-300))
@@ -292,25 +287,11 @@ def xi_dual(m: ModelSpec, lam: float, n_top: int, iters: int) -> DualWeight:
         ext = np.concatenate((psi[1:], [1.0]))
         residual = float(np.max(np.abs(psi - f * ext)))
         return DualWeight(tuple(psi.tolist()), n_top, residual, iters)
-    # generic sparse adjoint iteration
-    srcs, tgts, rates = [], [], []
-    for k in range(n_top + 1):
-        for j, r in m.column(k):
-            if r > 0:
-                srcs.append(k)
-                tgts.append(j)
-                rates.append(r)
-    srcs_a = np.asarray(srcs, dtype=np.intp)
-    tgts_a = np.asarray(tgts, dtype=np.intp)
-    rates_a = np.asarray(rates)
-    denom = lam + a
+    # generic adjoint iteration; weight 1 beyond the truncation
     psi = np.ones(n_top + 1)
 
     def adjoint(p: np.ndarray) -> np.ndarray:
-        ext = np.where(tgts_a <= n_top, p[np.minimum(tgts_a, n_top)], 1.0)
-        out = np.zeros(n_top + 1)
-        np.add.at(out, srcs_a, rates_a * ext)
-        return out / denom
+        return (win.apply_Bt(p) + win.leak) / denom
 
     run = 0
     for _ in range(iters):
@@ -354,12 +335,7 @@ def _abar_cone_series(
         resolved = {k: v / (lam + m.a(k)) for k, v in w.entries.items()}
         total += math.fsum(m.deficit(k) * v for k, v in resolved.items())
         terms += 1
-        nxt: dict[int, float] = {}
-        for k, v in resolved.items():
-            for j, r in m.column(k):
-                if r > 0:
-                    nxt[j] = nxt.get(j, 0.0) + r * v
-        w = PosSeq(nxt, 0.0)
+        w = PosSeq(apply_B_entries(m, resolved), 0.0)
         if w.head_sum() <= tol:
             break
     rem_hi = w.head_sum()
@@ -437,9 +413,8 @@ def ahat_dp(
     n_max = 8
     while True:
         st = DPState(m, u, t, n_max, q)
-        win = range(st.lo, st.hi)
-        deficits = np.array([m.deficit(k) for k in win])
-        colsums = np.array([m.a(k) for k in win]) - deficits
+        colsums = st.window.colsum
+        deficits = st.window.a - colsums
         terms = []
         b_norms = []
         qerr = 0.0

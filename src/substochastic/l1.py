@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "Bracket",
@@ -46,10 +46,6 @@ class Bracket:
         if self.lo > self.hi:
             raise ValueError(f"Bracket requires lo <= hi, got [{self.lo}, {self.hi}]")
 
-    @staticmethod
-    def point(x: float) -> "Bracket":
-        return Bracket(x, x)
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
@@ -75,10 +71,6 @@ class Bracket:
         if alpha < 0:
             raise ValueError("scale expects alpha >= 0")
         return Bracket(alpha * self.lo, alpha * self.hi)
-
-    def cap(self, hi: float) -> "Bracket":
-        """Intersect with (-inf, hi]; hi must not cut below lo."""
-        return Bracket(self.lo, min(self.hi, hi)) if hi >= self.lo else Bracket(self.lo, self.lo)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.lo:.12g}, {self.hi:.12g}]"
@@ -134,13 +126,6 @@ class PosSeq:
     def basis(k: int, weight: float = 1.0) -> "PosSeq":
         return PosSeq({k: weight}, 0.0)
 
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, float]], tail_bound: float = 0.0) -> "PosSeq":
-        acc: dict[int, float] = {}
-        for k, v in pairs:
-            acc[k] = acc.get(k, 0.0) + v
-        return PosSeq(acc, tail_bound)
-
     def get(self, k: int) -> float:
         return self.entries.get(k, 0.0)
 
@@ -155,16 +140,6 @@ class PosSeq:
     def head_sum(self) -> float:
         """Exact sum of the stored entries (lower edge of the mass bracket)."""
         return math.fsum(self.entries.values())
-
-    def scaled(self, alpha: float) -> "PosSeq":
-        if alpha < 0:
-            raise ValueError("scaled expects alpha >= 0; use SignedSeq for signed work")
-        if alpha == 0:
-            return PosSeq.zero()
-        return PosSeq({k: alpha * v for k, v in self.entries.items()}, alpha * self.tail_bound)
-
-    def with_tail(self, tail_bound: float) -> "PosSeq":
-        return PosSeq(dict(self.entries), tail_bound)
 
 
 def mass(u: PosSeq) -> Bracket:
@@ -238,20 +213,8 @@ class SignedSeq:
     def zero() -> "SignedSeq":
         return SignedSeq(PosSeq.zero(), PosSeq.zero())
 
-    @staticmethod
-    def from_pos(u: PosSeq) -> "SignedSeq":
-        return SignedSeq(u, PosSeq.zero())
-
-    @staticmethod
-    def diff(u: PosSeq, v: PosSeq) -> "SignedSeq":
-        """u - v as a canonical signed sequence."""
-        return SignedSeq(u, v)
-
     def get(self, k: int) -> float:
         return self.plus.get(k) - self.minus.get(k)
-
-    def neg(self) -> "SignedSeq":
-        return SignedSeq(self.minus, self.plus)
 
 
 def pair_psi(u: SignedSeq) -> Bracket:

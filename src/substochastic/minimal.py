@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import Bracket, PosSeq
-from .models import ModelSpec
+from .models import ModelSpec, OperatorWindow, apply_B_entries
 
 __all__ = [
     "SeriesResult",
@@ -92,7 +92,7 @@ def resolvent_G(
         for k, v in step.items():
             acc[k] = acc.get(k, 0.0) + v
         terms += 1
-        w = _apply_J_dict(m, lam, step)
+        w = PosSeq(apply_B_entries(m, step), 0.0)
         defect = w.head_sum() / lam
         if defect <= tol or w.is_zero:
             break
@@ -100,16 +100,6 @@ def resolvent_G(
     # keep the certified chain lam*(|value| + defect) <= |u| despite rounding
     defect = max(0.0, min(defect, u_norm / lam - value.head_sum()))
     return SeriesResult(value, defect, terms, converged=defect <= tol)
-
-
-def _apply_J_dict(m: ModelSpec, lam: float, resolved: dict[int, float]) -> PosSeq:
-    """B applied to an already-resolved vector (entries of (lam-A)^{-1} w)."""
-    acc: dict[int, float] = {}
-    for k, v in resolved.items():
-        for j, r in m.column(k):
-            if r > 0:
-                acc[j] = acc.get(j, 0.0) + r * v
-    return PosSeq(acc, 0.0)
 
 
 def resolvent_Gr(
@@ -142,7 +132,7 @@ def resolvent_Gr(
         for k, v in step.items():
             acc[k] = acc.get(k, 0.0) + rn * v
         terms += 1
-        w = _apply_J_dict(m, lam, step).entries
+        w = PosSeq(apply_B_entries(m, step), 0.0).entries
         rn *= r
         w_norm = math.fsum(w.values())
         defect = min(rn * w_norm / (lam * (1.0 - r)) if r > 0 else 0.0, rn / (1.0 - r) * u_norm / lam)
@@ -198,60 +188,20 @@ class EvolveResult:
     flag_reason: str
 
 
-def _column_arrays(m: ModelSpec, n: int):
-    """COO triplets (targets, sources, rates) of B restricted to [0, n)."""
-    rows, cols, rates = [], [], []
-    for k in range(n):
-        for j, r in m.column(k):
-            if 0 <= j < n and r > 0:
-                rows.append(j)
-                cols.append(k)
-                rates.append(r)
-    return (
-        np.asarray(rows, dtype=np.intp),
-        np.asarray(cols, dtype=np.intp),
-        np.asarray(rates, dtype=np.float64),
-    )
+def _make_stepper(win: OperatorWindow, c: float):
+    """Return f with f(v, out) <- (I + Q/c) v; positive and substochastic.
 
+    Columns leaving the window are dropped, i.e. counted as kill.
+    """
+    diag = 1.0 - win.a / c
+    shifts = [(tgt, src, r / c) for tgt, src, r in win.shifts()]
 
-def _make_stepper(m: ModelSpec, n: int, c: float):
-    """Return f with f(v, out) <- (I + Q/c) v; positive and substochastic."""
-    a = np.array([m.a(k) for k in range(n)], dtype=np.float64)
-    diag = 1.0 - a / c
-    kind = m.kernel.kind
-    if kind == "zero":
-
-        def step_zero(v: np.ndarray, out: np.ndarray) -> None:
-            np.multiply(v, diag, out=out)
-
-        return step_zero
-    if kind == "pure_birth":
-        birth = m.kernel.birth
-        sub = (a[:-1] if birth is None else np.array([birth(k) for k in range(n - 1)])) / c
-
-        def step_birth(v: np.ndarray, out: np.ndarray) -> None:
-            np.multiply(v, diag, out=out)
-            out[1:] += sub * v[:-1]
-
-        return step_birth
-    if kind == "birth_death":
-        bk = np.array([m.kernel.birth(k) for k in range(n - 1)]) / c
-        dk = np.array([m.kernel.death(k) for k in range(1, n)]) / c
-
-        def step_bd(v: np.ndarray, out: np.ndarray) -> None:
-            np.multiply(v, diag, out=out)
-            out[1:] += bk * v[:-1]
-            out[:-1] += dk * v[1:]
-
-        return step_bd
-    rows, cols, rates = _column_arrays(m, n)
-    rates_c = rates / c
-
-    def step_table(v: np.ndarray, out: np.ndarray) -> None:
+    def step(v: np.ndarray, out: np.ndarray) -> None:
         np.multiply(v, diag, out=out)
-        np.add.at(out, rows, rates_c * v[cols])
+        for tgt, src, rc in shifts:
+            out[tgt] += rc * v[src]
 
-    return step_table
+    return step
 
 
 def _poisson_weights(lam_p: float, jmax: int):
@@ -306,7 +256,7 @@ def _uniformized(
     # the mode log-weight is a difference of ~lam_p*log(lam_p)-sized terms,
     # so all weights share a relative error of that cancellation scale
     scale_err = 4e-16 * lam_p * max(1.0, abs(math.log(lam_p)))
-    step = _make_stepper(m, n, c)
+    step = _make_stepper(OperatorWindow(m, 0, n), c)
     v = u_arr.copy()
     v_acc = pmf[0] * v
     i_acc = (sf[0] / c) * v if want_integral else None

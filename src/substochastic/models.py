@@ -33,8 +33,10 @@ __all__ = [
     "ModelSpec",
     "ModelError",
     "DissipativityReport",
+    "OperatorWindow",
     "apply_A",
     "apply_B",
+    "apply_B_entries",
     "apply_resolvent_A",
     "apply_U",
     "apply_J",
@@ -94,7 +96,13 @@ class RateFn:
         return self.c * float(k + 1) ** self.p
 
     def array(self, lo: int, hi: int) -> np.ndarray:
-        """Vectorized values a_lo .. a_{hi-1}."""
+        """Vectorized values a_lo .. a_{hi-1}.
+
+        numpy's power differs from ``__call__`` in the last bit at some
+        non-integer exponents (p = 1.5, c = 0.7: 8,748 of the first 200k
+        states), so arrays that must match the sparse primitives bit for bit
+        come from ``OperatorWindow`` instead.
+        """
         ks = np.arange(lo, hi, dtype=np.float64)
         out = self.c * (ks + 1.0) ** self.p
         if self.kind == "table" and lo < len(self.values):
@@ -202,15 +210,6 @@ class Kernel:
                 s = max(s, abs(j - k))
         return s
 
-    @property
-    def upward_only(self) -> bool:
-        """Every transition strictly increases the state index."""
-        if self.kind == "zero" or self.kind == "pure_birth":
-            return True
-        if self.kind == "birth_death":
-            return False
-        return all(j > k for k, col in self.columns for j, _ in col)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -249,9 +248,6 @@ class ModelSpec:
             )
 
     # -- column access -------------------------------------------------
-    def rate(self, k: int) -> float:
-        return self.a(k)
-
     def column(self, k: int) -> tuple[tuple[int, float], ...]:
         return self.kernel.column(k, self.a(k))
 
@@ -400,15 +396,20 @@ def apply_A(m: ModelSpec, u: PosSeq) -> SignedSeq:
     return SignedSeq(PosSeq.zero(), minus)
 
 
-def apply_B(m: ModelSpec, u: PosSeq) -> PosSeq:
-    """Positive kernel action: mass at k feeds the column targets of k."""
-    tail = _check_tail(m, u, "apply_B")
+def apply_B_entries(m: ModelSpec, entries: dict[int, float]) -> dict[int, float]:
+    """B applied to finitely many entries, as a plain dict (nothing flushed)."""
     acc: dict[int, float] = {}
-    for k, v in u.entries.items():
+    for k, v in entries.items():
         for j, r in m.column(k):
             if r > 0:
                 acc[j] = acc.get(j, 0.0) + r * v
-    return PosSeq(acc, tail)
+    return acc
+
+
+def apply_B(m: ModelSpec, u: PosSeq) -> PosSeq:
+    """Positive kernel action: mass at k feeds the column targets of k."""
+    tail = _check_tail(m, u, "apply_B")
+    return PosSeq(apply_B_entries(m, u.entries), tail)
 
 
 def apply_resolvent_A(m: ModelSpec, lam: float, u: PosSeq) -> PosSeq:
@@ -434,6 +435,84 @@ def apply_U(m: ModelSpec, t: float, u: PosSeq) -> PosSeq:
 def apply_J(m: ModelSpec, lam: float, u: PosSeq) -> PosSeq:
     """J(lambda) = B (lambda - A)^{-1}, a contraction on the positive cone."""
     return apply_B(m, apply_resolvent_A(m, lam, u))
+
+
+# ---------------------------------------------------------------------------
+# The pair (A, B) compiled to arrays on an index window
+# ---------------------------------------------------------------------------
+
+
+class OperatorWindow:
+    """A and B restricted to the states [lo, hi), as arrays.
+
+    ``a[i]`` is a_{lo+i}.  B is stored as bands: ``bands[d][i]`` is the rate
+    from source lo+i to target lo+i+d, zero where that target leaves the
+    window; ``leak[i]`` is the rate source lo+i sends outside the window and
+    ``colsum[i]`` the fsum of its whole column.  Bands keep the order in
+    which the columns list their offsets.  Every number is read from
+    ``m.a`` and ``Kernel.column`` one state at a time, so the arrays match
+    the sparse primitives bit for bit.
+    """
+
+    def __init__(self, m: ModelSpec, lo: int, hi: int):
+        if not 0 <= lo < hi:
+            raise ValueError("OperatorWindow requires 0 <= lo < hi")
+        w = hi - lo
+        a = [0.0] * w
+        leak = [0.0] * w
+        colsum = [0.0] * w
+        bands: dict[int, list[float]] = {}
+        column = m.kernel.column
+        for i in range(w):
+            k = lo + i
+            a_k = a[i] = m.a(k)
+            col = column(k, a_k)
+            colsum[i] = math.fsum([r for _, r in col])
+            for j, r in col:
+                if r <= 0:
+                    continue
+                if lo <= j < hi:
+                    band = bands.get(j - k)
+                    if band is None:
+                        band = bands[j - k] = [0.0] * w
+                    band[i] += r
+                else:
+                    leak[i] += r
+        self.lo, self.hi = lo, hi
+        self.a = np.array(a)
+        self.leak = np.array(leak)
+        self.colsum = np.array(colsum)
+        self.bands = {d: np.array(r) for d, r in bands.items()}
+
+    def shifts(self):
+        """(targets, sources, rates of those sources) of each band."""
+        w = self.hi - self.lo
+        for d, r in self.bands.items():
+            tgt, src = (slice(d, w), slice(0, w - d)) if d >= 0 else (slice(0, w + d), slice(-d, w))
+            yield tgt, src, r[src]
+
+    def apply_B(self, v: np.ndarray) -> np.ndarray:
+        """B v on the window; mass sent outside is dropped (see ``leak``)."""
+        out = np.zeros_like(v)
+        for tgt, src, r in self.shifts():
+            out[tgt] += r * v[src]
+        return out
+
+    def apply_Bt(self, p: np.ndarray) -> np.ndarray:
+        """B^T p on the window: (B^T p)_k = sum_j B_jk p_j over targets inside."""
+        out = np.zeros_like(p)
+        for tgt, src, r in self.shifts():
+            out[src] += r * p[tgt]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """B on the window as a (W, W) matrix, target by source."""
+        w = self.hi - self.lo
+        mat = np.zeros((w, w))
+        idx = np.arange(w)
+        for tgt, src, r in self.shifts():
+            mat[idx[tgt], idx[src]] = r
+        return mat
 
 
 # ---------------------------------------------------------------------------

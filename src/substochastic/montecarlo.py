@@ -35,7 +35,6 @@ __all__ = [
     "simulate",
     "simulate_path",
     "explosion_cdf",
-    "write_estimates_csv",
     "CSV_HEADER",
 ]
 
@@ -309,13 +308,3 @@ def explosion_cdf(
     """Explosion probability estimates over a time grid (common streams, so
     the estimates are pathwise nondecreasing for upward cascades)."""
     return tuple(simulate(m, PosSeq.basis(i), t, n_paths, seed) for t in t_grid)
-
-
-def write_estimates_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.t!r},{r.survival!r},{r.survival_ci!r},{r.exploded!r},"
-                f"{r.exploded_ci!r},{r.killed!r},{r.killed_ci!r}\n"
-            )

@@ -5,6 +5,7 @@ import pytest
 
 from substochastic.cli import main, parse_t_grid
 from substochastic.models import dump_model
+from substochastic.montecarlo import CSV_HEADER
 from substochastic.zoo import pure_loss, quadratic_birth, two_state, yule
 
 EXP1 = math.exp(-1.0)
@@ -159,3 +160,14 @@ class TestSimulateCommand:
         lines = o1.read_text().strip().split("\n")
         assert lines[0] == "t,survival,survival_ci,exploded,exploded_ci,killed,killed_ci"
         assert len(lines) == 3
+
+    def test_header_and_shape(self, model_files, tmp_path):
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--model", model_files["quadratic_birth"], "--t-grid", "0.5,1"]
+        assert main(args + ["--paths", "2000", "--seed", "3", "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 3
+        first = dict(zip(CSV_HEADER.split(","), lines[1].split(",")))
+        assert float(first["t"]) == 0.5
+        assert float(first["survival"]) + float(first["exploded"]) + float(first["killed"]) == 1.0

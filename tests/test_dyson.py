@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from substochastic.dyson import (
+    DPState,
     QuadParams,
     _simpson_convolution,
     _simpson_weights,
@@ -16,7 +17,15 @@ from substochastic.dyson import (
 )
 from substochastic.l1 import PosSeq, mass
 from substochastic.minimal import semigroup_V
-from substochastic.models import apply_J, apply_resolvent_A, apply_U
+from substochastic.models import (
+    Kernel,
+    ModelError,
+    ModelSpec,
+    RateFn,
+    apply_J,
+    apply_resolvent_A,
+    apply_U,
+)
 
 e0 = PosSeq.basis(0)
 EXP1 = math.exp(-1.0)
@@ -189,3 +198,17 @@ class TestUniformTail:
         rep = dp_uniform_tail(m_quadratic, 3, 1.0, 5.0, e0, QuadParams(tol=1e-8))
         assert rep.all_within
         assert rep.bound <= math.exp(-5.0) + 1.0 / 6.0  # e^-5 |u| + exact first tail
+
+
+class TestDPStateWindow:
+    def test_under_declared_stride_is_rejected(self):
+        # state 3 feeds state 12, but the declared stride of 1 sizes the
+        # window [1, 6) for n_max = 1, so the leak sits inside the margin
+        kernel = Kernel("table", columns=((3, ((12, 0.5),)),))
+        leaky = ModelSpec("leaky", RateFn.power(1.0, 0.0), kernel, conservative=False, stride=1)
+        with pytest.raises(ModelError):
+            DPState(leaky, PosSeq.basis(3), 1.0, 1, QuadParams())
+        declared = ModelSpec("declared", RateFn.power(1.0, 0.0), kernel, conservative=False)
+        st = DPState(declared, PosSeq.basis(3), 1.0, 1, QuadParams())
+        assert not st.window.leak.any()
+        assert st.term_at_t(1).value.get(12) > 0.0

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from substochastic.models import (
     Kernel,
     ModelError,
     ModelSpec,
+    OperatorWindow,
     RateFn,
     apply_A,
     apply_B,
@@ -20,6 +22,7 @@ from substochastic.models import (
     model_from_json,
     model_to_json,
 )
+from substochastic.zoo import zoo_models
 
 e0 = PosSeq.basis(0)
 
@@ -224,3 +227,68 @@ class TestModelJson:
         doc["space"] = "l2"
         with pytest.raises(ModelError):
             model_from_json(doc)
+
+
+def _window_cases():
+    frac = (
+        ModelSpec.pure_birth(RateFn.power(0.7, 1.5), name="frac_birth"),
+        ModelSpec.birth_death(RateFn.power(0.7, 1.5), RateFn.power(0.3, 1.5), name="frac_bd"),
+    )
+    cases = []
+    for m in zoo_models() + frac:
+        cases += [(m, 0, 16), (m, 3, 20)]
+        if m.kernel.kind == "birth_death":
+            cases.append((m, 1, 12))  # the death at lo leaks to 0
+    return cases
+
+
+def _old_window_matrix(m, lo, hi):
+    """The dense B on [lo, hi) as DPState used to assemble it."""
+    bmat = np.zeros((hi - lo, hi - lo))
+    for k in range(lo, hi):
+        for j, r in m.column(k):
+            if r > 0 and lo <= j < hi:
+                bmat[j - lo, k - lo] += r
+    return bmat
+
+
+class TestOperatorWindow:
+    @pytest.mark.parametrize("m, lo, hi", _window_cases(), ids=lambda x: getattr(x, "name", x))
+    def test_matches_sparse_primitives(self, m, lo, hi):
+        win = OperatorWindow(m, lo, hi)
+        ks = range(lo, hi)
+        assert win.a.tolist() == [m.a(k) for k in ks]
+        assert win.colsum.tolist() == [math.fsum(r for _, r in m.column(k)) for k in ks]
+        for i, k in enumerate(ks):
+            e = np.zeros(hi - lo)
+            e[i] = 1.0
+            fed = apply_B(m, PosSeq.basis(k)).entries
+            inside = np.zeros(hi - lo)
+            for j, v in fed.items():
+                if lo <= j < hi:
+                    inside[j - lo] = v
+            assert win.apply_B(e).tolist() == inside.tolist()
+            assert win.leak[i] == math.fsum(v for j, v in fed.items() if not lo <= j < hi)
+        assert np.array_equal(win.dense(), _old_window_matrix(m, lo, hi))
+
+    @pytest.mark.parametrize("m, lo, hi", _window_cases(), ids=lambda x: getattr(x, "name", x))
+    def test_random_vectors_and_adjoint(self, m, lo, hi):
+        rng = np.random.default_rng(lo * 1000 + hi)
+        win = OperatorWindow(m, lo, hi)
+        v, p = rng.random(hi - lo), rng.random(hi - lo)
+        bv = win.apply_B(v)
+        fed = apply_B(m, PosSeq({lo + i: x for i, x in enumerate(v)})).entries
+        want = [fed.get(k, 0.0) for k in range(lo, hi)]
+        assert bv == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert float(p @ bv) == pytest.approx(float(win.apply_Bt(p) @ v), rel=1e-13)
+        assert np.allclose(win.dense() @ v, bv, rtol=1e-14, atol=0.0)
+
+    def test_leaks_at_both_edges(self, m_bd_kill, m_quadratic):
+        bd = OperatorWindow(m_bd_kill, 1, 12)
+        assert bd.leak[0] == 1.0 and bd.leak[-1] == 1.0 and not bd.leak[1:-1].any()
+        pb = OperatorWindow(m_quadratic, 0, 16)
+        assert pb.leak[-1] == 256.0 and not pb.leak[:-1].any()
+
+    def test_empty_window_rejected(self, m_yule):
+        with pytest.raises(ValueError):
+            OperatorWindow(m_yule, 3, 3)

@@ -5,11 +5,9 @@ import pytest
 
 from substochastic.l1 import PosSeq
 from substochastic.montecarlo import (
-    CSV_HEADER,
     explosion_cdf,
     simulate,
     simulate_path,
-    write_estimates_csv,
 )
 
 e0 = PosSeq.basis(0)
@@ -115,16 +113,3 @@ class TestScalarReference:
         rng = np.random.Generator(np.random.Philox(key=[78, 0]))
         hits = [simulate_path(m_quadratic, 0, 5.0, rng, jump_cap=512).status for _ in range(200)]
         assert hits.count("exploded") > 150
-
-
-class TestCsv:
-    def test_header_and_shape(self, tmp_path, m_quadratic):
-        rows = explosion_cdf(m_quadratic, 0, (0.5, 1.0), 2_000, seed=3)
-        path = tmp_path / "sim.csv"
-        write_estimates_csv(str(path), rows)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 3
-        first = dict(zip(CSV_HEADER.split(","), lines[1].split(",")))
-        assert float(first["t"]) == 0.5
-        assert float(first["survival"]) + float(first["exploded"]) + float(first["killed"]) == 1.0
