@@ -39,13 +39,16 @@ __all__ = [
 ]
 
 
+# dyadic refinement levels of the time grid: 2^5 to 2^13 panels
+_MIN_LEVEL = 5
+_MAX_LEVEL = 13
+
+
 @dataclass(frozen=True)
 class QuadParams:
     """Quadrature controls for the expansion terms."""
 
     tol: float = 1e-9
-    min_level: int = 5
-    max_level: int = 13
 
 
 @dataclass(frozen=True)
@@ -185,14 +188,14 @@ class DPState:
         q = self.q
         amax = float(self.window.a.max(initial=1.0))
         lev = int(math.ceil(math.log2(max(4.0, amax * self.t))))
-        lev = max(q.min_level, min(q.max_level - 1, lev))
+        lev = max(_MIN_LEVEL, min(_MAX_LEVEL - 1, lev))
         prev = self._sample_level(lev)
         prev_int = self._integrals(prev, self.t)
         errors = [math.inf] * (self.n_max + 1)
         errors_int = [math.inf] * (self.n_max + 1)
         errors[0] = 0.0  # V_0 sampled exactly
         cur, cur_int = prev, prev_int
-        while lev < q.max_level:
+        while lev < _MAX_LEVEL:
             lev += 1
             cur = self._sample_level(lev)
             cur_int = self._integrals(cur, self.t)

@@ -68,16 +68,23 @@ UNDETERMINED = "Undetermined"
 
 @dataclass(frozen=True)
 class VerdictPolicy:
-    """Tolerances and effort caps for honesty decisions."""
+    """Tolerances for honesty decisions."""
 
     verdict_tol: float = 1e-7
     xi_tol: float = 1e-7
-    lam_sweep: tuple[float, ...] = (0.5, 1.0, 2.0)
-    run_sweep: bool = True
-    max_iters: int = 5_000
-    max_factors: int = 2_000_000
-    ratio_window: int = 20
-    ratio_tol: float = 1e-4
+
+
+# verdicts are re-classified at these resolvent parameters: the zero set of
+# xi does not depend on lambda, so a disagreement means Undetermined
+_LAM_SWEEP = (0.5, 1.0, 2.0)
+_XI_MAX_ITERS = 5_000  # J applications in the generic xi route
+_XI_MAX_FACTORS = 2_000_000  # factors per source in the product bracket
+_RATIO_WINDOW = 20  # trailing norm ratios behind the heuristic lower edge
+_RATIO_TOL = 1e-4
+_J_NORM_PREFIX = 40  # J applications recorded as evidence for cascades
+_ABAR_TOL = 1e-9
+_ABAR_MAX_TERMS = 5_000
+_AHAT_N_CAP = 48  # most expansion terms ahat_dp samples
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +140,10 @@ class XiResult:
     iterations: int
 
 
-def _j_norm_prefix(m: ModelSpec, lam: float, u: PosSeq, count: int = 40) -> tuple[float, ...]:
+def _j_norm_prefix(m: ModelSpec, lam: float, u: PosSeq) -> tuple[float, ...]:
     out = [u.head_sum()]
     w = u
-    for _ in range(count):
+    for _ in range(_J_NORM_PREFIX):
         w = apply_J(m, lam, w)
         out.append(w.head_sum())
         if not w.entries:
@@ -174,7 +181,7 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -
         log_partial = 0.0
         frontier = k0
         while True:
-            hi_idx = min(k0 + K, k0 + policy.max_factors)
+            hi_idx = min(k0 + K, k0 + _XI_MAX_FACTORS)
             a_arr = a.array(frontier, hi_idx)
             if birth is None:
                 log_step = float(np.sum(np.log1p(lam / a_arr)))
@@ -187,7 +194,7 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -
             tail = a.reciprocal_tail_bound(frontier)
             partial = math.exp(-log_partial)
             width = partial * (1.0 - math.exp(-lam * tail))
-            if width <= policy.xi_tol or frontier - k0 >= policy.max_factors:
+            if width <= policy.xi_tol or frontier - k0 >= _XI_MAX_FACTORS:
                 break
             K *= 4
         lo_total += w * partial * math.exp(-lam * tail)
@@ -204,7 +211,7 @@ def _xi_generic(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -> X
     norms = [u.head_sum()]
     w = u
     n = 0
-    while n < policy.max_iters:
+    while n < _XI_MAX_ITERS:
         w = apply_J(m, lam, w)
         n += 1
         norms.append(w.head_sum())
@@ -214,17 +221,16 @@ def _xi_generic(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -> X
             break
     upper = norms[-1]
     heuristic = None
-    window = policy.ratio_window
-    if len(norms) > window + 2 and norms[-1] > 0:
-        ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - window - 1, len(norms) - 1)]
-        if max(ratios) - min(ratios) <= policy.ratio_tol:
+    if len(norms) > _RATIO_WINDOW + 2 and norms[-1] > 0:
+        ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - _RATIO_WINDOW - 1, len(norms) - 1)]
+        if max(ratios) - min(ratios) <= _RATIO_TOL:
             rho = ratios[-1]
             # geometric continuation of the log decrements
             decs = [math.log(norms[i] / norms[i + 1]) for i in range(len(norms) - 4, len(norms) - 1)]
             if decs[-2] > 0 and decs[-1] > 0 and decs[-1] < decs[-2]:
                 g = decs[-1] / decs[-2]
                 heuristic = upper * math.exp(-decs[-1] * g / max(1.0 - g, 1e-9))
-            elif rho < 1.0 - policy.ratio_tol:
+            elif rho < 1.0 - _RATIO_TOL:
                 heuristic = 0.0
     return XiResult(
         Bracket(0.0, upper),
@@ -317,9 +323,7 @@ class AbarResult:
     converged: bool
 
 
-def _abar_cone_series(
-    m: ModelSpec, lam: float, u: PosSeq, tol: float, max_terms: int, policy: VerdictPolicy
-) -> AbarResult:
+def _abar_cone_series(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> AbarResult:
     """sum_n a_frak((lam-A)^{-1} J^n u) on the cone with telescoped remainder.
 
     Each term equals |J^n u| - |J^{n+1} u| - lam |(lam-A)^{-1} J^n u|, so the
@@ -331,7 +335,7 @@ def _abar_cone_series(
     total = 0.0
     w = u
     terms = 0
-    for _ in range(max_terms):
+    for _ in range(_ABAR_MAX_TERMS):
         resolved = {k: v / (lam + m.a(k)) for k, v in w.entries.items()}
         total += math.fsum(m.deficit(k) * v for k, v in resolved.items())
         terms += 1
@@ -340,38 +344,25 @@ def _abar_cone_series(
             break
     rem_hi = w.head_sum()
     if rem_hi > tol:
-        rem_hi = max(0.0, rem_hi - xi(m, lam, u, policy).bracket.lo)
+        rem_hi = max(0.0, rem_hi - xi(m, lam, u).bracket.lo)
     return AbarResult(Bracket(total, total + rem_hi), terms, rem_hi <= tol)
 
 
-def abar_resolvent(
-    m: ModelSpec,
-    lam: float,
-    u: PosSeq,
-    tol: float = 1e-9,
-    max_terms: int = 5_000,
-    policy: VerdictPolicy = VerdictPolicy(),
-) -> AbarResult:
+def abar_resolvent(m: ModelSpec, lam: float, u: PosSeq) -> AbarResult:
     """Resolvent-route accumulated balance of (lam-G)^{-1} u, cone input."""
     if lam <= 0:
         raise ValueError("abar_resolvent requires lambda > 0")
     if u.tail_bound != 0.0:
         raise ValueError("abar_resolvent requires finitely supported input")
-    return _abar_cone_series(m, lam, u, tol, max_terms, policy)
+    return _abar_cone_series(m, lam, u, _ABAR_TOL)
 
 
-def _abar_on_vector(
-    m: ModelSpec,
-    lam: float,
-    w: SignedSeq,
-    tol: float,
-    policy: VerdictPolicy,
-) -> Bracket:
+def _abar_on_vector(m: ModelSpec, lam: float, w: SignedSeq, tol: float) -> Bracket:
     """abar evaluated at a (signed) domain element through its resolvent
     representation: w = (lam-G)^{-1} z requires z = lam*w - G*w supplied as
     a signed sequence; here w is the element and z its preimage."""
-    plus = _abar_cone_series(m, lam, w.plus, tol, 5_000, policy)
-    minus = _abar_cone_series(m, lam, w.minus, tol, 5_000, policy)
+    plus = _abar_cone_series(m, lam, w.plus, tol)
+    minus = _abar_cone_series(m, lam, w.minus, tol)
     return plus.bracket - minus.bracket
 
 
@@ -393,8 +384,6 @@ def ahat_dp(
     t: float,
     u: PosSeq,
     tol: float = 1e-8,
-    q: QuadParams = QuadParams(),
-    n_cap: int = 48,
     ev: EvolveResult | None = None,
     params: EvolveParams = EvolveParams(),
 ) -> AhatResult:
@@ -412,7 +401,7 @@ def ahat_dp(
         return AhatResult(Bracket(0.0, 0.0), (), (), 0.0)
     n_max = 8
     while True:
-        st = DPState(m, u, t, n_max, q)
+        st = DPState(m, u, t, n_max, QuadParams())
         colsums = st.window.colsum
         deficits = st.window.a - colsums
         terms = []
@@ -423,9 +412,9 @@ def ahat_dp(
             terms.append(float(deficits @ arr))
             b_norms.append(float(colsums @ arr))
             qerr += err * max(1.0, float(deficits.max(initial=0.0)))
-        if b_norms[-1] <= tol or n_max >= n_cap:
+        if b_norms[-1] <= tol or n_max >= _AHAT_N_CAP:
             break
-        n_max = min(2 * n_max, n_cap)
+        n_max = min(2 * n_max, _AHAT_N_CAP)
     partial = math.fsum(terms)
     lo = max(0.0, partial - qerr)
     hi = partial + b_norms[-1] + qerr
@@ -455,20 +444,14 @@ def _clamp_nonpos(b: Bracket) -> Bracket:
 
 
 def mass_loss_delta(
-    m: ModelSpec,
-    t: float,
-    u: PosSeq,
-    lam: float = 1.0,
-    params: EvolveParams = EvolveParams(),
-    q: QuadParams = QuadParams(),
-    tol: float = 1e-8,
+    m: ModelSpec, t: float, u: PosSeq, params: EvolveParams = EvolveParams()
 ) -> DeltaResult:
     """Delta_u(t) = |V(t)u| - |u| + abar(int_0^t V(s)u ds), via the
     expansion-route functional (the two functionals coincide); always <= 0
     and nonincreasing in t."""
     ev = evolve(m, t, u, params, want_integral=False)
     a0 = a0_on_integral(m, t, u, params, ev=ev)
-    ahat = ahat_dp(m, t, u, tol=tol, q=q, ev=ev, params=params)
+    ahat = ahat_dp(m, t, u, ev=ev, params=params)
     return DeltaResult(_clamp_nonpos(ahat.bracket - a0), a0, ahat.bracket, "dyson_phillips")
 
 
@@ -478,9 +461,7 @@ def delta_by_routes(
     u: PosSeq,
     lam: float = 1.0,
     params: EvolveParams = EvolveParams(),
-    q: QuadParams = QuadParams(),
     tol: float = 1e-8,
-    policy: VerdictPolicy = VerdictPolicy(),
 ) -> tuple[DeltaResult, DeltaResult]:
     """Delta computed independently by the resolvent-series route and the
     expansion route, sharing one evolution pass.
@@ -494,7 +475,7 @@ def delta_by_routes(
     a0 = a0_on_integral(m, t, u, params, ev=ev)
 
     # expansion route
-    ahat = ahat_dp(m, t, u, tol=tol, q=q, ev=ev, params=params)
+    ahat = ahat_dp(m, t, u, tol=tol, ev=ev, params=params)
     dp = DeltaResult(_clamp_nonpos(ahat.bracket - a0), a0, ahat.bracket, "dyson_phillips")
 
     # resolvent route
@@ -505,7 +486,7 @@ def delta_by_routes(
 
         z_plus = axpy(lam, ev.integral, u)
         z = SignedSeq(z_plus, ev.value)
-        abar_w = _abar_on_vector(m, lam, z, tol, policy)
+        abar_w = _abar_on_vector(m, lam, z, tol)
     res = DeltaResult(_clamp_nonpos(abar_w - a0), a0, abar_w, "resolvent")
     return res, dp
 
@@ -561,7 +542,6 @@ def honesty_verdict(
     u: PosSeq,
     lam: float = 1.0,
     policy: VerdictPolicy = VerdictPolicy(),
-    dual_check: bool = False,
 ) -> HonestyReport:
     """Three-valued honesty decision for the trajectory from u.
 
@@ -582,28 +562,18 @@ def honesty_verdict(
     if x.heuristic_lo is not None:
         evidence["heuristic_lo"] = x.heuristic_lo
     route = "resolvent"
-    if policy.run_sweep:
-        sweep = {}
-        agree = True
-        for lam2 in policy.lam_sweep:
-            x2 = x if lam2 == lam else xi(m, lam2, u, policy)
-            v2 = _classify(x2.bracket, policy.verdict_tol)
-            sweep[str(lam2)] = {"lo": x2.bracket.lo, "hi": x2.bracket.hi, "verdict": v2}
-            if v2 != verdict:
-                agree = False
-        evidence["lambda_sweep"] = sweep
-        evidence["lambda_sweep_consistent"] = agree
-        if not agree:
-            verdict = UNDETERMINED
-    if dual_check:
-        n_top = 1 << 12
-        dw = xi_dual(m, lam, n_top, n_top)
-        top_vals = {str(k): dw.values[k] for k in sorted(u.entries) if k <= n_top}
-        evidence["dual"] = {
-            "residual": dw.residual,
-            "values_at_support": top_vals,
-        }
-        route = "both"
+    sweep = {}
+    agree = True
+    for lam2 in _LAM_SWEEP:
+        x2 = x if lam2 == lam else xi(m, lam2, u, policy)
+        v2 = _classify(x2.bracket, policy.verdict_tol)
+        sweep[str(lam2)] = {"lo": x2.bracket.lo, "hi": x2.bracket.hi, "verdict": v2}
+        if v2 != verdict:
+            agree = False
+    evidence["lambda_sweep"] = sweep
+    evidence["lambda_sweep_consistent"] = agree
+    if not agree:
+        verdict = UNDETERMINED
     sub = subsolution_check(m, lam, u)
     if sub.holds is True:
         evidence["subsolution_certificate"] = True
@@ -645,13 +615,12 @@ def hereditary_audit(
     v: PosSeq,
     samples: int,
     seed: int,
-    policy: VerdictPolicy = VerdictPolicy(),
 ) -> HereditaryReport:
     """Random sub-elements 0 <= u <= v of an honest v must all be honest
     (honest initial data form a hereditary subcone)."""
     if v.is_zero:
         return HereditaryReport(0, 0, 0, 0)
-    base = honesty_verdict(m, v, lam, policy)
+    base = honesty_verdict(m, v, lam)
     if base.verdict != HONEST:
         raise ValueError("hereditary_audit requires an honest base element")
     counts = {HONEST: 0, DISHONEST: 0, UNDETERMINED: 0}
@@ -664,5 +633,5 @@ def hereditary_audit(
         if u.is_zero:
             continue
         ran += 1
-        counts[honesty_verdict(m, u, lam, policy).verdict] += 1
+        counts[honesty_verdict(m, u, lam).verdict] += 1
     return HereditaryReport(ran, counts[HONEST], counts[DISHONEST], counts[UNDETERMINED])

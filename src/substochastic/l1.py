@@ -66,12 +66,6 @@ class Bracket:
     def __sub__(self, other: "Bracket") -> "Bracket":
         return Bracket(self.lo - other.hi, self.hi - other.lo)
 
-    def scale(self, alpha: float) -> "Bracket":
-        """Scale by a nonnegative factor."""
-        if alpha < 0:
-            raise ValueError("scale expects alpha >= 0")
-        return Bracket(alpha * self.lo, alpha * self.hi)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.lo:.12g}, {self.hi:.12g}]"
 
@@ -208,10 +202,6 @@ class SignedSeq:
                 m[k] = -net
         object.__setattr__(self, "plus", PosSeq(p, self.plus.tail_bound))
         object.__setattr__(self, "minus", PosSeq(m, self.minus.tail_bound))
-
-    @staticmethod
-    def zero() -> "SignedSeq":
-        return SignedSeq(PosSeq.zero(), PosSeq.zero())
 
     def get(self, k: int) -> float:
         return self.plus.get(k) - self.minus.get(k)

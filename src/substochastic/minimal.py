@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+_SERIES_MAX_TERMS = 50_000
+_N_START = 64  # first truncation of the evolution ladder
+_N_MAX = 1 << 20  # largest truncation before the ladder stops flagged
+
+
 @dataclass(frozen=True)
 class SeriesResult:
     """Partial sum of a positive series plus a bound on the omitted tail.
@@ -67,7 +72,7 @@ def resolvent_G(
     lam: float,
     u: PosSeq,
     tol: float = 1e-8,
-    max_terms: int = 50_000,
+    max_terms: int = _SERIES_MAX_TERMS,
 ) -> SeriesResult:
     """Resolvent of the minimal generator applied to ``u`` (cone input).
 
@@ -108,7 +113,6 @@ def resolvent_Gr(
     r: float,
     u: PosSeq,
     tol: float = 1e-8,
-    max_terms: int = 50_000,
 ) -> SeriesResult:
     """Resolvent of the interpolating generator A + r*B, 0 <= r < 1.
 
@@ -127,7 +131,7 @@ def resolvent_Gr(
     rn = 1.0
     terms = 0
     defect = u_norm / lam
-    for _ in range(max_terms):
+    for _ in range(_SERIES_MAX_TERMS):
         step = {k: v / (lam + m.a(k)) for k, v in w.items()}
         for k, v in step.items():
             acc[k] = acc.get(k, 0.0) + rn * v
@@ -153,12 +157,10 @@ class EvolveParams:
     ``step_budget`` caps the total number of Poisson terms across the whole
     ladder; rate growth like (k+1)^p makes the uniformization constant on an
     N-state truncation scale like N^p, so some cap is needed for super-linear
-    models.  Hitting the cap (or ``n_max``) widens the bracket and flags the
-    result instead of failing.
+    models.  Hitting the cap (or the largest truncation) widens the bracket
+    and flags the result instead of failing.
     """
 
-    n_start: int = 64
-    n_max: int = 1 << 20
     tol: float = 1e-8
     step_budget: int = 3_000_000
 
@@ -314,7 +316,7 @@ def evolve(
             flag_reason="",
         )
     top = max(u.support)
-    n = params.n_start
+    n = _N_START
     while n < 2 * (top + 1):
         n *= 2
     levels: list[int] = []
@@ -354,42 +356,36 @@ def evolve(
         if last_inc is not None and last_inc < params.tol:
             converged = True
             break
-        if 2 * n > params.n_max:
+        if 2 * n > _N_MAX:
             flagged = True
             reason = "n_max reached"
             break
         n *= 2
 
-    v_mass = values[-1].head_sum()
     # rounding wobble of the accumulated Poisson sums; the weight-scale error
     # inside v_defect cuts both ways, so it widens the lower edge too
     fp_slack = (steps_total + 16) * 2.3e-16 * max(u_norm, 1e-300) + v_defect * u_norm
-    poisson_gap = v_defect * u_norm + fp_slack
-    if closed:
-        gap_v = poisson_gap
-    elif converged:
-        gap_v = 2.0 * max(last_inc or 0.0, 0.0) + params.tol + poisson_gap
-    else:
-        # doubling increments shrink roughly geometrically; four increments
-        # comfortably cover the remaining truncation error (estimate, flagged)
-        inc = last_inc if last_inc is not None else u_norm - v_mass
-        gap_v = min(u_norm - v_mass, 4.0 * max(inc, params.tol)) + poisson_gap
-    mass_bracket = Bracket(max(0.0, v_mass - fp_slack), min(u_norm, v_mass + gap_v))
 
+    def bracket(value: float, inc: float | None, defect: float, scale: float) -> Bracket:
+        """Bracket of the mass (scale 1) or the time integral (scale t),
+        whose exact value is at most u_norm * scale."""
+        slack = fp_slack * max(scale, 1.0)
+        cap = u_norm * scale
+        gap = defect * u_norm + slack
+        if converged and not closed:
+            gap = 2.0 * max(inc or 0.0, 0.0) + params.tol * scale + gap
+        elif not closed:
+            # doubling increments shrink roughly geometrically; four increments
+            # comfortably cover the remaining truncation error (estimate, flagged)
+            inc = inc if inc is not None else cap - value
+            gap = min(cap - value, 4.0 * max(inc, params.tol * scale)) + gap
+        return Bracket(max(0.0, value - slack), min(cap, value + gap))
+
+    mass_bracket = bracket(values[-1].head_sum(), last_inc, v_defect, 1.0)
     integral = integral_bracket = None
     if want_integral:
         integral = integrals[-1]
-        i_mass = integral.head_sum()
-        fp_slack_i = fp_slack * max(t, 1.0)
-        int_poisson_gap = i_defect * u_norm + fp_slack_i
-        if closed:
-            gap_i = int_poisson_gap
-        elif converged:
-            gap_i = 2.0 * max(last_inc_i or 0.0, 0.0) + params.tol * t + int_poisson_gap
-        else:
-            inc_i = last_inc_i if last_inc_i is not None else u_norm * t - i_mass
-            gap_i = min(u_norm * t - i_mass, 4.0 * max(inc_i, params.tol * t)) + int_poisson_gap
-        integral_bracket = Bracket(max(0.0, i_mass - fp_slack_i), min(u_norm * t, i_mass + gap_i))
+        integral_bracket = bracket(integral.head_sum(), last_inc_i, i_defect, t)
 
     return EvolveResult(
         value=values[-1],

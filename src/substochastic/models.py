@@ -47,7 +47,7 @@ __all__ = [
     "dump_model",
 ]
 
-_AUDIT_DEPTH = 256  # columns checked at construction time
+_AUDIT_DEPTH = 256  # columns checked at construction time (plus every listed table column)
 _RATE_RTOL = 1e-12
 
 
@@ -71,14 +71,14 @@ class RateFn:
     def __post_init__(self) -> None:
         if self.kind not in ("power", "table"):
             raise ModelError(f"unknown rate kind {self.kind!r}")
-        if not (self.c >= 0):
-            raise ModelError("rate coefficient c must be >= 0")
-        if self.p < 0:
-            raise ModelError("rate exponent p must be >= 0")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ModelError("rate coefficient c must be finite and >= 0")
+        if not (math.isfinite(self.p) and self.p >= 0):
+            raise ModelError("rate exponent p must be finite and >= 0")
         if self.kind == "table":
             if not self.values:
                 raise ModelError("table rate needs at least one value")
-            if any(v < 0 or math.isinf(v) for v in self.values):
+            if not all(math.isfinite(v) and v >= 0 for v in self.values):
                 raise ModelError("table rate values must be finite and >= 0")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
@@ -176,6 +176,14 @@ class Kernel:
             raise ModelError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "birth_death" and (self.birth is None or self.death is None):
             raise ModelError("birth_death kernel needs birth and death rates")
+        keys = [k for k, _ in self.columns]
+        if len(set(keys)) != len(keys):
+            raise ModelError("table kernel lists a source state twice")
+        for k, col in self.columns:
+            if k < 0 or any(j < 0 for j, _ in col):
+                raise ModelError(f"table kernel column {k}: states must be >= 0")
+            if not all(math.isfinite(r) and r >= 0 for _, r in col):
+                raise ModelError(f"table kernel column {k}: rates must be finite and >= 0")
 
     def column(self, k: int, a_k: float) -> tuple[tuple[int, float], ...]:
         if self.kind == "zero":
@@ -342,7 +350,7 @@ def _as_rate(x: float | RateFn) -> RateFn:
 
 @dataclass(frozen=True)
 class DissipativityReport:
-    deficits: tuple[float, ...]
+    deficits: tuple[float, ...]  # k = 0..n, then listed table columns beyond n
     violations: tuple[tuple[int, float], ...]  # (k, excess rate)
     conservative_declared: bool
     conservative_observed: bool
@@ -350,19 +358,14 @@ class DissipativityReport:
 
 
 def dissipativity_audit(m: ModelSpec, n: int) -> DissipativityReport:
-    """Column-by-column deficit report for states k <= n."""
-    deficits = []
-    violations = []
+    """Column-by-column deficit report for states k <= n, then for every
+    listed table column beyond n (a table kernel is empty past its list)."""
+    states = list(range(n + 1)) + sorted(k for k, _ in m.kernel.columns if k > n)
+    deficits = [m.deficit(k) for k in states]
     tol = _RATE_RTOL
-    for k in range(n + 1):
-        a_k = m.a(k)
-        out = math.fsum(r for _, r in m.kernel.column(k, a_k))
-        d = a_k - out
-        deficits.append(d)
-        if d < -tol * max(1.0, a_k):
-            violations.append((k, -d))
-    observed = all(abs(d) <= tol * max(1.0, m.a(k)) for k, d in enumerate(deficits))
-    declared = bool(getattr(m, "conservative", False))
+    violations = [(k, -d) for k, d in zip(states, deficits) if d < -tol * max(1.0, m.a(k))]
+    observed = all(abs(d) <= tol * max(1.0, m.a(k)) for k, d in zip(states, deficits))
+    declared = m.conservative
     return DissipativityReport(
         deficits=tuple(deficits),
         violations=tuple(violations),
@@ -532,7 +535,7 @@ def _rate_from_json(obj: Any, where: str) -> RateFn:
     kind = obj.get("kind")
     if kind == "power":
         _require_keys(obj, {"kind", "c", "p"}, where)
-        return RateFn.power(float(obj["c"]), float(obj["p"]))
+        return RateFn.power(_number(obj["c"], f"{where}.c"), _number(obj["p"], f"{where}.p"))
     if kind == "table":
         _require_keys(obj, {"kind", "values", "tail"}, where)
         tail = obj["tail"]
@@ -540,17 +543,44 @@ def _rate_from_json(obj: Any, where: str) -> RateFn:
             raise ModelError(f"{where}.tail: expected an object")
         _require_keys(tail, {"c", "p"}, f"{where}.tail")
         return RateFn.table(
-            [float(v) for v in obj["values"]],
-            tail_c=float(tail["c"]),
-            tail_p=float(tail["p"]),
+            [_number(v, f"{where}.values") for v in _array(obj["values"], f"{where}.values")],
+            tail_c=_number(tail["c"], f"{where}.tail.c"),
+            tail_p=_number(tail["p"], f"{where}.tail.p"),
         )
     raise ModelError(f"{where}: unknown rate kind {kind!r}")
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _require_keys(obj: dict, allowed: set[str], where: str, optional: frozenset = frozenset()) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ModelError(f"{where}: unknown field(s) {sorted(unknown)}")
+    missing = allowed - optional - set(obj)
+    if missing:
+        raise ModelError(f"{where}: missing field(s) {sorted(missing)}")
+
+
+def _number(x: Any, where: str) -> float:
+    """A finite JSON number; true and false are rejected although Python
+    counts them as integers."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            if math.isfinite(x):
+                return float(x)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ModelError(f"{where}: expected a finite number, got {x!r}")
+
+
+def _integer(x: Any, where: str) -> int:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ModelError(f"{where}: expected an integer, got {x!r}")
+
+
+def _array(x: Any, where: str, size: int | None = None) -> list:
+    if isinstance(x, list) and size in (None, len(x)):
+        return x
+    raise ModelError(f"{where}: expected an array{'' if size is None else f' of {size}'}, got {x!r}")
 
 
 def model_to_json(m: ModelSpec) -> dict[str, Any]:
@@ -589,14 +619,13 @@ def model_from_json(obj: Any) -> ModelSpec:
     if not isinstance(obj, dict):
         raise ModelError("model file: expected a JSON object")
     _require_keys(obj, {"name", "space", "A", "B", "conservative"}, "model")
-    for key in ("name", "space", "A", "B", "conservative"):
-        if key not in obj:
-            raise ModelError(f"model: missing field {key!r}")
     if obj["space"] != "l1":
         raise ModelError(f"model: unsupported space {obj['space']!r}")
     name = str(obj["name"])
     a = _rate_from_json(obj["A"], "A")
-    conservative = bool(obj["conservative"])
+    conservative = obj["conservative"]
+    if not isinstance(conservative, bool):
+        raise ModelError(f"model.conservative: expected true or false, got {conservative!r}")
     b = obj["B"]
     if not isinstance(b, dict):
         raise ModelError("B: expected an object")
@@ -605,7 +634,7 @@ def model_from_json(obj: Any) -> ModelSpec:
         _require_keys(b, {"kind"}, "B")
         kernel = Kernel("zero")
     elif kind == "pure_birth":
-        _require_keys(b, {"kind", "birth"}, "B")
+        _require_keys(b, {"kind", "birth"}, "B", optional=frozenset({"birth"}))
         birth = _rate_from_json(b["birth"], "B.birth") if "birth" in b else None
         kernel = Kernel("pure_birth", birth=birth)
     elif kind == "birth_death":
@@ -622,13 +651,16 @@ def model_from_json(obj: Any) -> ModelSpec:
                     f"B.kill: diagonal mismatch at k={k}: A gives {a(k)}, b+d+kill gives {want}"
                 )
     elif kind == "table":
-        _require_keys(b, {"kind", "columns", "tail"}, "B")
+        _require_keys(b, {"kind", "columns", "tail"}, "B", optional=frozenset({"tail"}))
         if b.get("tail") is not None:
             raise ModelError("B.tail: only null is supported (columns empty beyond the table)")
         cols = []
-        for item in b["columns"]:
-            k, col = item
-            cols.append((int(k), tuple((int(j), float(r)) for j, r in col)))
+        for item in _array(b["columns"], "B.columns"):
+            k, col = _array(item, "B.columns", 2)
+            where = f"B.columns[{k!r}]"
+            pairs = [_array(e, where, 2) for e in _array(col, where)]
+            col = tuple((_integer(j, where), _number(r, where)) for j, r in pairs)
+            cols.append((_integer(k, where), col))
         kernel = Kernel("table", columns=tuple(cols))
     else:
         raise ModelError(f"B: unknown kernel kind {kind!r}")

@@ -64,6 +64,20 @@ class TestVerdictCommand:
         assert "error:" in capsys.readouterr().err
         assert main(["verdict", "--model", model_files["notjson"]]) == 1
 
+    def test_deep_column_violation_exit_one(self, tmp_path, capsys):
+        # a column at k = 300 feeding rate 5 while a_300 = 1
+        doc = {
+            "name": "deep",
+            "space": "l1",
+            "A": {"kind": "power", "c": 1.0, "p": 0.0},
+            "B": {"kind": "table", "columns": [[300, [[301, 5.0]]]], "tail": None},
+            "conservative": False,
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verdict", "--model", str(path), "--initial", "300"]) == 1
+        assert "column 300" in capsys.readouterr().err
+
     def test_report_round_trips_bit_exactly(self, model_files, tmp_path):
         out = tmp_path / "r.json"
         main(["verdict", "--model", model_files["quadratic_birth"], "--out", str(out)])

@@ -259,7 +259,7 @@ class TestVerdicts:
             assert honesty_verdict(m_yule, trimmed).verdict == HONEST
 
     def test_report_json_round_trip(self, m_quadratic):
-        rep = honesty_verdict(m_quadratic, e0, dual_check=False)
+        rep = honesty_verdict(m_quadratic, e0)
         text = report_to_json(rep)
         again = report_from_json(text)
         assert again.xi_bracket == rep.xi_bracket

@@ -28,7 +28,6 @@ class TestBracket:
         b = Bracket(0.5, 0.75)
         assert (a + b).lo == 1.5 and (a + b).hi == 2.75
         assert (a - b).lo == 0.25 and (a - b).hi == 1.5
-        assert a.scale(2.0).hi == 4.0
         assert a.contains(1.5) and not a.contains(2.5)
         assert a.overlaps(Bracket(1.9, 3.0)) and not a.overlaps(Bracket(2.1, 3.0))
 

@@ -51,6 +51,10 @@ class TestRateFn:
             RateFn("exp", c=1.0)
         with pytest.raises(ModelError):
             RateFn.power(1.0, -1.0)
+        with pytest.raises(ModelError):
+            RateFn.power(1.0, math.nan)
+        with pytest.raises(ModelError):
+            RateFn.table([1.0, math.nan])
 
 
 class TestModelConstruction:
@@ -227,6 +231,66 @@ class TestModelJson:
         doc["space"] = "l2"
         with pytest.raises(ModelError):
             model_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"conservative": "false"},  # bool("false") is True
+            {"conservative": 0},
+            {"A": {"kind": "power", "c": True, "p": 1.0}},
+            {"A": {"kind": "power", "c": 1.0, "p": "1"}},
+            {"A": {"kind": "power", "c": 1.0, "p": math.nan}},
+            {"A": {"kind": "power", "c": math.inf, "p": 1.0}},
+            pytest.param({"A": {"kind": "power", "c": 10**400, "p": 1.0}}, id="c-beyond-float-range"),
+            {"A": {"kind": "power", "c": 1.0}},  # missing field
+            {"A": {"kind": "table", "values": [1.0, False], "tail": {"c": 1.0, "p": 1.0}}},
+            {"A": {"kind": "table", "values": "12", "tail": {"c": 1.0, "p": 1.0}}},
+            {"A": {"kind": "table", "values": [1.0, math.nan], "tail": {"c": 1.0, "p": 1.0}}},
+        ],
+        ids=lambda e: json.dumps(e),
+    )
+    def test_strict_types_rejected(self, m_yule, edit):
+        doc = {**model_to_json(m_yule), **edit}
+        with pytest.raises(ModelError):
+            model_from_json(doc)
+
+    @staticmethod
+    def _table_doc(columns):
+        return {
+            "name": "table",
+            "space": "l1",
+            "A": {"kind": "power", "c": 1.0, "p": 0.0},
+            "B": {"kind": "table", "columns": columns, "tail": None},
+            "conservative": False,
+        }
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [[0, [[1, True]]]],  # rate must be a number, not a bool
+            [[0, [[1, "0.5"]]]],
+            [[0, [[1, math.nan]]]],
+            [[0.0, [[1, 0.5]]]],  # keys and targets must be JSON integers
+            [[True, [[1, 0.5]]]],
+            [[0, [["1", 0.5]]]],
+            [[0, [[1.5, 0.5]]]],
+            [[0, [[1, 0.5, 7]]]],
+            [[0, {"1": 0.5}]],
+            [[0, [[1, 0.5]]], [0, [[1, 5.0]]]],  # duplicate key hiding a rate 5 > a_0 = 1
+            [[1, [[-1, 0.5]]]],  # negative target
+            [[-1, [[0, 0.5]]]],
+            [[0, [[1, 5.0], [2, -4.0]]]],  # negative rate masking an excess
+            [[300, [[301, 5.0]]]],  # violation beyond the first 257 states
+        ],
+        ids=lambda c: json.dumps(c),
+    )
+    def test_bad_table_kernel_rejected(self, columns):
+        with pytest.raises(ModelError):
+            model_from_json(self._table_doc(columns))
+
+    def test_deep_table_columns_load(self):
+        m = model_from_json(self._table_doc([[300, [[301, 0.25], [299, 0.75]]], [2, [[0, 1.0]]]]))
+        assert m.deficit(300) == 0.0 and m.deficit(2) == 0.0 and m.deficit(301) == 1.0
 
 
 def _window_cases():
