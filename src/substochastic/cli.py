@@ -183,6 +183,12 @@ def _cmd_simulate(cfg: RunConfig, model) -> int:
     lines = [CSV_HEADER]
     for t in cfg.t_grid:
         r = simulate(model, u, t, cfg.paths, cfg.seed)
+        if r.aborted:
+            print(
+                f"warning: t={t!r}: {r.aborted} of {r.n_paths} paths reached the state cap"
+                " undecided and are left out of every fraction",
+                file=sys.stderr,
+            )
         lines.append(
             f"{r.t!r},{r.survival!r},{r.survival_ci!r},{r.exploded!r},"
             f"{r.exploded_ci!r},{r.killed!r},{r.killed_ci!r}"

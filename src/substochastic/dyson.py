@@ -214,8 +214,8 @@ class DPState:
         self.level = lev
         self.times = np.linspace(0.0, self.t, (1 << lev) + 1)
         self.terms = cur
-        self.errors = [0.0] + list(errors[1:])
-        self.errors_int = list(errors_int)
+        self.errors = errors
+        self.errors_int = errors_int
 
     # -- extraction -----------------------------------------------------
     def _to_seq(self, row: np.ndarray) -> PosSeq:
@@ -234,11 +234,7 @@ class DPState:
         w = _simpson_weights(M, self.t / M)
         if weight_lam:
             w = w * np.exp(-weight_lam * self.times)
-        arr = self.terms[n].T @ w
-        err = self.errors_int[n]
-        if not math.isfinite(err):
-            err = self.errors[n] * self.t
-        return arr, err + self.q.tol * 1e-3
+        return self.terms[n].T @ w, self.errors_int[n] + self.q.tol * 1e-3
 
 
 def dp_term(model: ModelSpec, n: int, t: float, u: PosSeq, q: QuadParams = QuadParams()) -> DPTerm:

@@ -47,7 +47,7 @@ __all__ = [
     "dump_model",
 ]
 
-_AUDIT_DEPTH = 256  # columns checked at construction time (plus every listed table column)
+_AUDIT_DEPTH = 256  # least depth checked at construction time (plus every listed table column)
 _RATE_RTOL = 1e-12
 
 
@@ -234,17 +234,18 @@ class ModelSpec:
             object.__setattr__(self, "stride", self.kernel.stride)
         if self.a.c <= 0:
             raise ModelError(f"model {self.name!r}: diagonal rate tail must be > 0")
-        if any(self.a(k) <= 0 for k in range(min(_AUDIT_DEPTH, 64))):
+        depth = _audit_depth(self.a, self.kernel.birth, self.kernel.death)
+        if any(self.a(k) <= 0 for k in range(depth)):
             raise ModelError(f"model {self.name!r}: diagonal rates must be > 0")
         birth = self.kernel.birth
-        if self.kernel.kind == "pure_birth" and birth is not None and birth.kind == "power":
-            # the columnwise audit below only reaches _AUDIT_DEPTH; power
-            # forms allow checking tail dominance analytically
+        if self.kernel.kind == "pure_birth" and birth is not None:
+            # the columnwise audit below stops at depth; past every table
+            # head both rates are power laws, so tail dominance is analytic
             if birth.p > self.a.p or (birth.p == self.a.p and birth.c > self.a.c):
                 raise ModelError(
                     f"model {self.name!r}: birth rate tail outgrows the diagonal"
                 )
-        report = dissipativity_audit(self, _AUDIT_DEPTH)
+        report = dissipativity_audit(self, depth)
         if report.violations:
             k, excess = report.violations[0]
             raise ModelError(
@@ -338,6 +339,12 @@ class ModelSpec:
         )
         a = RateFn.table(a_values, tail_c=tail_c, tail_p=tail_p)
         return ModelSpec(name, a, Kernel("table", columns=cols), conservative)
+
+
+def _audit_depth(*rates: RateFn | None) -> int:
+    """States audited at construction: _AUDIT_DEPTH, or deeper when a table
+    head reaches further (past every head the rates are power laws)."""
+    return max([_AUDIT_DEPTH, *(len(r.values) for r in rates if r is not None)])
 
 
 def _as_rate(x: float | RateFn) -> RateFn:
@@ -644,7 +651,7 @@ def model_from_json(obj: Any) -> ModelSpec:
         kr = _rate_from_json(b["kill"], "B.kill")
         kernel = Kernel("birth_death", birth=birth, death=death)
         # the declared diagonal must match b + d + kill (death dropped at 0)
-        for k in range(64):
+        for k in range(_audit_depth(a, birth, death, kr)):
             want = birth(k) + (death(k) if k > 0 else 0.0) + kr(k)
             if abs(want - a(k)) > _RATE_RTOL * max(1.0, want):
                 raise ModelError(

@@ -6,6 +6,11 @@ with probability rate/a_k or die with the deficit probability.  Surviving
 mass at time t estimates |V(t)u|; paths that run away to infinity in finite
 time estimate the explosion defect 1 - |V(t)u| of conservative models.
 
+Conservative pure-birth cascades keep one clock per undecided path; every
+other kernel steps through one jump table built from ``m.a.array`` and
+``m.column`` once per ``simulate`` call, never from ``OperatorWindow``, so
+the oracle stays independent of the routes it checks.
+
 Explosion is declared only under a certified criterion on the remaining
 holding-time budget: with the whole upward tail ahead, the leftover time
 sum has mean at most M1 = sum 1/a and variance at most M2 = sum 1/a^2, so
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -135,68 +141,72 @@ def _sample_initial(initial: PosSeq, n: int, rng: np.random.Generator) -> np.nda
 
 def _run_pure_birth_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.random.Generator):
     """Upward-cascade fast path: a path from k is a running sum of
-    independent Exponential(a_k), Exponential(a_{k+1}), ... holding times."""
-    n = states0.size
-    alive = 0
-    exploded = 0
-    aborted = 0
+    independent Exponential(a_k), Exponential(a_{k+1}), ... holding times;
+    ``tau`` holds the clocks of the undecided paths only, in path order."""
+    alive = exploded = aborted = 0
     for k0 in np.unique(states0):
-        idx = np.nonzero(states0 == k0)[0]
-        tau = np.zeros(idx.size)
+        tau = np.zeros(np.count_nonzero(states0 == k0))
         frontier = int(k0)
         block = 256
-        active = np.ones(idx.size, dtype=bool)
-        while active.any():
+        while tau.size:
             hi = min(frontier + block, STATE_CAP)
             if hi <= frontier:
-                aborted += int(active.sum())
+                aborted += tau.size
                 break
             rates = m.a.array(frontier, hi)
-            draws = rng.standard_exponential((int(active.sum()), hi - frontier)) / rates
-            cum = tau[active, None] + np.cumsum(draws, axis=1)
-            resolved = cum[:, -1] > t
+            draws = rng.standard_exponential((tau.size, hi - frontier)) / rates
+            # cumsum adds in order; sum() adds pairwise and would move the last bits
+            ends = tau + np.cumsum(draws, axis=1)[:, -1]
+            resolved = ends > t
             alive += int(resolved.sum())
-            # paths not yet past t continue from the block end
-            new_tau = cum[~resolved, -1]
-            act_idx = np.nonzero(active)[0]
-            still = act_idx[~resolved]
-            tau[still] = new_tau
-            active[:] = False
-            active[still] = True
+            tau = ends[~resolved]
             frontier = hi
             block = min(2 * block, 1 << 16)
-            if active.any():
-                rem = t - tau[active]
+            if tau.size:
+                rem = t - tau
                 budget, conc = _explosion_thresholds(m, frontier)
                 boom = (rem > budget) | (rem > conc)
                 exploded += int(boom.sum())
-                keep = np.nonzero(active)[0][~boom]
-                active[:] = False
-                active[keep] = True
+                tau = tau[~boom]
     return alive, exploded, 0, aborted
 
 
-def _run_stepper_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.random.Generator):
-    """General bounded-kernel path engine (nearest-neighbour or table)."""
-    n = states0.size
+class _JumpTable:
+    """Jump law of a bounded kernel on states 0 .. rows-1, grown on demand:
+    row k holds a_k, the running sums of r/a_k over the column of k (padded
+    with inf) and its targets (padded with -1, killed), so u ~ U[0, 1) at
+    state k jumps to ``tgt[k, #(cum[k] <= u)]``."""
+
+    rows = 0
+
+    def cover(self, m: ModelSpec, top: int) -> None:
+        """Make sure the rows reach state top + 1."""
+        if top + 2 <= self.rows:
+            return
+        rows = max(2 * self.rows, top + 2, 64)
+        cols = [m.column(k) for k in range(rows)]
+        width = 1 + max(map(len, cols))
+        rates = np.zeros((rows, width))
+        tgt = np.full((rows, width), -1, dtype=np.int64)
+        for k, col in enumerate(cols):
+            if col:
+                tgt[k, : len(col)], rates[k, : len(col)] = zip(*col)
+        self.a = m.a.array(0, rows)
+        self.cum = np.cumsum(rates / self.a[:, None], axis=1)
+        self.cum[tgt < 0] = np.inf
+        self.tgt = tgt
+        self.rows = rows
+
+
+def _run_stepper_chunk(
+    m: ModelSpec, states0: np.ndarray, t: float, rng: np.random.Generator, table: _JumpTable
+):
+    """General bounded-kernel path engine: one clock and one ``table``
+    lookup per step, for every kernel kind."""
     states = states0.astype(np.int64).copy()
-    tau = np.zeros(n)
-    active = np.ones(n, dtype=bool)
+    tau = np.zeros(states0.size)
+    active = np.ones(states0.size, dtype=bool)
     alive = killed = aborted = 0
-    kind = m.kernel.kind
-    # per-state tables up to a working cap, grown on demand
-    table_cap = int(max(states.max(initial=0) + 2, 64))
-
-    def build_tables(limit: int):
-        a_vec = m.a.array(0, limit)
-        if kind == "birth_death":
-            b = np.array([m.kernel.birth(k) for k in range(limit)])
-            d = np.array([(m.kernel.death(k) if k > 0 else 0.0) for k in range(limit)])
-            return a_vec, b / a_vec, d / a_vec, None
-        cols = [m.column(k) for k in range(limit)]
-        return a_vec, None, None, cols
-
-    a_vec, pb, pd, cols = build_tables(table_cap)
     steps = 0
     while active.any():
         steps += 1
@@ -205,11 +215,8 @@ def _run_stepper_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.rand
             break
         idx = np.nonzero(active)[0]
         s = states[idx]
-        if int(s.max(initial=0)) + 2 > table_cap:
-            table_cap = int(max(2 * table_cap, s.max() + 2))
-            a_vec, pb, pd, cols = build_tables(table_cap)
-        a_s = a_vec[s]
-        tau[idx] += rng.standard_exponential(idx.size) / a_s
+        table.cover(m, int(s.max()))
+        tau[idx] += rng.standard_exponential(idx.size) / table.a[s]
         done = tau[idx] > t
         alive += int(done.sum())
         jump_idx = idx[~done]
@@ -218,31 +225,11 @@ def _run_stepper_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.rand
             continue
         u = rng.random(jump_idx.size)
         s = states[jump_idx]
-        if kind == "birth_death":
-            up = u < pb[s]
-            down = (~up) & (u < pb[s] + pd[s])
-            die = ~(up | down)
-            states[jump_idx[up]] += 1
-            states[jump_idx[down]] -= 1
-            killed += int(die.sum())
-            active[jump_idx[die]] = False
-        else:
-            for st in np.unique(s):
-                sel = jump_idx[s == st]
-                usel = u[s == st]
-                col = cols[st]
-                if not col:
-                    killed += sel.size
-                    active[sel] = False
-                    continue
-                targets = np.array([j for j, _ in col], dtype=np.int64)
-                cum = np.cumsum([r for _, r in col]) / a_vec[st]
-                pick = np.searchsorted(cum, usel, side="right")
-                die = pick >= targets.size
-                killed += int(die.sum())
-                active[sel[die]] = False
-                ok = ~die
-                states[sel[ok]] = targets[pick[ok]]
+        target = table.tgt[s, (u[:, None] >= table.cum[s]).sum(1)]
+        die = target < 0
+        killed += int(die.sum())
+        active[jump_idx[die]] = False
+        states[jump_idx[~die]] = target[~die]
     return alive, 0, killed, aborted
 
 
@@ -271,7 +258,7 @@ def simulate(
     if m.kernel.kind == "pure_birth" and m.conservative:
         runner = _run_pure_birth_chunk
     else:
-        runner = _run_stepper_chunk
+        runner = partial(_run_stepper_chunk, table=_JumpTable())
     alive = exploded = killed = aborted = 0
     start = 0
     chunk_index = 0

@@ -175,6 +175,20 @@ class TestSimulateCommand:
         assert lines[0] == "t,survival,survival_ci,exploded,exploded_ci,killed,killed_ci"
         assert len(lines) == 3
 
+    def test_aborted_paths_warned(self, model_files, tmp_path, capsys):
+        # seed 335335917 leaves one of 100k quadratic_birth paths undecided at STATE_CAP
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--model", model_files["quadratic_birth"], "--t-grid", "0.5,1"]
+        assert main(args + ["--paths", "100000", "--seed", "335335917", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "warning: t=1.0: 1 of 100000 paths reached the state cap undecided"
+            " and are left out of every fraction"
+        ]
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == CSV_HEADER and len(lines) == 3
+
     def test_header_and_shape(self, model_files, tmp_path):
         out = tmp_path / "sim.csv"
         args = ["simulate", "--model", model_files["quadratic_birth"], "--t-grid", "0.5,1"]

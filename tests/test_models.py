@@ -288,6 +288,33 @@ class TestModelJson:
         with pytest.raises(ModelError):
             model_from_json(self._table_doc(columns))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            pytest.param(
+                # b + d + kill = 7 against a_280 = 3: deficit(280) was -3
+                {"kind": "table", "values": [2.0], "tail": {"c": 3.0, "p": 0.0}},
+                {
+                    "kind": "birth_death",
+                    "b": {"kind": "table", "values": [1.0] * 280 + [5.0] + [1.0] * 19, "tail": {"c": 1.0, "p": 0.0}},
+                    "d": {"kind": "power", "c": 1.0, "p": 0.0},
+                    "kill": {"kind": "power", "c": 1.0, "p": 0.0},
+                },
+                id="birth-death-rate-head-280",
+            ),
+            pytest.param(
+                # 0.01 (k+1)^1.2 outgrows (k+1) only past k ~ 1e10
+                {"kind": "power", "c": 1.0, "p": 1.0},
+                {"kind": "pure_birth", "birth": {"kind": "table", "values": [0.5], "tail": {"c": 0.01, "p": 1.2}}},
+                id="pure-birth-table-tail",
+            ),
+        ],
+    )
+    def test_deep_rate_violation_rejected(self, a, b):
+        doc = {"name": "deep", "space": "l1", "A": a, "B": b, "conservative": False}
+        with pytest.raises(ModelError):
+            model_from_json(doc)
+
     def test_deep_table_columns_load(self):
         m = model_from_json(self._table_doc([[300, [[301, 0.25], [299, 0.75]]], [2, [[0, 1.0]]]]))
         assert m.deficit(300) == 0.0 and m.deficit(2) == 0.0 and m.deficit(301) == 1.0

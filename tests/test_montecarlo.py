@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from substochastic.l1 import PosSeq
+from substochastic.minimal import semigroup_V
+from substochastic.models import Kernel, ModelSpec, RateFn
 from substochastic.montecarlo import (
     explosion_cdf,
     simulate,
@@ -62,6 +64,37 @@ class TestAgainstClosedForms:
         # constant kill rate 0.5 thins the conservative walk independently
         est = simulate(m_bd_kill, e0, 2.0, 50_000, seed=11)
         assert est.survival == pytest.approx(math.exp(-1.0), abs=3 * est.survival_ci)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # a three-target column and an empty one (state 3 always dies)
+            ModelSpec.table(
+                (3.0, 2.0, 4.0, 1.0, 2.5),
+                {
+                    0: [(1, 1.0), (3, 0.5), (4, 1.0)],
+                    1: [(0, 0.5), (2, 1.0)],
+                    2: [(4, 2.0), (0, 1.0), (1, 0.5)],
+                    3: [],
+                    4: [(0, 1.0), (2, 1.5)],
+                },
+                name="table_three_targets",
+            ),
+            # killing cascade: birth 1.5(k+1) under the diagonal 2(k+1)
+            ModelSpec(
+                "killing_birth",
+                RateFn.power(2.0, 1.0),
+                Kernel("pure_birth", birth=RateFn.power(1.5, 1.0)),
+                conservative=False,
+            ),
+        ],
+        ids=lambda m: m.name,
+    )
+    def test_stepper_matches_semigroup_mass(self, m):
+        est = simulate(m, e0, 1.0, 20_000, seed=13)
+        assert est.counts_sum_to_one and est.aborted == 0
+        _, mass, _ = semigroup_V(m, 1.0, e0)
+        assert mass.lo - 4 * est.survival_ci <= est.survival <= mass.hi + 4 * est.survival_ci
 
     def test_yule_never_explodes(self, m_yule):
         est = simulate(m_yule, e0, 1.0, 50_000, seed=5)
