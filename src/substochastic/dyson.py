@@ -218,15 +218,8 @@ class DPState:
         self.errors_int = errors_int
 
     # -- extraction -----------------------------------------------------
-    def _to_seq(self, row: np.ndarray) -> PosSeq:
-        out = {}
-        for i, v in enumerate(row):
-            if v > 0.0:
-                out[self.lo + i] = float(v)
-        return PosSeq(out, 0.0)
-
     def term_at_t(self, n: int) -> DPTerm:
-        return DPTerm(self._to_seq(self.terms[n][-1]), self.errors[n])
+        return DPTerm(PosSeq.from_array(self.terms[n][-1], self.lo), self.errors[n])
 
     def integral(self, n: int, weight_lam: float = 0.0) -> tuple[np.ndarray, float]:
         """int_0^t exp(-weight_lam*s) V_n(s)u ds on the window (array, error)."""
@@ -253,7 +246,7 @@ def dp_partial_sum(model: ModelSpec, K: int, t: float, u: PosSeq, q: QuadParams 
     total = np.zeros(st.hi - st.lo)
     for n in range(K + 1):
         total += st.terms[n][-1]
-    return DPTerm(st._to_seq(total), math.fsum(st.errors[: K + 1]))
+    return DPTerm(PosSeq.from_array(total, st.lo), math.fsum(st.errors[: K + 1]))
 
 
 def dp_convolution_residual(
@@ -277,7 +270,7 @@ def dp_B_integral(model: ModelSpec, n: int, t: float, u: PosSeq, q: QuadParams =
     """B int_0^t V_n(s)u ds (equals int_0^t B V_n(s)u ds)."""
     st = DPState(model, u, t, n, q)
     arr, err = st.integral(n)
-    return DPTerm(st._to_seq(st.window.apply_B(arr)), err * max(1.0, float(st.window.a.max())))
+    return DPTerm(PosSeq.from_array(st.window.apply_B(arr), st.lo), err * max(1.0, float(st.window.a.max())))
 
 
 def dp_laplace(model: ModelSpec, n: int, lam: float, u: PosSeq, q: QuadParams = QuadParams()) -> DPTerm:
@@ -296,7 +289,7 @@ def dp_laplace(model: ModelSpec, n: int, lam: float, u: PosSeq, q: QuadParams = 
     st = DPState(model, u, horizon, n, q)
     arr, err = st.integral(n, weight_lam=lam)
     tail = math.exp(-lam * horizon) * u_norm / lam
-    return DPTerm(st._to_seq(arr), err + tail)
+    return DPTerm(PosSeq.from_array(arr, st.lo), err + tail)
 
 
 @dataclass(frozen=True)

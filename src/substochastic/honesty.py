@@ -33,8 +33,8 @@ import numpy as np
 
 from .dyson import DPState, QuadParams
 from .l1 import Bracket, PosSeq, SignedSeq, leq
-from .minimal import EvolveParams, EvolveResult, evolve
-from .models import ModelSpec, OperatorWindow, apply_B_entries, apply_J
+from .minimal import EvolveParams, EvolveResult, evolve, resolvent_G
+from .models import ModelSpec, OperatorWindow, apply_J
 
 __all__ = [
     "VerdictPolicy",
@@ -83,7 +83,6 @@ _RATIO_WINDOW = 20  # trailing norm ratios behind the heuristic lower edge
 _RATIO_TOL = 1e-4
 _J_NORM_PREFIX = 40  # J applications recorded as evidence for cascades
 _ABAR_TOL = 1e-9
-_ABAR_MAX_TERMS = 5_000
 _AHAT_N_CAP = 48  # most expansion terms ahat_dp samples
 
 
@@ -326,26 +325,19 @@ class AbarResult:
 def _abar_cone_series(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> AbarResult:
     """sum_n a_frak((lam-A)^{-1} J^n u) on the cone with telescoped remainder.
 
-    Each term equals |J^n u| - |J^{n+1} u| - lam |(lam-A)^{-1} J^n u|, so the
-    remainder after K terms is |J^{K+1} u| - xi(u), bounded using the
-    certified lower edge of xi.
+    The partial sum is a_frak of ``resolvent_G``'s value.  Each term equals
+    |J^n u| - |J^{n+1} u| - lam |(lam-A)^{-1} J^n u|, so the remainder after
+    K terms is |J^K u| - xi(u), that is lam * defect - xi(u), bounded using
+    the certified lower edge of xi.
     """
     if m.conservative:
         return AbarResult(Bracket(0.0, 0.0), 0, True)
-    total = 0.0
-    w = u
-    terms = 0
-    for _ in range(_ABAR_MAX_TERMS):
-        resolved = {k: v / (lam + m.a(k)) for k, v in w.entries.items()}
-        total += math.fsum(m.deficit(k) * v for k, v in resolved.items())
-        terms += 1
-        w = PosSeq(apply_B_entries(m, resolved), 0.0)
-        if w.head_sum() <= tol:
-            break
-    rem_hi = w.head_sum()
+    res = resolvent_G(m, lam, u, tol=tol / lam)
+    total = a_frak(m, res.value)
+    rem_hi = lam * res.defect
     if rem_hi > tol:
         rem_hi = max(0.0, rem_hi - xi(m, lam, u).bracket.lo)
-    return AbarResult(Bracket(total, total + rem_hi), terms, rem_hi <= tol)
+    return AbarResult(Bracket(total, total + rem_hi), res.terms_used, rem_hi <= tol)
 
 
 def abar_resolvent(m: ModelSpec, lam: float, u: PosSeq) -> AbarResult:

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 __all__ = [
     "Bracket",
     "PosSeq",
@@ -119,6 +121,12 @@ class PosSeq:
     @staticmethod
     def basis(k: int, weight: float = 1.0) -> "PosSeq":
         return PosSeq({k: weight}, 0.0)
+
+    @staticmethod
+    def from_array(arr: np.ndarray, offset: int = 0) -> "PosSeq":
+        """The nonzero entries of a dense window, entry i stored at offset + i."""
+        nz = np.nonzero(arr)[0]
+        return PosSeq({offset + int(i): float(arr[i]) for i in nz}, 0.0)
 
     def get(self, k: int) -> float:
         return self.entries.get(k, 0.0)

@@ -6,7 +6,9 @@ closure-extension of A + B:
 * the resolvent series ``(lam - G)^{-1} u = sum_n (lam - A)^{-1} J^n u``
   with ``J = B (lam - A)^{-1}``, whose partial sums increase to the limit
   and whose remainder is certified by the telescoping identity
-  ``lam * |(lam-A)^{-1} w| = |w| - |J w| - <deficit, (lam-A)^{-1} w>``;
+  ``lam * |(lam-A)^{-1} w| = |w| - |J w| - <deficit, (lam-A)^{-1} w>``.
+  The same loop weights term n by r^n (0 <= r <= 1) for Kato's generator
+  A + r*B, and one bound ``r^K |J^K u| / lam`` certifies every truncation;
 
 * the evolution ``V(t) u`` on an N-state truncation, evaluated by
   uniformization (Poisson-weighted powers of ``I + Q/c``), which preserves
@@ -36,7 +38,6 @@ __all__ = [
     "EvolveParams",
     "EvolveResult",
     "resolvent_G",
-    "resolvent_Gr",
     "semigroup_V",
     "integrate_V",
     "evolve",
@@ -73,76 +74,45 @@ def resolvent_G(
     u: PosSeq,
     tol: float = 1e-8,
     max_terms: int = _SERIES_MAX_TERMS,
+    r: float = 1.0,
 ) -> SeriesResult:
-    """Resolvent of the minimal generator applied to ``u`` (cone input).
+    """Resolvent of the generator A + r*B applied to ``u`` (cone input).
 
-    Iterates ``w <- J w`` and accumulates ``(lam - A)^{-1} w``.  After K
-    terms the omitted mass is at most ``|J^{K+1} u| / lam``; for data with a
-    nonzero honesty defect this bound stalls at the defect over lam, which
-    is reported rather than hidden.
+    Iterates ``w <- J w`` and accumulates ``r^n (lam - A)^{-1} w``; r = 1
+    gives the minimal generator, 0 <= r < 1 Kato's interpolating generators.
+    After K terms the omitted mass is at most ``r^K |J^K u| / lam`` (the
+    remainder telescopes on the cone); at r = 1 and nonzero honesty defect
+    this bound stalls at the defect over lam, which is reported rather than
+    hidden.
     """
     if lam <= 0:
         raise ValueError("resolvent_G requires lambda > 0")
     if tol <= 0:
         raise ValueError("resolvent_G requires tol > 0")
+    if not 0.0 <= r <= 1.0:
+        raise ValueError("resolvent_G requires 0 <= r <= 1")
     if u.tail_bound != 0.0:
         raise ValueError("resolvent_G requires finitely supported input")
     u_norm = u.head_sum()
     acc: dict[int, float] = {}
     w = u
+    rn = 1.0
     terms = 0
     defect = u_norm / lam
     for _ in range(max_terms):
         step = {k: v / (lam + m.a(k)) for k, v in w.entries.items()}
         for k, v in step.items():
-            acc[k] = acc.get(k, 0.0) + v
+            acc[k] = acc.get(k, 0.0) + rn * v
         terms += 1
         w = PosSeq(apply_B_entries(m, step), 0.0)
-        defect = w.head_sum() / lam
+        rn *= r
+        defect = rn * w.head_sum() / lam
         if defect <= tol or w.is_zero:
             break
     value = PosSeq(acc, 0.0)
     # keep the certified chain lam*(|value| + defect) <= |u| despite rounding
     defect = max(0.0, min(defect, u_norm / lam - value.head_sum()))
     return SeriesResult(value, defect, terms, converged=defect <= tol)
-
-
-def resolvent_Gr(
-    m: ModelSpec,
-    lam: float,
-    r: float,
-    u: PosSeq,
-    tol: float = 1e-8,
-) -> SeriesResult:
-    """Resolvent of the interpolating generator A + r*B, 0 <= r < 1.
-
-    The geometric weight makes the tail certifiable unconditionally:
-    ``sum_{n>K} r^n |(lam-A)^{-1} J^n u| <= r^{K+1}/(1-r) * |u|/lam``.
-    """
-    if lam <= 0:
-        raise ValueError("resolvent_Gr requires lambda > 0")
-    if not (0.0 <= r < 1.0):
-        raise ValueError("resolvent_Gr requires 0 <= r < 1")
-    if u.tail_bound != 0.0:
-        raise ValueError("resolvent_Gr requires finitely supported input")
-    u_norm = u.head_sum()
-    acc: dict[int, float] = {}
-    w = u.entries
-    rn = 1.0
-    terms = 0
-    defect = u_norm / lam
-    for _ in range(_SERIES_MAX_TERMS):
-        step = {k: v / (lam + m.a(k)) for k, v in w.items()}
-        for k, v in step.items():
-            acc[k] = acc.get(k, 0.0) + rn * v
-        terms += 1
-        w = PosSeq(apply_B_entries(m, step), 0.0).entries
-        rn *= r
-        w_norm = math.fsum(w.values())
-        defect = min(rn * w_norm / (lam * (1.0 - r)) if r > 0 else 0.0, rn / (1.0 - r) * u_norm / lam)
-        if defect <= tol or not w:
-            break
-    return SeriesResult(PosSeq(acc, 0.0), defect, terms, converged=defect <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +313,9 @@ def evolve(
         budget -= steps
         v_defect, i_defect = v_def, i_def
         levels.append(n)
-        values.append(_to_seq(v_arr))
+        values.append(PosSeq.from_array(v_arr))
         if want_integral:
-            integrals.append(_to_seq(i_arr))
+            integrals.append(PosSeq.from_array(i_arr))
             if len(integrals) >= 2:
                 last_inc_i = integrals[-1].head_sum() - integrals[-2].head_sum()
         if len(values) >= 2:
@@ -399,11 +369,6 @@ def evolve(
         flagged=flagged,
         flag_reason=reason,
     )
-
-
-def _to_seq(arr: np.ndarray) -> PosSeq:
-    nz = np.nonzero(arr)[0]
-    return PosSeq({int(k): float(arr[k]) for k in nz}, 0.0)
 
 
 def semigroup_V(

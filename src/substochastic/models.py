@@ -657,6 +657,12 @@ def model_from_json(obj: Any) -> ModelSpec:
                 raise ModelError(
                     f"B.kill: diagonal mismatch at k={k}: A gives {a(k)}, b+d+kill gives {want}"
                 )
+        # past every table head the rates are power laws: the check above
+        # holds for every k only if b, d and kill share A's tail exponent
+        # and their tail coefficients sum to A's
+        tails = [r for r in (birth, death, kr) if r.c > 0]
+        if any(r.p != a.p for r in tails) or abs(math.fsum(r.c for r in tails) - a.c) > _RATE_RTOL * max(1.0, a.c):
+            raise ModelError(f"B.kill: diagonal tail mismatch: b+d+kill does not end in A's tail {a.c}*(k+1)^{a.p}")
     elif kind == "table":
         _require_keys(b, {"kind", "columns", "tail"}, "B", optional=frozenset({"tail"}))
         if b.get("tail") is not None:

@@ -78,6 +78,27 @@ class TestVerdictCommand:
         assert main(["verdict", "--model", str(path), "--initial", "300"]) == 1
         assert "column 300" in capsys.readouterr().err
 
+    def test_deep_tail_violation_exit_one(self, tmp_path, capsys):
+        # birth 1e-40 (k+1)^10 outgrows the constant diagonal only far past k = 256
+        doc = {
+            "name": "deep_tail",
+            "space": "l1",
+            "A": {"kind": "table", "values": [1.0], "tail": {"c": 2.0, "p": 0.0}},
+            "B": {
+                "kind": "birth_death",
+                "b": {"kind": "power", "c": 1e-40, "p": 10.0},
+                "d": {"kind": "power", "c": 1.0, "p": 0.0},
+                "kill": {"kind": "power", "c": 1.0, "p": 0.0},
+            },
+            "conservative": False,
+        }
+        path = tmp_path / "deep_tail.json"
+        path.write_text(json.dumps(doc))
+        for k in ("12000", "20000"):
+            assert main(["verdict", "--model", str(path), "--initial", k]) == 1
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "tail mismatch" in err
+
     def test_report_round_trips_bit_exactly(self, model_files, tmp_path):
         out = tmp_path / "r.json"
         main(["verdict", "--model", model_files["quadratic_birth"], "--out", str(out)])

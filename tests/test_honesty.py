@@ -22,6 +22,7 @@ from substochastic.honesty import (
 )
 from substochastic.l1 import PosSeq, SignedSeq
 from substochastic.minimal import EvolveParams, semigroup_V
+from test_minimal import dense_generator, random_closed_model
 
 e0 = PosSeq.basis(0)
 EXP1 = math.exp(-1.0)
@@ -85,6 +86,20 @@ class TestAbarResolvent:
         r = abar_resolvent(m_pure_loss, 1.0, e0)
         assert r.bracket.mid == pytest.approx(0.5, abs=1e-12)  # deficit 1 at (1+1)^-1
         assert r.terms_used == 1
+
+    def test_contains_dense_mass_balance(self):
+        # finite closed models are honest, so abar((lam-G)^{-1} e0) is the
+        # mass balance 1 - lam |(lam-G)^{-1} e0|, here from a dense solve
+        rng = np.random.default_rng(2024)
+        for _ in range(10):
+            m = random_closed_model(rng, 12)
+            n = len(m.a.values)
+            lam = float(0.25 + 2.0 * rng.random())
+            x = np.linalg.solve(lam * np.eye(n) - dense_generator(m, n), np.eye(n)[0])
+            exact = 1.0 - lam * math.fsum(x)
+            r = abar_resolvent(m, lam, e0)
+            assert r.converged and r.bracket.width <= 1e-8
+            assert r.bracket.lo - 1e-13 <= exact <= r.bracket.hi + 1e-13
 
 
 class TestXi:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +31,16 @@ class TestBracket:
         assert (a - b).lo == 0.25 and (a - b).hi == 1.5
         assert a.contains(1.5) and not a.contains(2.5)
         assert a.overlaps(Bracket(1.9, 3.0)) and not a.overlaps(Bracket(2.1, 3.0))
+
+
+class TestFromArray:
+    def test_nonzero_entries_at_offset(self):
+        u = PosSeq.from_array(np.array([0.0, 0.5, 0.0, 2.0]), offset=3)
+        assert u.entries == {4: 0.5, 6: 2.0} and u.tail_bound == 0.0
+
+    def test_negative_entry_raises(self):
+        with pytest.raises(ValueError):
+            PosSeq.from_array(np.array([1.0, -1e-3]))
 
 
 class TestMass:

@@ -8,7 +8,6 @@ from substochastic.minimal import (
     EvolveParams,
     integrate_V,
     resolvent_G,
-    resolvent_Gr,
     semigroup_V,
 )
 from substochastic.models import ModelSpec
@@ -80,28 +79,51 @@ class TestResolventG:
 
 
 class TestResolventGr:
+    """resolvent_G with Kato's weight r: the resolvent of A + r*B."""
+
     def test_r_zero_is_plain_resolvent(self, m_two_state):
-        res = resolvent_Gr(m_two_state, 1.0, 0.0, e0, tol=1e-12)
+        res = resolvent_G(m_two_state, 1.0, e0, tol=1e-12, r=0.0)
         assert res.value.entries == {0: 0.5}
 
     def test_zero_kernel_any_r(self, m_pure_loss):
-        res = resolvent_Gr(m_pure_loss, 1.0, 0.5, e0, tol=1e-12)
+        res = resolvent_G(m_pure_loss, 1.0, e0, tol=1e-12, r=0.5)
         assert res.value.entries == {0: 0.5}
         assert res.converged
 
     def test_geometric_tail_certified_and_monotone_in_r(self, m_quadratic):
         tol = 1e-10
-        r_lo = resolvent_Gr(m_quadratic, 1.0, 0.5, e0, tol=tol)
-        r_hi = resolvent_Gr(m_quadratic, 1.0, 0.9, e0, tol=tol)
+        r_lo = resolvent_G(m_quadratic, 1.0, e0, tol=tol, r=0.5)
+        r_hi = resolvent_G(m_quadratic, 1.0, e0, tol=tol, r=0.9)
         assert r_lo.converged and r_hi.converged
         assert r_lo.defect <= tol and r_hi.defect <= tol
         for k in r_lo.value.entries:
             assert r_hi.value.get(k) >= r_lo.value.get(k) - 1e-12
         assert r_hi.value.head_sum() >= r_lo.value.head_sum()
 
-    def test_rejects_r_at_one(self, m_yule):
+    @pytest.mark.parametrize("r", [1.5, -0.1])
+    def test_rejects_r_outside_unit_interval(self, m_yule, r):
         with pytest.raises(ValueError):
-            resolvent_Gr(m_yule, 1.0, 1.0, e0)
+            resolvent_G(m_yule, 1.0, e0, r=r)
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9, 1.0])
+    def test_certificate_against_dense_solve(self, r):
+        # tol 1e-4 stops the series early, so the defect has to carry the tail
+        rng = np.random.default_rng(int(10 * r) + 11)
+        for _ in range(10):
+            m = random_closed_model(rng, 12)
+            n = len(m.a.values)
+            lam = float(0.25 + 2.0 * rng.random())
+            u = PosSeq({k: float(v) for k, v in enumerate(rng.random(n))})
+            res = resolvent_G(m, lam, u, tol=1e-4, r=r)
+            q = dense_generator(m, n)
+            a = -np.diag(np.diag(q))
+            gen = -a + r * (q + a)
+            exact = np.linalg.solve(lam * np.eye(n) - gen, [u.get(k) for k in range(n)])
+            got = np.array([res.value.get(k) for k in range(n)])
+            assert np.all(exact >= got * (1.0 - 1e-12))
+            lo = res.value.head_sum()
+            assert lo * (1.0 - 1e-12) <= exact.sum() <= (lo + res.defect) * (1.0 + 1e-12)
+            assert lam * (lo + res.defect) <= u.head_sum() * (1.0 + 1e-12)
 
 
 class TestFiniteDimensionalExactness:

@@ -308,6 +308,28 @@ class TestModelJson:
                 {"kind": "pure_birth", "birth": {"kind": "table", "values": [0.5], "tail": {"c": 0.01, "p": 1.2}}},
                 id="pure-birth-table-tail",
             ),
+            pytest.param(
+                # 1e-40 (k+1)^10 is below rounding up to k = 256; deficit(20000) was -1023.5
+                {"kind": "table", "values": [1.0], "tail": {"c": 2.0, "p": 0.0}},
+                {
+                    "kind": "birth_death",
+                    "b": {"kind": "power", "c": 1e-40, "p": 10.0},
+                    "d": {"kind": "power", "c": 1.0, "p": 0.0},
+                    "kill": {"kind": "power", "c": 1.0, "p": 0.0},
+                },
+                id="birth-death-power-tail",
+            ),
+            pytest.param(
+                # one exponent, but the tail coefficients sum to 2.5 against A's 3
+                {"kind": "table", "values": [2.0] + [3.0] * 299, "tail": {"c": 3.0, "p": 0.0}},
+                {
+                    "kind": "birth_death",
+                    "b": {"kind": "table", "values": [1.0] * 300, "tail": {"c": 0.5, "p": 0.0}},
+                    "d": {"kind": "power", "c": 1.0, "p": 0.0},
+                    "kill": {"kind": "power", "c": 1.0, "p": 0.0},
+                },
+                id="birth-death-tail-coefficient",
+            ),
         ],
     )
     def test_deep_rate_violation_rejected(self, a, b):
