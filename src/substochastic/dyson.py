@@ -311,10 +311,8 @@ def dp_uniform_tail(
     # exact U-tail: coordinatewise u_k e^{-(lam+a_k)t}/(lam+a_k), then B
     from .models import apply_B
 
-    u_tail = PosSeq(
-        {k: v * math.exp(-(lam + model.a(k)) * t) / (lam + model.a(k)) for k, v in u.entries.items()},
-        0.0,
-    )
+    a = model.a.at(list(u.entries)).tolist()
+    u_tail = PosSeq({k: v * math.exp(-(lam + a_k) * t) / (lam + a_k) for (k, v), a_k in zip(u.entries.items(), a)})
     bound = math.exp(-lam * t) * u_norm + apply_B(model, u_tail).head_sum()
     computed = []
     for n in range(n_max + 1):

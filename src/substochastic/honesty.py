@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyson import DPState, QuadParams
-from .l1 import Bracket, PosSeq, SignedSeq, leq
+from .l1 import Bracket, PosSeq, SignedSeq, leq, mass
 from .minimal import EvolveParams, EvolveResult, evolve, resolvent_G
 from .models import ModelSpec, OperatorWindow, apply_J
 
@@ -98,14 +98,14 @@ def a_frak(m: ModelSpec, u: SignedSeq | PosSeq) -> float:
     and is nonnegative on the cone.
     """
     if isinstance(u, PosSeq):
-        if u.tail_bound != 0.0:
-            raise ValueError("a_frak requires finitely supported input")
-        return math.fsum(m.deficit(k) * v for k, v in u.entries.items())
-    if u.plus.tail_bound != 0.0 or u.minus.tail_bound != 0.0:
+        return _balance(m, u)
+    return _balance(m, u.plus) - _balance(m, u.minus)
+
+
+def _balance(m: ModelSpec, u: PosSeq) -> float:
+    if u.tail_bound != 0.0:
         raise ValueError("a_frak requires finitely supported input")
-    return math.fsum(m.deficit(k) * v for k, v in u.plus.entries.items()) - math.fsum(
-        m.deficit(k) * v for k, v in u.minus.entries.items()
-    )
+    return math.fsum(d * v for d, v in zip(m.deficits(list(u.entries)).tolist(), u.entries.values()))
 
 
 def a0_on_integral(
@@ -218,7 +218,7 @@ def _xi_generic(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -> X
             break
         if n >= 8 and norms[-1] <= policy.xi_tol and norms[-2] - norms[-1] < policy.xi_tol * 1e-2:
             break
-    upper = norms[-1]
+    upper = mass(w).hi  # flushed entries ride in the tail
     heuristic = None
     if len(norms) > _RATIO_WINDOW + 2 and norms[-1] > 0:
         ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - _RATIO_WINDOW - 1, len(norms) - 1)]
@@ -228,7 +228,7 @@ def _xi_generic(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -> X
             decs = [math.log(norms[i] / norms[i + 1]) for i in range(len(norms) - 4, len(norms) - 1)]
             if decs[-2] > 0 and decs[-1] > 0 and decs[-1] < decs[-2]:
                 g = decs[-1] / decs[-2]
-                heuristic = upper * math.exp(-decs[-1] * g / max(1.0 - g, 1e-9))
+                heuristic = norms[-1] * math.exp(-decs[-1] * g / max(1.0 - g, 1e-9))
             elif rho < 1.0 - _RATIO_TOL:
                 heuristic = 0.0
     return XiResult(

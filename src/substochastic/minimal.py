@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import Bracket, PosSeq
-from .models import ModelSpec, OperatorWindow, apply_B_entries
+from .models import ModelSpec, OperatorWindow, apply_B_entries, resolvent_A_entries
 
 __all__ = [
     "SeriesResult",
@@ -100,7 +100,7 @@ def resolvent_G(
     terms = 0
     defect = u_norm / lam
     for _ in range(max_terms):
-        step = {k: v / (lam + m.a(k)) for k, v in w.entries.items()}
+        step = resolvent_A_entries(m, lam, w.entries)
         for k, v in step.items():
             acc[k] = acc.get(k, 0.0) + rn * v
         terms += 1

@@ -38,6 +38,7 @@ __all__ = [
     "apply_B",
     "apply_B_entries",
     "apply_resolvent_A",
+    "resolvent_A_entries",
     "apply_U",
     "apply_J",
     "dissipativity_audit",
@@ -90,33 +91,29 @@ class RateFn:
     def table(values, tail_c: float = 1.0, tail_p: float = 0.0) -> "RateFn":
         return RateFn("table", c=tail_c, p=tail_p, values=tuple(values))
 
-    def __call__(self, k: int) -> float:
-        if self.kind == "table" and k < len(self.values):
-            return self.values[k]
-        return self.c * float(k + 1) ** self.p
-
-    def array(self, lo: int, hi: int) -> np.ndarray:
-        """Vectorized values a_lo .. a_{hi-1}.
-
-        numpy's power differs from ``__call__`` in the last bit at some
-        non-integer exponents (p = 1.5, c = 0.7: 8,748 of the first 200k
-        states), so arrays that must match the sparse primitives bit for bit
-        come from ``OperatorWindow`` instead.
-        """
-        ks = np.arange(lo, hi, dtype=np.float64)
-        out = self.c * (ks + 1.0) ** self.p
-        if self.kind == "table" and lo < len(self.values):
-            head = np.asarray(self.values[lo : min(hi, len(self.values))])
-            out[: head.size] = head
+    def at(self, ks) -> np.ndarray:
+        """The rates a_k at an array of states: the one evaluation every
+        other read of this sequence is a view of, so scalar and array reads
+        agree bit for bit."""
+        ks = np.asarray(ks, dtype=np.int64)
+        out = ks + 1.0
+        out **= self.p  # in place: no temporaries on large windows
+        out *= self.c
+        if self.kind == "table":
+            head = ks < len(self.values)
+            out[head] = np.asarray(self.values)[ks[head]]
         return out
 
-    @property
-    def bounded(self) -> bool:
-        return self.p == 0.0
+    def __call__(self, k: int) -> float:
+        return float(self.at((k,))[0])
+
+    def array(self, lo: int, hi: int) -> np.ndarray:
+        """Values a_lo .. a_{hi-1}."""
+        return self.at(np.arange(lo, hi))
 
     def sup_bound(self) -> float:
         """Upper bound on sup_k a_k; inf when unbounded."""
-        if not self.bounded:
+        if self.p != 0.0:
             return math.inf
         return max(self.c, max(self.values, default=0.0))
 
@@ -124,10 +121,9 @@ class RateFn:
         """max over 0 <= k < n."""
         if n <= 0:
             return 0.0
-        m = max(self.values[: min(n, len(self.values))], default=0.0)
-        k0 = len(self.values) if self.kind == "table" else 0
-        if n > k0:
-            m = max(m, self.c * float(n) ** self.p)  # power part is nondecreasing
+        m = max(self.values[:n], default=0.0)
+        if n > len(self.values):
+            m = max(m, self(n - 1))  # the power part is nondecreasing
         return m
 
     def reciprocal_sum_diverges(self) -> bool:
@@ -152,7 +148,7 @@ class RateFn:
             return math.inf
         # sum_{m >= k} (c (m+1)^p)^-power <= f(k) + integral_k^inf c^-power (x+1)^-q dx,
         # valid down to k = 0 because f is nonincreasing
-        head = (self.c * float(k + 1) ** self.p) ** -power
+        head = self(k) ** -power
         return exact + head + (float(k + 1) ** (1.0 - q)) / (self.c**power * (q - 1.0))
 
 
@@ -176,8 +172,8 @@ class Kernel:
             raise ModelError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "birth_death" and (self.birth is None or self.death is None):
             raise ModelError("birth_death kernel needs birth and death rates")
-        keys = [k for k, _ in self.columns]
-        if len(set(keys)) != len(keys):
+        object.__setattr__(self, "_listed", dict(self.columns))
+        if len(self._listed) != len(self.columns):
             raise ModelError("table kernel lists a source state twice")
         for k, col in self.columns:
             if k < 0 or any(j < 0 for j, _ in col):
@@ -185,38 +181,33 @@ class Kernel:
             if not all(math.isfinite(r) and r >= 0 for _, r in col):
                 raise ModelError(f"table kernel column {k}: rates must be finite and >= 0")
 
-    def column(self, k: int, a_k: float) -> tuple[tuple[int, float], ...]:
-        if self.kind == "zero":
-            return ()
+    def bands(self, ks: np.ndarray, a: np.ndarray) -> dict[int, np.ndarray]:
+        """The columns at the states ``ks`` (with diagonal rates ``a``), laid
+        out by offset: ``bands(ks, a)[d][i]`` is the rate ks[i] feeds to
+        ks[i] + d, zero where that entry is absent."""
         if self.kind == "pure_birth":
-            r = a_k if self.birth is None else self.birth(k)
-            return ((k + 1, r),) if r > 0 else ()
+            return {1: a if self.birth is None else self.birth.at(ks)}
         if self.kind == "birth_death":
-            out = []
-            b = self.birth(k)
-            if b > 0:
-                out.append((k + 1, b))
-            if k > 0:
-                d = self.death(k)
-                if d > 0:
-                    out.append((k - 1, d))
-            return tuple(out)
-        for kk, col in self.columns:
-            if kk == k:
-                return col
-        return ()
+            return {1: self.birth.at(ks), -1: np.where(ks > 0, self.death.at(ks), 0.0)}
+        out: dict[int, np.ndarray] = {}  # zero or table: offsets in order of first appearance
+        for i, k in enumerate(ks.tolist()):
+            for j, r in self._listed.get(k, ()):
+                if r > 0:
+                    out.setdefault(j - k, np.zeros(ks.size))[i] += r
+        return out
+
+    def column(self, k: int, a_k: float) -> tuple[tuple[int, float], ...]:
+        """(target, rate) pairs fed by state k; a table column as listed."""
+        if self.kind == "table":
+            return self._listed.get(k, ())
+        bands = self.bands(np.array([k]), np.array([a_k]))
+        return tuple((k + d, float(r[0])) for d, r in bands.items() if r[0] > 0)
 
     @property
     def stride(self) -> int:
-        if self.kind == "zero":
-            return 0
         if self.kind in ("pure_birth", "birth_death"):
             return 1
-        s = 0
-        for k, col in self.columns:
-            for j, _ in col:
-                s = max(s, abs(j - k))
-        return s
+        return max((abs(j - k) for k, col in self.columns for j, _ in col), default=0)
 
 
 @dataclass(frozen=True)
@@ -235,34 +226,33 @@ class ModelSpec:
         if self.a.c <= 0:
             raise ModelError(f"model {self.name!r}: diagonal rate tail must be > 0")
         depth = _audit_depth(self.a, self.kernel.birth, self.kernel.death)
-        if any(self.a(k) <= 0 for k in range(depth)):
+        if np.any(self.a.array(0, depth) <= 0):
             raise ModelError(f"model {self.name!r}: diagonal rates must be > 0")
         birth = self.kernel.birth
         if self.kernel.kind == "pure_birth" and birth is not None:
             # the columnwise audit below stops at depth; past every table
             # head both rates are power laws, so tail dominance is analytic
             if birth.p > self.a.p or (birth.p == self.a.p and birth.c > self.a.c):
-                raise ModelError(
-                    f"model {self.name!r}: birth rate tail outgrows the diagonal"
-                )
+                raise ModelError(f"model {self.name!r}: birth rate tail outgrows the diagonal")
         report = dissipativity_audit(self, depth)
         if report.violations:
             k, excess = report.violations[0]
-            raise ModelError(
-                f"model {self.name!r}: column {k} rates exceed a_{k} by {excess:.3g}"
-            )
+            raise ModelError(f"model {self.name!r}: column {k} rates exceed a_{k} by {excess:.3g}")
         if self.conservative and not report.conservative_observed:
-            raise ModelError(
-                f"model {self.name!r} declared conservative but has a nonzero column deficit"
-            )
+            raise ModelError(f"model {self.name!r} declared conservative but has a nonzero column deficit")
 
     # -- column access -------------------------------------------------
     def column(self, k: int) -> tuple[tuple[int, float], ...]:
         return self.kernel.column(k, self.a(k))
 
+    def deficits(self, ks) -> np.ndarray:
+        """Kill rates a_k - (sum of the outgoing rates of k) at an array of states."""
+        ks = np.asarray(ks, dtype=np.int64)
+        a = self.a.at(ks)
+        return a - sum(self.kernel.bands(ks, a).values(), np.zeros(ks.size))
+
     def deficit(self, k: int) -> float:
-        """Kill rate a_k - sum of outgoing rates at state k."""
-        return self.a(k) - math.fsum(r for _, r in self.column(k))
+        return float(self.deficits((k,))[0])
 
     def closed_below(self, n: int, support: tuple[int, ...]) -> bool:
         """True when no state reachable from ``support`` ever feeds index >= n."""
@@ -367,14 +357,15 @@ class DissipativityReport:
 def dissipativity_audit(m: ModelSpec, n: int) -> DissipativityReport:
     """Column-by-column deficit report for states k <= n, then for every
     listed table column beyond n (a table kernel is empty past its list)."""
-    states = list(range(n + 1)) + sorted(k for k, _ in m.kernel.columns if k > n)
-    deficits = [m.deficit(k) for k in states]
-    tol = _RATE_RTOL
-    violations = [(k, -d) for k, d in zip(states, deficits) if d < -tol * max(1.0, m.a(k))]
-    observed = all(abs(d) <= tol * max(1.0, m.a(k)) for k, d in zip(states, deficits))
+    ks = np.array([*range(n + 1), *sorted(k for k, _ in m.kernel.columns if k > n)], dtype=np.int64)
+    deficits = m.deficits(ks)
+    tol = _RATE_RTOL * np.maximum(1.0, m.a.at(ks))
+    bad = deficits < -tol
+    violations = zip(ks[bad].tolist(), (-deficits[bad]).tolist())
+    observed = bool(np.all(np.abs(deficits) <= tol))
     declared = m.conservative
     return DissipativityReport(
-        deficits=tuple(deficits),
+        deficits=tuple(deficits.tolist()),
         violations=tuple(violations),
         conservative_declared=declared,
         conservative_observed=observed,
@@ -399,20 +390,30 @@ def _check_tail(m: ModelSpec, u: PosSeq, op: str) -> float:
     return u.tail_bound * sup
 
 
+def _states(entries: dict[int, float]) -> np.ndarray:
+    return np.fromiter(entries, dtype=np.int64, count=len(entries))
+
+
+def _rated(m: ModelSpec, entries: dict[int, float]):
+    """((k, v), a_k) over the entries, from one evaluation of the rates."""
+    return zip(entries.items(), m.a.at(_states(entries)).tolist())
+
+
 def apply_A(m: ModelSpec, u: PosSeq) -> SignedSeq:
     """(A u)_k = -a_k u_k, returned as a signed sequence (pure loss part)."""
     tail = _check_tail(m, u, "apply_A")
-    minus = PosSeq({k: m.a(k) * v for k, v in u.entries.items()}, tail)
-    return SignedSeq(PosSeq.zero(), minus)
+    return SignedSeq(PosSeq.zero(), PosSeq({k: a_k * v for (k, v), a_k in _rated(m, u.entries)}, tail))
 
 
 def apply_B_entries(m: ModelSpec, entries: dict[int, float]) -> dict[int, float]:
     """B applied to finitely many entries, as a plain dict (nothing flushed)."""
+    ks = _states(entries)
+    bands = [(d, r.tolist()) for d, r in m.kernel.bands(ks, m.a.at(ks)).items()]
     acc: dict[int, float] = {}
-    for k, v in entries.items():
-        for j, r in m.column(k):
-            if r > 0:
-                acc[j] = acc.get(j, 0.0) + r * v
+    for i, (k, v) in enumerate(entries.items()):
+        for d, r in bands:
+            if r[i] > 0:
+                acc[k + d] = acc.get(k + d, 0.0) + r[i] * v
     return acc
 
 
@@ -422,15 +423,18 @@ def apply_B(m: ModelSpec, u: PosSeq) -> PosSeq:
     return PosSeq(apply_B_entries(m, u.entries), tail)
 
 
+def resolvent_A_entries(m: ModelSpec, lam: float, entries: dict[int, float]) -> dict[int, float]:
+    """(lambda - A)^{-1} applied to finitely many entries, as a plain dict
+    (nothing flushed)."""
+    if lam <= 0:
+        raise ValueError("the resolvent of A requires lambda > 0")
+    return {k: v / (lam + a_k) for (k, v), a_k in _rated(m, entries)}
+
+
 def apply_resolvent_A(m: ModelSpec, lam: float, u: PosSeq) -> PosSeq:
     """((lambda - A)^{-1} u)_k = u_k / (lambda + a_k); cone contraction after
     scaling by lambda."""
-    if lam <= 0:
-        raise ValueError("apply_resolvent_A requires lambda > 0")
-    return PosSeq(
-        {k: v / (lam + m.a(k)) for k, v in u.entries.items()},
-        u.tail_bound / lam,
-    )
+    return PosSeq(resolvent_A_entries(m, lam, u.entries), u.tail_bound / lam)
 
 
 def apply_U(m: ModelSpec, t: float, u: PosSeq) -> PosSeq:
@@ -439,12 +443,14 @@ def apply_U(m: ModelSpec, t: float, u: PosSeq) -> PosSeq:
         raise ValueError("apply_U requires t >= 0")
     if t == 0:
         return u
-    return PosSeq({k: math.exp(-m.a(k) * t) * v for k, v in u.entries.items()}, u.tail_bound)
+    return PosSeq({k: math.exp(-a_k * t) * v for (k, v), a_k in _rated(m, u.entries)}, u.tail_bound)
 
 
 def apply_J(m: ModelSpec, lam: float, u: PosSeq) -> PosSeq:
-    """J(lambda) = B (lambda - A)^{-1}, a contraction on the positive cone."""
-    return apply_B(m, apply_resolvent_A(m, lam, u))
+    """J(lambda) = B (lambda - A)^{-1}, a contraction on the positive cone.
+    Column k of J sums to colsum_k / (lambda + a_k) < 1, so the tail passes
+    through unscaled, bounded rates or not."""
+    return PosSeq(apply_B_entries(m, resolvent_A_entries(m, lam, u.entries)), u.tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -458,41 +464,29 @@ class OperatorWindow:
     ``a[i]`` is a_{lo+i}.  B is stored as bands: ``bands[d][i]`` is the rate
     from source lo+i to target lo+i+d, zero where that target leaves the
     window; ``leak[i]`` is the rate source lo+i sends outside the window and
-    ``colsum[i]`` the fsum of its whole column.  Bands keep the order in
-    which the columns list their offsets.  Every number is read from
-    ``m.a`` and ``Kernel.column`` one state at a time, so the arrays match
-    the sparse primitives bit for bit.
+    ``colsum[i]`` the sum of its whole column, bands added in order (the
+    correctly rounded sum for columns of at most two entries).  Every number
+    is read from ``RateFn.at`` and ``Kernel.bands`` over the whole window at
+    once, the evaluation the sparse primitives view, so the two agree bit
+    for bit.
     """
 
     def __init__(self, m: ModelSpec, lo: int, hi: int):
         if not 0 <= lo < hi:
             raise ValueError("OperatorWindow requires 0 <= lo < hi")
-        w = hi - lo
-        a = [0.0] * w
-        leak = [0.0] * w
-        colsum = [0.0] * w
-        bands: dict[int, list[float]] = {}
-        column = m.kernel.column
-        for i in range(w):
-            k = lo + i
-            a_k = a[i] = m.a(k)
-            col = column(k, a_k)
-            colsum[i] = math.fsum([r for _, r in col])
-            for j, r in col:
-                if r <= 0:
-                    continue
-                if lo <= j < hi:
-                    band = bands.get(j - k)
-                    if band is None:
-                        band = bands[j - k] = [0.0] * w
-                    band[i] += r
-                else:
-                    leak[i] += r
+        ks = np.arange(lo, hi)
         self.lo, self.hi = lo, hi
-        self.a = np.array(a)
-        self.leak = np.array(leak)
-        self.colsum = np.array(colsum)
-        self.bands = {d: np.array(r) for d, r in bands.items()}
+        self.a = m.a.at(ks)
+        bands = m.kernel.bands(ks, self.a)
+        self.colsum = sum(bands.values(), np.zeros(hi - lo))
+        self.leak = np.zeros(hi - lo)
+        self.bands = {}
+        for d, r in bands.items():
+            out = (ks + d < lo) | (ks + d >= hi)
+            self.leak[out] += r[out]
+            r = np.where(out, 0.0, r)
+            if r.any():
+                self.bands[d] = r
 
     def shifts(self):
         """(targets, sources, rates of those sources) of each band."""
@@ -600,12 +594,18 @@ def model_to_json(m: ModelSpec) -> dict[str, Any]:
             b["birth"] = _rate_to_json(k.birth)
     elif k.kind == "birth_death":
         kill_c = max(m.a.c - k.birth.c - k.death.c, 0.0)
-        kill_p = m.a.p if kill_c > 0 else 0.0
+        kill = RateFn.power(kill_c, m.a.p if kill_c > 0 else 0.0)
+        # the kill rates are the deficits; past every table head they follow
+        # the power law, on the heads they may not (state 0 drops its death)
+        ks = np.arange(max(1, *(len(r.values) for r in (m.a, k.birth, k.death))))
+        head = np.maximum(m.deficits(ks), 0.0)
+        if np.any(np.abs(kill.at(ks) - head) > _RATE_RTOL * np.maximum(1.0, m.a.at(ks))):
+            kill = RateFn.table(head.tolist(), tail_c=kill.c, tail_p=kill.p)
         b = {
             "kind": "birth_death",
             "b": _rate_to_json(k.birth),
             "d": _rate_to_json(k.death),
-            "kill": {"kind": "power", "c": kill_c, "p": kill_p},
+            "kill": _rate_to_json(kill),
         }
     else:
         b = {
@@ -651,12 +651,11 @@ def model_from_json(obj: Any) -> ModelSpec:
         kr = _rate_from_json(b["kill"], "B.kill")
         kernel = Kernel("birth_death", birth=birth, death=death)
         # the declared diagonal must match b + d + kill (death dropped at 0)
-        for k in range(_audit_depth(a, birth, death, kr)):
-            want = birth(k) + (death(k) if k > 0 else 0.0) + kr(k)
-            if abs(want - a(k)) > _RATE_RTOL * max(1.0, want):
-                raise ModelError(
-                    f"B.kill: diagonal mismatch at k={k}: A gives {a(k)}, b+d+kill gives {want}"
-                )
+        ks = np.arange(_audit_depth(a, birth, death, kr))
+        have = a.at(ks)
+        want = sum(kernel.bands(ks, have).values(), np.zeros(ks.size)) + kr.at(ks)
+        for k in np.flatnonzero(np.abs(want - have) > _RATE_RTOL * np.maximum(1.0, want))[:1]:
+            raise ModelError(f"B.kill: diagonal mismatch at k={k}: A gives {have[k]}, b+d+kill gives {want[k]}")
         # past every table head the rates are power laws: the check above
         # holds for every k only if b, d and kill share A's tail exponent
         # and their tail coefficients sum to A's

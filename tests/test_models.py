@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from substochastic.l1 import PosSeq, leq, mass
+from substochastic.minimal import EvolveParams, semigroup_V
 from substochastic.models import (
     Kernel,
     ModelError,
@@ -35,14 +36,25 @@ class TestRateFn:
         assert tbl(0) == 1.0 and tbl(1) == 2.0 and tbl(2) == 9.0
 
     def test_array_matches_scalar(self):
-        for r in (RateFn.power(2.0, 1.5), RateFn.table([4.0, 5.0], tail_c=1.0, tail_p=2.0)):
-            arr = r.array(0, 10)
-            assert arr == pytest.approx([r(k) for k in range(10)])
+        # bit for bit: every read is a view of RateFn.at
+        for r in (RateFn.power(0.7, 1.5), RateFn.table([4.0, 5.0], tail_c=0.7, tail_p=1.5)):
+            assert r.array(0, 1000).tolist() == [r(k) for k in range(1000)]
+            assert r.at([999, 3, 0]).tolist() == [r(999), r(3), r(0)]
+
+    def test_max_upto_covers_the_window(self):
+        m = ModelSpec.pure_birth(RateFn.power(0.7, 1.5), name="frac_birth")
+        window_max = np.maximum.accumulate(OperatorWindow(m, 0, 4096).a)
+        for n in range(64, 4097):
+            assert window_max[n - 1] <= m.a.max_upto(n)
+        # the uniformization constant never sits below a window rate, so
+        # the stepper's diagonal 1 - a/c stays nonnegative
+        _, bracket, _ = semigroup_V(m, 0.05, e0, EvolveParams(step_budget=100_000))
+        assert 0.0 <= bracket.lo <= bracket.hi <= 1.0
 
     def test_reciprocal_tail_bound_is_upper_bound(self):
         r = RateFn.power(1.0, 2.0)
         for k0 in (0, 1, 7, 50):
-            exact = sum(1.0 / r(m) for m in range(k0, 200_000))
+            exact = math.fsum(1.0 / r.array(k0, 200_000))
             assert r.reciprocal_tail_bound(k0) >= exact
         assert math.isinf(RateFn.power(1.0, 1.0).reciprocal_tail_bound(0))
 
@@ -157,6 +169,16 @@ class TestApplyJ:
         for m in (ModelSpec.pure_birth(RateFn.power(1.0, 2.0)), ModelSpec.birth_death(1.0, 2.0, kill=0.5)):
             assert mass(apply_J(m, lam, u)).hi <= mass(u).hi * (1.0 + 1e-12)
 
+    def test_tail_passes_through_unbounded_rates(self):
+        # a conservative walk with linear rates: entries flushed below 1e-300
+        # ride in the tail, which J never scales up
+        m = ModelSpec.birth_death(RateFn.power(1.5, 1.0), RateFn.power(1.0, 1.0), name="bd_lin")
+        w = e0
+        for _ in range(1400):
+            w = apply_J(m, 1.0, w)
+        assert w.tail_bound > 0.0 and mass(w).hi <= 1.0
+        assert apply_J(m, 1.0, PosSeq({3: 0.5}, 1e-300)).tail_bound == 1e-300
+
     def test_resolvent_monotone_in_lambda(self, m_quadratic, m_bd_kill):
         u = PosSeq({0: 1.0, 3: 0.25})
         for m in (m_quadratic, m_bd_kill):
@@ -218,6 +240,25 @@ class TestModelJson:
         doc["A"]["scale"] = 2
         with pytest.raises(ModelError):
             model_from_json(doc)
+
+    def test_birth_death_kill_head_round_trips(self):
+        doc = {
+            "name": "bd_kill_head",
+            "space": "l1",
+            "A": {"kind": "table", "values": [2.5], "tail": {"c": 2.5, "p": 0.0}},
+            "B": {
+                "kind": "birth_death",
+                "b": {"kind": "power", "c": 1.0, "p": 0.0},
+                "d": {"kind": "power", "c": 1.0, "p": 0.0},
+                "kill": {"kind": "table", "values": [1.5], "tail": {"c": 0.5, "p": 0.0}},
+            },
+            "conservative": False,
+        }
+        m = model_from_json(doc)
+        again = model_from_json(json.loads(json.dumps(model_to_json(m))))
+        ks = np.arange(301)
+        assert again.deficits(ks).tolist() == m.deficits(ks).tolist()
+        assert m.deficits(ks[:3]).tolist() == [1.5, 0.5, 0.5]
 
     def test_birth_death_diagonal_mismatch_rejected(self):
         m = ModelSpec.birth_death(1.0, 1.0, kill=0.5)
