@@ -20,7 +20,6 @@ from .honesty import (
     honesty_verdict,
 )
 from .l1 import PosSeq
-from .minimal import EvolveParams
 from .models import ModelError, load_model
 from .montecarlo import CSV_HEADER, simulate
 
@@ -134,9 +133,7 @@ def _cmd_trajectory(cfg: RunConfig, model) -> int:
     u_norm = u.head_sum()
     lines = ["t,mass_lo,mass_hi,abar,ahat,delta_lo,delta_hi"]
     for t in cfg.t_grid:
-        res, dp = delta_by_routes(
-            model, t, u, cfg.lam, params=EvolveParams(tol=cfg.tol), tol=cfg.tol
-        )
+        res, dp = delta_by_routes(model, t, u, cfg.lam, cfg.tol)
         mass_lo = u_norm - res.a0.hi
         mass_hi = u_norm - res.a0.lo
         lines.append(
@@ -152,9 +149,7 @@ def _cmd_compare(cfg: RunConfig, model) -> int:
     rows = []
     worst = 0.0
     for t in cfg.t_grid:
-        res, dp = delta_by_routes(
-            model, t, u, cfg.lam, params=EvolveParams(tol=cfg.tol), tol=cfg.tol
-        )
+        res, dp = delta_by_routes(model, t, u, cfg.lam, cfg.tol)
         disc = abs(res.bracket.mid - dp.bracket.mid)
         worst = max(worst, disc)
         rows.append(

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import PosSeq
-from .models import ModelError, ModelSpec, OperatorWindow
+from .models import ModelError, ModelSpec, OperatorWindow, apply_B, apply_U
 
 __all__ = [
-    "QuadParams",
     "DPState",
     "DPTerm",
     "UniformTailReport",
@@ -42,13 +41,8 @@ __all__ = [
 # dyadic refinement levels of the time grid: 2^5 to 2^13 panels
 _MIN_LEVEL = 5
 _MAX_LEVEL = 13
-
-
-@dataclass(frozen=True)
-class QuadParams:
-    """Quadrature controls for the expansion terms."""
-
-    tol: float = 1e-9
+# refinement stops once consecutive levels agree to this l1 distance
+_QUAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,7 +133,7 @@ class DPState:
     this way is rejected.
     """
 
-    def __init__(self, model: ModelSpec, u: PosSeq, t: float, n_max: int, q: QuadParams):
+    def __init__(self, model: ModelSpec, u: PosSeq, t: float, n_max: int):
         if t < 0:
             raise ValueError("DPState requires t >= 0")
         if u.tail_bound != 0.0:
@@ -150,7 +144,6 @@ class DPState:
         self.u = u
         self.t = float(t)
         self.n_max = n_max
-        self.q = q
         supp = u.support or (0,)
         stride = model.stride
         self.lo = max(0, min(supp) - (n_max + 1) * stride)
@@ -164,41 +157,32 @@ class DPState:
         self.b_win = self.window.dense()
         self._sample()
 
-    def _sample_level(self, mlev: int) -> list[np.ndarray]:
-        t = self.t
+    def _sample_level(self, mlev: int, u_win: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Every term's samples on 2^mlev panels, and its Simpson integral over [0, t]."""
         M = 1 << mlev
-        times = np.linspace(0.0, t, M + 1)
-        h = t / M
-        u_win = np.zeros(self.hi - self.lo)
-        for k, v in self.u.entries.items():
-            u_win[k - self.lo] = v
+        h = self.t / M
+        times = np.linspace(0.0, self.t, M + 1)
         decay = np.exp(-np.outer(times, self.window.a))  # D[d] = U(d*h) on the window
         terms = [decay * u_win[None, :]]
         for _ in range(self.n_max):
             terms.append(_simpson_convolution(terms[-1] @ self.b_win.T, decay, h))
-        return terms
-
-    @staticmethod
-    def _integrals(terms: list[np.ndarray], t: float) -> list[np.ndarray]:
-        M = terms[0].shape[0] - 1
-        w = _simpson_weights(M, t / M)
-        return [f.T @ w for f in terms]
+        w = _simpson_weights(M, h)
+        return terms, [f.T @ w for f in terms]
 
     def _sample(self) -> None:
-        q = self.q
+        u_win = np.zeros(self.hi - self.lo)
+        for k, v in self.u.entries.items():
+            u_win[k - self.lo] = v
         amax = float(self.window.a.max(initial=1.0))
         lev = int(math.ceil(math.log2(max(4.0, amax * self.t))))
         lev = max(_MIN_LEVEL, min(_MAX_LEVEL - 1, lev))
-        prev = self._sample_level(lev)
-        prev_int = self._integrals(prev, self.t)
+        prev, prev_int = self._sample_level(lev, u_win)
         errors = [math.inf] * (self.n_max + 1)
         errors_int = [math.inf] * (self.n_max + 1)
         errors[0] = 0.0  # V_0 sampled exactly
-        cur, cur_int = prev, prev_int
         while lev < _MAX_LEVEL:
             lev += 1
-            cur = self._sample_level(lev)
-            cur_int = self._integrals(cur, self.t)
+            cur, cur_int = self._sample_level(lev, u_win)
             worst = 0.0
             for n in range(self.n_max + 1):
                 diff_int = float(np.abs(cur_int[n] - prev_int[n]).sum())
@@ -208,12 +192,13 @@ class DPState:
                     diff = float(np.abs(cur[n][-1] - prev[n][-1]).sum())
                     errors[n] = diff
                     worst = max(worst, diff)
-            if worst <= q.tol:
+            if worst <= _QUAD_TOL:
                 break
             prev, prev_int = cur, cur_int
         self.level = lev
         self.times = np.linspace(0.0, self.t, (1 << lev) + 1)
         self.terms = cur
+        self.integrals = cur_int
         self.errors = errors
         self.errors_int = errors_int
 
@@ -223,57 +208,58 @@ class DPState:
 
     def integral(self, n: int, weight_lam: float = 0.0) -> tuple[np.ndarray, float]:
         """int_0^t exp(-weight_lam*s) V_n(s)u ds on the window (array, error)."""
+        err = self.errors_int[n] + _QUAD_TOL * 1e-3
+        if not weight_lam:
+            return self.integrals[n], err
         M = self.times.size - 1
-        w = _simpson_weights(M, self.t / M)
-        if weight_lam:
-            w = w * np.exp(-weight_lam * self.times)
-        return self.terms[n].T @ w, self.errors_int[n] + self.q.tol * 1e-3
+        w = _simpson_weights(M, self.t / M) * np.exp(-weight_lam * self.times)
+        return self.terms[n].T @ w, err
 
 
-def dp_term(model: ModelSpec, n: int, t: float, u: PosSeq, q: QuadParams = QuadParams()) -> DPTerm:
+def dp_term(model: ModelSpec, n: int, t: float, u: PosSeq) -> DPTerm:
     """V_n(t)u: exact U(t)u for n = 0, iterated convolution above."""
     if n == 0:
-        from .models import apply_U
-
         return DPTerm(apply_U(model, t, u), 0.0)
-    st = DPState(model, u, t, n, q)
-    return st.term_at_t(n)
+    return DPState(model, u, t, n).term_at_t(n)
 
 
-def dp_partial_sum(model: ModelSpec, K: int, t: float, u: PosSeq, q: QuadParams = QuadParams()) -> DPTerm:
+def dp_partial_sum(model: ModelSpec, K: int, t: float, u: PosSeq) -> DPTerm:
     """sum_{k<=K} V_k(t)u; increases to V(t)u from below as K grows."""
-    st = DPState(model, u, t, K, q)
+    st = DPState(model, u, t, K)
     total = np.zeros(st.hi - st.lo)
     for n in range(K + 1):
         total += st.terms[n][-1]
     return DPTerm(PosSeq.from_array(total, st.lo), math.fsum(st.errors[: K + 1]))
 
 
-def dp_convolution_residual(
-    model: ModelSpec, n: int, t: float, s: float, u: PosSeq, q: QuadParams = QuadParams()
-) -> float:
+def dp_convolution_residual(model: ModelSpec, n: int, t: float, s: float, u: PosSeq) -> float:
     """l1 residual of V_n(t+s)u = sum_k V_k(t) V_{n-k}(s) u."""
     if n > 4:
         raise ValueError("dp_convolution_residual supports n <= 4")
-    left = dp_term(model, n, t + s, u, q).value
+    left = dp_term(model, n, t + s, u).value
     acc: dict[int, float] = {}
     for k in range(n + 1):
-        inner = dp_term(model, n - k, s, u, q).value
-        outer = dp_term(model, k, t, inner, q).value if not inner.is_zero else inner
+        inner = dp_term(model, n - k, s, u).value
+        outer = dp_term(model, k, t, inner).value if not inner.is_zero else inner
         for idx, v in outer.entries.items():
             acc[idx] = acc.get(idx, 0.0) + v
     keys = set(acc) | set(left.entries)
     return math.fsum(abs(acc.get(k, 0.0) - left.get(k)) for k in keys)
 
 
-def dp_B_integral(model: ModelSpec, n: int, t: float, u: PosSeq, q: QuadParams = QuadParams()) -> DPTerm:
+def dp_B_integral(model: ModelSpec, n: int, t: float, u: PosSeq) -> DPTerm:
     """B int_0^t V_n(s)u ds (equals int_0^t B V_n(s)u ds)."""
-    st = DPState(model, u, t, n, q)
+    st = DPState(model, u, t, n)
     arr, err = st.integral(n)
     return DPTerm(PosSeq.from_array(st.window.apply_B(arr), st.lo), err * max(1.0, float(st.window.a.max())))
 
 
-def dp_laplace(model: ModelSpec, n: int, lam: float, u: PosSeq, q: QuadParams = QuadParams()) -> DPTerm:
+def _laplace_horizon(lam: float, u_norm: float) -> float:
+    """Where the substochastic envelope exp(-lam*T)*|u|/lam drops below the tolerance."""
+    return max(4.0 / lam, math.log(max(u_norm, 1.0) / (_QUAD_TOL * lam) + 1.0) / lam)
+
+
+def dp_laplace(model: ModelSpec, n: int, lam: float, u: PosSeq) -> DPTerm:
     """int_0^inf exp(-lam*s) V_n(s)u ds; matches (lam-A)^{-1} J^n u.
 
     The horizon is truncated where the substochastic envelope
@@ -285,8 +271,8 @@ def dp_laplace(model: ModelSpec, n: int, lam: float, u: PosSeq, q: QuadParams = 
     u_norm = u.head_sum()
     if u_norm == 0.0:
         return DPTerm(PosSeq.zero(), 0.0)
-    horizon = max(4.0 / lam, math.log(max(u_norm, 1.0) / (q.tol * lam) + 1.0) / lam)
-    st = DPState(model, u, horizon, n, q)
+    horizon = _laplace_horizon(lam, u_norm)
+    st = DPState(model, u, horizon, n)
     arr, err = st.integral(n, weight_lam=lam)
     tail = math.exp(-lam * horizon) * u_norm / lam
     return DPTerm(PosSeq.from_array(arr, st.lo), err + tail)
@@ -302,26 +288,23 @@ class UniformTailReport:
     all_within: bool
 
 
-def dp_uniform_tail(
-    model: ModelSpec, n_max: int, lam: float, t: float, u: PosSeq, q: QuadParams = QuadParams()
-) -> UniformTailReport:
+def dp_uniform_tail(model: ModelSpec, n_max: int, lam: float, t: float, u: PosSeq) -> UniformTailReport:
+    """Each tail is the Laplace integral up to the horizon minus its head on
+    [0, t], both read from one state per interval that holds every n <= n_max."""
     if lam <= 0:
         raise ValueError("dp_uniform_tail requires lambda > 0")
     u_norm = u.head_sum()
     # exact U-tail: coordinatewise u_k e^{-(lam+a_k)t}/(lam+a_k), then B
-    from .models import apply_B
-
     a = model.a.at(list(u.entries)).tolist()
     u_tail = PosSeq({k: v * math.exp(-(lam + a_k) * t) / (lam + a_k) for (k, v), a_k in zip(u.entries.items(), a)})
     bound = math.exp(-lam * t) * u_norm + apply_B(model, u_tail).head_sum()
+    full = DPState(model, u, _laplace_horizon(lam, u_norm), n_max)
+    head = DPState(model, u, t, n_max)
     computed = []
     for n in range(n_max + 1):
-        full = dp_laplace(model, n, lam, u, q)
-        st = DPState(model, u, t, n, q)
-        head, _ = st.integral(n, weight_lam=lam)
-        head_b = st.window.apply_B(head)
-        full_b_mass = apply_B(model, full.value).head_sum()
-        computed.append(max(0.0, full_b_mass - float(head_b.sum())))
-    slack = 10.0 * q.tol + 1e-12
+        full_b = full.window.apply_B(full.integral(n, weight_lam=lam)[0])
+        head_b = head.window.apply_B(head.integral(n, weight_lam=lam)[0])
+        computed.append(max(0.0, float(full_b.sum()) - float(head_b.sum())))
+    slack = 10.0 * _QUAD_TOL + 1e-12
     ok = all(cv <= bound + slack for cv in computed)
     return UniformTailReport(bound=bound, computed=tuple(computed), all_within=ok)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import DPState, QuadParams
-from .l1 import Bracket, PosSeq, SignedSeq, leq, mass
+from .dyson import DPState
+from .l1 import Bracket, PosSeq, SignedSeq, axpy, leq, mass
 from .minimal import EvolveParams, EvolveResult, evolve, resolvent_G
 from .models import ModelSpec, OperatorWindow, apply_J
 
@@ -139,15 +139,23 @@ class XiResult:
     iterations: int
 
 
-def _j_norm_prefix(m: ModelSpec, lam: float, u: PosSeq) -> tuple[float, ...]:
-    out = [u.head_sum()]
+def _j_iterates(m: ModelSpec, lam: float, u: PosSeq, tol: float, max_iters: int) -> tuple[list[float], PosSeq]:
+    """The norms |J^n u| for n = 0, 1, ... and the last iterate.
+
+    Stops on an empty iterate, after ``max_iters`` applications, or once the
+    norms sit below ``tol`` and have stalled; at tol = 0 only the first two
+    rules can fire.
+    """
+    norms = [u.head_sum()]
     w = u
-    for _ in range(_J_NORM_PREFIX):
+    for n in range(1, max_iters + 1):
         w = apply_J(m, lam, w)
-        out.append(w.head_sum())
-        if not w.entries:
+        norms.append(w.head_sum())
+        if norms[-1] <= tol * 1e-3 or not w.entries:
             break
-    return tuple(out)
+        if n >= 8 and norms[-1] <= tol and norms[-2] - norms[-1] < tol * 1e-2:
+            break
+    return norms, w
 
 
 def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -> XiResult:
@@ -165,12 +173,12 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -
     """
     a = m.a
     birth = m.kernel.birth
-    j_norms = _j_norm_prefix(m, lam, u)
+    j_norms = tuple(_j_iterates(m, lam, u, 0.0, _J_NORM_PREFIX)[0])
     if a.reciprocal_sum_diverges():
         return XiResult(Bracket(0.0, 0.0), "divergent-rate-sum", j_norms, None, 0)
     tail_equal = birth is None or (birth.p == a.p and birth.c == a.c)
     if not tail_equal:
-        return XiResult(Bracket(0.0, 0.0), "divergent-rate-sum", j_norms, None, 0)
+        return XiResult(Bracket(0.0, 0.0), "thinner-birth-tail", j_norms, None, 0)
     # two-sided product bracket per source index
     lo_total = 0.0
     hi_total = 0.0
@@ -207,17 +215,8 @@ def _xi_generic(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -> X
     """Iterated upper bounds |J^n u| (nonincreasing on the cone); the lower
     edge stays 0 unless the ratio trail stabilizes, and even then the
     extrapolated value is reported as a heuristic, never certified."""
-    norms = [u.head_sum()]
-    w = u
-    n = 0
-    while n < _XI_MAX_ITERS:
-        w = apply_J(m, lam, w)
-        n += 1
-        norms.append(w.head_sum())
-        if norms[-1] <= policy.xi_tol * 1e-3 or not w.entries:
-            break
-        if n >= 8 and norms[-1] <= policy.xi_tol and norms[-2] - norms[-1] < policy.xi_tol * 1e-2:
-            break
+    norms, w = _j_iterates(m, lam, u, policy.xi_tol, _XI_MAX_ITERS)
+    n = len(norms) - 1
     upper = mass(w).hi  # flushed entries ride in the tail
     heuristic = None
     if len(norms) > _RATIO_WINDOW + 2 and norms[-1] > 0:
@@ -349,15 +348,6 @@ def abar_resolvent(m: ModelSpec, lam: float, u: PosSeq) -> AbarResult:
     return _abar_cone_series(m, lam, u, _ABAR_TOL)
 
 
-def _abar_on_vector(m: ModelSpec, lam: float, w: SignedSeq, tol: float) -> Bracket:
-    """abar evaluated at a (signed) domain element through its resolvent
-    representation: w = (lam-G)^{-1} z requires z = lam*w - G*w supplied as
-    a signed sequence; here w is the element and z its preimage."""
-    plus = _abar_cone_series(m, lam, w.plus, tol)
-    minus = _abar_cone_series(m, lam, w.minus, tol)
-    return plus.bracket - minus.bracket
-
-
 # ---------------------------------------------------------------------------
 # Expansion route
 # ---------------------------------------------------------------------------
@@ -376,14 +366,13 @@ def ahat_dp(
     t: float,
     u: PosSeq,
     tol: float = 1e-8,
-    ev: EvolveResult | None = None,
-    params: EvolveParams = EvolveParams(),
+    a0: Bracket | None = None,
 ) -> AhatResult:
     """sum_n a_frak(int_0^t V_n(s)u ds), bracketed.
 
     The remainder after K terms telescopes to at most |B int_0^t V_K u|;
-    the upper edge is additionally capped by the mass-loss bound
-    |u| - |V(t)u| from the evolution.
+    the upper edge is additionally capped by the upper edge of the mass
+    loss ``a0`` = |u| - |V(t)u| (evolved here when not given).
     """
     if u.tail_bound != 0.0:
         raise ValueError("ahat_dp requires finitely supported input")
@@ -393,7 +382,7 @@ def ahat_dp(
         return AhatResult(Bracket(0.0, 0.0), (), (), 0.0)
     n_max = 8
     while True:
-        st = DPState(m, u, t, n_max, QuadParams())
+        st = DPState(m, u, t, n_max)
         colsums = st.window.colsum
         deficits = st.window.a - colsums
         terms = []
@@ -410,10 +399,9 @@ def ahat_dp(
     partial = math.fsum(terms)
     lo = max(0.0, partial - qerr)
     hi = partial + b_norms[-1] + qerr
-    if ev is None:
-        ev = evolve(m, t, u, params, want_integral=False)
-    a0_hi = u.head_sum() - ev.mass_bracket.lo
-    hi = min(hi, a0_hi + qerr)
+    if a0 is None:
+        a0 = a0_on_integral(m, t, u)
+    hi = min(hi, a0.hi + qerr)
     return AhatResult(Bracket(min(lo, hi), hi), tuple(terms), tuple(b_norms), qerr)
 
 
@@ -441,9 +429,8 @@ def mass_loss_delta(
     """Delta_u(t) = |V(t)u| - |u| + abar(int_0^t V(s)u ds), via the
     expansion-route functional (the two functionals coincide); always <= 0
     and nonincreasing in t."""
-    ev = evolve(m, t, u, params, want_integral=False)
-    a0 = a0_on_integral(m, t, u, params, ev=ev)
-    ahat = ahat_dp(m, t, u, ev=ev, params=params)
+    a0 = a0_on_integral(m, t, u, params)
+    ahat = ahat_dp(m, t, u, a0=a0)
     return DeltaResult(_clamp_nonpos(ahat.bracket - a0), a0, ahat.bracket, "dyson_phillips")
 
 
@@ -452,33 +439,32 @@ def delta_by_routes(
     t: float,
     u: PosSeq,
     lam: float = 1.0,
-    params: EvolveParams = EvolveParams(),
     tol: float = 1e-8,
 ) -> tuple[DeltaResult, DeltaResult]:
     """Delta computed independently by the resolvent-series route and the
-    expansion route, sharing one evolution pass.
+    expansion route, sharing one evolution pass at tolerance ``tol``.
 
     Resolvent route: the trajectory integral w satisfies G w = V(t)u - u,
     so w = (lam-G)^{-1}(lam w + u - V(t)u) and abar(w) is evaluated by the
     resolvent series at the signed preimage.
     """
+    params = EvolveParams(tol=tol)
     # the integral feeds only the resolvent route, which is 0 on conservative models
     ev = evolve(m, t, u, params, want_integral=not m.conservative)
     a0 = a0_on_integral(m, t, u, params, ev=ev)
 
     # expansion route
-    ahat = ahat_dp(m, t, u, tol=tol, ev=ev, params=params)
+    ahat = ahat_dp(m, t, u, tol=tol, a0=a0)
     dp = DeltaResult(_clamp_nonpos(ahat.bracket - a0), a0, ahat.bracket, "dyson_phillips")
 
     # resolvent route
     if m.conservative:
         abar_w = Bracket(0.0, 0.0)
     else:
-        from .l1 import axpy
-
-        z_plus = axpy(lam, ev.integral, u)
-        z = SignedSeq(z_plus, ev.value)
-        abar_w = _abar_on_vector(m, lam, z, tol)
+        z = SignedSeq(axpy(lam, ev.integral, u), ev.value)  # nets out the shared support
+        plus = _abar_cone_series(m, lam, z.plus, tol)
+        minus = _abar_cone_series(m, lam, z.minus, tol)
+        abar_w = plus.bracket - minus.bracket
     res = DeltaResult(_clamp_nonpos(abar_w - a0), a0, abar_w, "resolvent")
     return res, dp
 

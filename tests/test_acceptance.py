@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from substochastic.dyson import (
-    QuadParams,
     dp_convolution_residual,
     dp_laplace,
     dp_partial_sum,
@@ -163,7 +162,7 @@ def test_05_expansion_laws():
             for n in (0, 1, 2):  # convolution law
                 assert dp_convolution_residual(model, n, 0.5, 0.5, e0) <= 1e-8
             for n in range(5):  # resolvent identity of the weighted integrals
-                lp = dp_laplace(model, n, 1.0, e0, QuadParams(tol=1e-9))
+                lp = dp_laplace(model, n, 1.0, e0)
                 w = e0
                 for _ in range(n):
                     w = apply_J(model, 1.0, w)

@@ -99,6 +99,39 @@ class TestVerdictCommand:
             err = capsys.readouterr().err
             assert err.count("error:") == 1 and "tail mismatch" in err
 
+    def test_lambda_sweep_disagreement_exit_twenty(self, model_files, tmp_path):
+        # at tol 0.3 the cascade's defect (0.272 at lambda 1) classifies as
+        # zero at lambda 1 and 2 but not at 0.5; the zero set of xi cannot
+        # depend on lambda, so the verdict is Undetermined
+        out = tmp_path / "r.json"
+        rc = main(["verdict", "--model", model_files["quadratic_birth"], "--tol", "0.3", "--out", str(out)])
+        assert rc == 20
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "Undetermined" and doc["route"] == "resolvent"
+        assert doc["evidence"]["lambda_sweep_consistent"] is False
+        sweep = {lam: v["verdict"] for lam, v in doc["evidence"]["lambda_sweep"].items()}
+        assert sweep == {"0.5": "Dishonest", "1.0": "Honest", "2.0": "Honest"}
+
+    def test_subsolution_route_exit_zero(self, tmp_path):
+        # a self-loop at state 0: J e0 = e0/(1+lam) <= e0 certifies honesty,
+        # while at lambda 1e-9 the iterated bound is still ~1 after the cap
+        doc = {
+            "name": "self_loop",
+            "space": "l1",
+            "A": {"kind": "table", "values": [1.0], "tail": {"c": 1.0, "p": 0.0}},
+            "B": {"kind": "table", "columns": [[0, [[0, 1.0]]]], "tail": None},
+            "conservative": False,
+        }
+        path = tmp_path / "self_loop.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["verdict", "--model", str(path), "--lambda", "1e-9", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["verdict"] == "Honest" and rep["route"] == "subsolution"
+        assert rep["evidence"]["subsolution_certificate"] is True
+        assert rep["evidence"]["iterations"] == 5000
+        assert rep["xi"]["hi"] == pytest.approx(math.exp(-5000 * math.log1p(1e-9)), rel=1e-9)
+
     def test_report_round_trips_bit_exactly(self, model_files, tmp_path):
         out = tmp_path / "r.json"
         main(["verdict", "--model", model_files["quadratic_birth"], "--out", str(out)])

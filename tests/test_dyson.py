@@ -5,7 +5,6 @@ import pytest
 
 from substochastic.dyson import (
     DPState,
-    QuadParams,
     _simpson_convolution,
     _simpson_weights,
     dp_B_integral,
@@ -88,7 +87,7 @@ class TestPartialSums:
         assert out.mass == pytest.approx(br.mid, abs=1e-9)
 
     def test_quadratic_gap_is_explosion_in_progress(self, m_quadratic):
-        out = dp_partial_sum(m_quadratic, 10, 1.0, e0, QuadParams(tol=1e-8))
+        out = dp_partial_sum(m_quadratic, 10, 1.0, e0)
         _, br, _ = semigroup_V(m_quadratic, 1.0, e0)
         assert out.mass < br.hi - 1e-3  # strict gap: the series lags the semigroup
 
@@ -195,7 +194,7 @@ class TestUniformTail:
         assert rep.computed[0] == pytest.approx(0.5 * math.exp(-4.0), abs=1e-6)
 
     def test_quadratic_bound(self, m_quadratic):
-        rep = dp_uniform_tail(m_quadratic, 3, 1.0, 5.0, e0, QuadParams(tol=1e-8))
+        rep = dp_uniform_tail(m_quadratic, 3, 1.0, 5.0, e0)
         assert rep.all_within
         assert rep.bound <= math.exp(-5.0) + 1.0 / 6.0  # e^-5 |u| + exact first tail
 
@@ -207,8 +206,8 @@ class TestDPStateWindow:
         kernel = Kernel("table", columns=((3, ((12, 0.5),)),))
         leaky = ModelSpec("leaky", RateFn.power(1.0, 0.0), kernel, conservative=False, stride=1)
         with pytest.raises(ModelError):
-            DPState(leaky, PosSeq.basis(3), 1.0, 1, QuadParams())
+            DPState(leaky, PosSeq.basis(3), 1.0, 1)
         declared = ModelSpec("declared", RateFn.power(1.0, 0.0), kernel, conservative=False)
-        st = DPState(declared, PosSeq.basis(3), 1.0, 1, QuadParams())
+        st = DPState(declared, PosSeq.basis(3), 1.0, 1)
         assert not st.window.leak.any()
         assert st.term_at_t(1).value.get(12) > 0.0

@@ -101,6 +101,23 @@ class TestAbarResolvent:
             assert r.converged and r.bracket.width <= 1e-8
             assert r.bracket.lo - 1e-13 <= exact <= r.bracket.hi + 1e-13
 
+    def test_xi_credit_closes_a_dishonest_remainder(self):
+        # a_0 = 3, then a_k = (k+1)^2 with birth rate (k+1)^2: only state 0
+        # has a deficit, so abar = 2/(lam+3) = 1/2 exactly.  The series
+        # remainder lam * defect stalls at the cascade's defect xi > 0; only
+        # the credit of xi's certified lower edge closes it (0.636 without)
+        from substochastic.models import Kernel, ModelSpec, RateFn
+
+        m = ModelSpec(
+            "head_deficit",
+            RateFn.table([3.0], tail_c=1.0, tail_p=2.0),
+            Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)),
+            conservative=False,
+        )
+        r = abar_resolvent(m, 1.0, e0)
+        assert r.bracket.contains(0.5)
+        assert r.bracket.width <= 1e-5
+
 
 class TestXi:
     def test_quadratic_against_product_oracle(self, m_quadratic):
@@ -149,7 +166,7 @@ class TestXi:
             conservative=False,
         )
         x = xi(m, 1.0, e0)
-        assert x.bracket.hi == 0.0 and x.certification == "divergent-rate-sum"
+        assert x.bracket.hi == 0.0 and x.certification == "thinner-birth-tail"
 
     def test_table_head_positive_defect(self):
         # diagonal with an inflated head but conservative quadratic tail:

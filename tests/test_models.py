@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from substochastic.l1 import PosSeq, leq, mass
-from substochastic.minimal import EvolveParams, semigroup_V
+from substochastic.minimal import EvolveParams, resolvent_G, semigroup_V
 from substochastic.models import (
     Kernel,
     ModelError,
@@ -381,6 +381,74 @@ class TestModelJson:
     def test_deep_table_columns_load(self):
         m = model_from_json(self._table_doc([[300, [[301, 0.25], [299, 0.75]]], [2, [[0, 1.0]]]]))
         assert m.deficit(300) == 0.0 and m.deficit(2) == 0.0 and m.deficit(301) == 1.0
+
+
+_rate_coef = st.floats(min_value=0.0, max_value=4.0)
+_rate_exp = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+_rate_doc = st.one_of(
+    st.builds(lambda c, p: {"kind": "power", "c": c, "p": p}, _rate_coef, _rate_exp),
+    st.builds(
+        lambda values, c, p: {"kind": "table", "values": values, "tail": {"c": c, "p": p}},
+        st.lists(_rate_coef, max_size=5),
+        _rate_coef,
+        _rate_exp,
+    ),
+)
+_kernel_doc = st.one_of(
+    st.just({"kind": "zero"}),
+    st.just({"kind": "pure_birth"}),
+    st.builds(lambda birth: {"kind": "pure_birth", "birth": birth}, _rate_doc),
+    st.builds(
+        lambda b, d, kill: {"kind": "birth_death", "b": b, "d": d, "kill": kill}, _rate_doc, _rate_doc, _rate_doc
+    ),
+    st.builds(
+        lambda cols: {"kind": "table", "columns": [[k, col] for k, col in cols.items()], "tail": None},
+        st.dictionaries(
+            st.integers(0, 5),
+            st.lists(st.tuples(st.integers(0, 8), _rate_coef).map(list), max_size=3),
+            max_size=4,
+        ),
+    ),
+)
+
+
+def _bd_doc(cb, cd, ck, p, conservative):
+    """A birth-death file whose diagonal matches b + d + kill (no death at 0)."""
+    a = {"kind": "table", "values": [cb + ck], "tail": {"c": cb + cd + ck, "p": p}}
+    b, d, kill = ({"kind": "power", "c": c, "p": p} for c in (cb, cd, ck))
+    B = {"kind": "birth_death", "b": b, "d": d, "kill": kill}
+    return {"name": "fuzz", "space": "l1", "A": a, "B": B, "conservative": conservative}
+
+
+def _assert_loads_substochastic(doc, max_terms):
+    try:
+        m = model_from_json(doc)
+    except ModelError:
+        return
+    for k in range(4):
+        u = PosSeq.basis(k)
+        assert resolvent_G(m, 1.0, u, tol=1e-6, max_terms=max_terms).mass_bracket.hi <= 1.0 + 1e-12
+        _, br, _ = semigroup_V(m, 0.25, u, EvolveParams(step_budget=20_000))
+        assert 0.0 <= br.lo <= br.hi <= 1.0 + 1e-12
+
+
+class TestLoaderFuzz:
+    """A generated model file either fails to load with a ModelError or gives
+    a substochastic resolvent and semigroup on e_0 ... e_3."""
+
+    @given(_rate_doc, _kernel_doc, st.booleans())
+    def test_loaded_models_are_substochastic(self, a, b, conservative):
+        doc = {"name": "fuzz", "space": "l1", "A": a, "B": b, "conservative": conservative}
+        _assert_loads_substochastic(doc, max_terms=2000)
+
+    # independent b, d and kill almost never pass the diagonal audit above,
+    # so consistent files are drawn here; a walk's support grows by one state
+    # per resolvent term, which the shorter series (certified at any length)
+    # and the exponents up to 1 keep it near half a second
+    @settings(max_examples=20)
+    @given(st.builds(_bd_doc, _rate_coef, _rate_coef, _rate_coef, st.sampled_from([0.0, 0.5, 1.0]), st.booleans()))
+    def test_loaded_birth_death_is_substochastic(self, doc):
+        _assert_loads_substochastic(doc, max_terms=200)
 
 
 def _window_cases():
