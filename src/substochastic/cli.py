@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -41,16 +42,16 @@ class RunConfig:
     out: str | None
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError("lambda must be > 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lambda must be finite and > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and > 0")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if self.initial < 0:
             raise ValueError("initial state must be >= 0")
-        if list(self.t_grid) != sorted(set(self.t_grid)) or any(t < 0 for t in self.t_grid):
-            raise ValueError("t grid must be strictly increasing and nonnegative")
+        if list(self.t_grid) != sorted(set(self.t_grid)) or not all(0 <= t < math.inf for t in self.t_grid):
+            raise ValueError("t grid must be strictly increasing, finite and nonnegative")
 
 
 def parse_t_grid(spec: str) -> tuple[float, ...]:
@@ -62,8 +63,8 @@ def parse_t_grid(spec: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"bad t-grid {spec!r}: want a:b:step")
         a, b, step = (float(x) for x in parts)
-        if step <= 0 or b < a:
-            raise ValueError(f"bad t-grid {spec!r}: want a <= b and step > 0")
+        if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
+            raise ValueError(f"bad t-grid {spec!r}: want finite a <= b and step > 0")
         out = []
         k = 0
         while True:
@@ -79,8 +80,8 @@ def parse_t_grid(spec: str) -> tuple[float, ...]:
         vals = tuple(float(x) for x in spec.split(",") if x.strip())
     else:
         vals = (float(spec),)
-    if any(t < 0 for t in vals) or list(vals) != sorted(set(vals)):
-        raise ValueError(f"bad t-grid {spec!r}: want strictly increasing, nonnegative")
+    if not all(0 <= t < math.inf for t in vals) or list(vals) != sorted(set(vals)):
+        raise ValueError(f"bad t-grid {spec!r}: want strictly increasing, finite, nonnegative")
     return vals
 
 

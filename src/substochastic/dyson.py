@@ -154,7 +154,6 @@ class DPState:
         margin = (n_max + 1) * max(stride, 1)
         if np.any(self.window.leak[margin : self.hi - self.lo - margin] > 0):
             raise ModelError("DPState: kernel leaks outside its stride window")
-        self.b_win = self.window.dense()
         self._sample()
 
     def _sample_level(self, mlev: int, u_win: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -165,7 +164,7 @@ class DPState:
         decay = np.exp(-np.outer(times, self.window.a))  # D[d] = U(d*h) on the window
         terms = [decay * u_win[None, :]]
         for _ in range(self.n_max):
-            terms.append(_simpson_convolution(terms[-1] @ self.b_win.T, decay, h))
+            terms.append(_simpson_convolution(self.window.apply_B(terms[-1]), decay, h))
         w = _simpson_weights(M, h)
         return terms, [f.T @ w for f in terms]
 

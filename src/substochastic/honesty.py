@@ -370,9 +370,12 @@ def ahat_dp(
 ) -> AhatResult:
     """sum_n a_frak(int_0^t V_n(s)u ds), bracketed.
 
-    The remainder after K terms telescopes to at most |B int_0^t V_K u|;
-    the upper edge is additionally capped by the upper edge of the mass
-    loss ``a0`` = |u| - |V(t)u| (evolved here when not given).
+    With beta the largest column sum of B on the states the terms reach,
+    |B int_0^t V_n u| <= (beta t)^{n+1}/(n+1)! |u|, so one state holds the
+    least n meeting ``tol`` (at most ``_AHAT_N_CAP``).  The remainder after
+    those terms telescopes to at most the computed |B int_0^t V_n u|; the
+    upper edge is additionally capped by the upper edge of the mass loss
+    ``a0`` = |u| - |V(t)u| (evolved here when not given).
     """
     if u.tail_bound != 0.0:
         raise ValueError("ahat_dp requires finitely supported input")
@@ -380,22 +383,25 @@ def ahat_dp(
         return AhatResult(Bracket(0.0, 0.0), (), (), 0.0)
     if t == 0.0 or u.is_zero:
         return AhatResult(Bracket(0.0, 0.0), (), (), 0.0)
-    n_max = 8
-    while True:
-        st = DPState(m, u, t, n_max)
-        colsums = st.window.colsum
-        deficits = st.window.a - colsums
-        terms = []
-        b_norms = []
-        qerr = 0.0
-        for n in range(n_max + 1):
-            arr, err = st.integral(n)
-            terms.append(float(deficits @ arr))
-            b_norms.append(float(colsums @ arr))
-            qerr += err * max(1.0, float(deficits.max(initial=0.0)))
-        if b_norms[-1] <= tol or n_max >= _AHAT_N_CAP:
-            break
-        n_max = min(2 * n_max, _AHAT_N_CAP)
+    reach = (_AHAT_N_CAP + 1) * m.stride
+    win = OperatorWindow(m, max(0, min(u.support) - reach), max(u.support) + reach + 1)
+    beta_t = t * win.colsum.max(initial=0.0)
+    n_max = 0
+    bound = beta_t * u.head_sum()
+    while bound > tol and n_max < _AHAT_N_CAP:
+        n_max += 1
+        bound *= beta_t / (n_max + 1)
+    st = DPState(m, u, t, n_max)
+    colsums = st.window.colsum
+    deficits = st.window.a - colsums
+    terms = []
+    b_norms = []
+    qerr = 0.0
+    for n in range(n_max + 1):
+        arr, err = st.integral(n)
+        terms.append(float(deficits @ arr))
+        b_norms.append(float(colsums @ arr))
+        qerr += err * max(1.0, float(deficits.max(initial=0.0)))
     partial = math.fsum(terms)
     lo = max(0.0, partial - qerr)
     hi = partial + b_norms[-1] + qerr
@@ -530,6 +536,8 @@ def honesty_verdict(
     """
     if u.is_zero or u.head_sum() <= 0.0:
         raise ValueError("honesty_verdict requires nonzero input mass")
+    if not math.isfinite(lam):
+        raise ValueError("honesty_verdict requires a finite lambda")
     x = xi(m, lam, u, policy)
     verdict = _classify(x.bracket, policy.verdict_tol)
     evidence: dict = {

@@ -125,10 +125,11 @@ class EvolveParams:
     """Knobs for the truncated evolution.
 
     ``step_budget`` caps the total number of Poisson terms across the whole
-    ladder; rate growth like (k+1)^p makes the uniformization constant on an
-    N-state truncation scale like N^p, so some cap is needed for super-linear
-    models.  Hitting the cap (or the largest truncation) widens the bracket
-    and flags the result instead of failing.
+    ladder, its first level included; rate growth like (k+1)^p makes the
+    uniformization constant on an N-state truncation scale like N^p, so some
+    cap is needed for super-linear models.  Hitting the cap (or the largest
+    truncation) widens the bracket and flags the result instead of failing;
+    when not even the first level fits, the bracket is the trivial [0, |u|].
     """
 
     tol: float = 1e-8
@@ -202,6 +203,14 @@ def _poisson_weights(lam_p: float, jmax: int):
     return pmf, sf, missing
 
 
+def _poisson_window(m: ModelSpec, n: int, t: float) -> tuple[float, int]:
+    """The uniformization constant c of the N-state truncation, and the last
+    Poisson term summed to time t: the mean c*t plus nine standard deviations
+    plus 40."""
+    c = max(m.a.max_upto(n), 1e-12)
+    return c, int(math.ceil(c * t + 9.0 * math.sqrt(c * t) + 40.0))
+
+
 def _uniformized(
     m: ModelSpec,
     t: float,
@@ -215,15 +224,13 @@ def _uniformized(
     vectors plus bounds on the weight mass each accumulation is missing
     (relative to the truncated evolution itself, per unit input mass).
     """
-    a_max = m.a.max_upto(n)
-    c = max(a_max, 1e-12)
+    c, jmax = _poisson_window(m, n, t)
     lam_p = c * t
     u_arr = np.zeros(n)
     for k, v in u.entries.items():
         u_arr[k] = v
     if lam_p == 0.0:
         return u_arr, (np.zeros(n) if want_integral else None), 0.0, 0.0, 0
-    jmax = int(math.ceil(lam_p + 9.0 * math.sqrt(lam_p) + 40.0))
     pmf, sf, missing = _poisson_weights(lam_p, jmax)
     # the mode log-weight is a difference of ~lam_p*log(lam_p)-sized terms,
     # so all weights share a relative error of that cancellation scale
@@ -303,8 +310,7 @@ def evolve(
     last_inc_i: float | None = None
     while True:
         closed = m.closed_below(n, u.support)
-        est_steps = int(m.a.max_upto(n) * t + 9.0 * math.sqrt(m.a.max_upto(n) * t) + 41)
-        if levels and est_steps > budget:
+        if _poisson_window(m, n, t)[1] > budget:
             flagged = True
             reason = "step budget reached"
             break
@@ -331,6 +337,11 @@ def evolve(
             reason = "n_max reached"
             break
         n *= 2
+    if not levels:
+        # not even the first level fits the budget: the bracket below widens
+        # to the trivial [0, cap] around the zero vector
+        closed = False
+        levels, values, integrals = [0], [PosSeq.zero()], [PosSeq.zero()]
 
     # rounding wobble of the accumulated Poisson sums; the weight-scale error
     # inside v_defect cuts both ways, so it widens the lower edge too

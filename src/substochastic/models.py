@@ -496,27 +496,20 @@ class OperatorWindow:
             yield tgt, src, r[src]
 
     def apply_B(self, v: np.ndarray) -> np.ndarray:
-        """B v on the window; mass sent outside is dropped (see ``leak``)."""
+        """B v on the window along the last axis; mass sent outside is
+        dropped (see ``leak``)."""
         out = np.zeros_like(v)
         for tgt, src, r in self.shifts():
-            out[tgt] += r * v[src]
+            out[..., tgt] += r * v[..., src]
         return out
 
     def apply_Bt(self, p: np.ndarray) -> np.ndarray:
-        """B^T p on the window: (B^T p)_k = sum_j B_jk p_j over targets inside."""
+        """B^T p on the window along the last axis: (B^T p)_k = sum_j B_jk p_j
+        over targets inside."""
         out = np.zeros_like(p)
         for tgt, src, r in self.shifts():
-            out[src] += r * p[tgt]
+            out[..., src] += r * p[..., tgt]
         return out
-
-    def dense(self) -> np.ndarray:
-        """B on the window as a (W, W) matrix, target by source."""
-        w = self.hi - self.lo
-        mat = np.zeros((w, w))
-        idx = np.arange(w)
-        for tgt, src, r in self.shifts():
-            mat[idx[tgt], idx[src]] = r
-        return mat
 
 
 # ---------------------------------------------------------------------------

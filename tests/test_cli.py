@@ -44,6 +44,31 @@ class TestGridParsing:
                 parse_t_grid(spec)
 
 
+_NON_FINITE = [
+    ("verdict", "quadratic_birth", ["--lambda", "inf"]),
+    ("verdict", "quadratic_birth", ["--lambda", "nan"]),
+    ("verdict", "quadratic_birth", ["--tol", "nan"]),
+    ("verdict", "quadratic_birth", ["--tol", "inf"]),
+    ("trajectory", "two_state", ["--t-grid", "0:inf:1"]),
+    ("trajectory", "two_state", ["--t-grid", "0:nan:1"]),
+    ("trajectory", "two_state", ["--t-grid", "0:1:nan"]),
+    ("trajectory", "two_state", ["--t-grid", "0:1:inf"]),
+    ("trajectory", "two_state", ["--t-grid", "inf"]),
+    ("trajectory", "two_state", ["--t-grid", "0,nan"]),
+    ("compare", "two_state", ["--t-grid", "inf"]),
+    ("compare", "two_state", ["--t-grid", "0.5,inf"]),
+]
+
+
+@pytest.mark.parametrize("command, model, args", _NON_FINITE, ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_non_finite_input_exits_one(model_files, tmp_path, capsys, command, model, args):
+    out = tmp_path / "r.out"
+    assert main([command, "--model", model_files[model], *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert not out.exists()
+
+
 class TestVerdictCommand:
     def test_honest_exit_zero(self, model_files, tmp_path):
         out = tmp_path / "r.json"

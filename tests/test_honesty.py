@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from substochastic import honesty
 from substochastic.honesty import (
     DISHONEST,
     HONEST,
@@ -225,6 +226,28 @@ class TestAhat:
     def test_zero_kernel_single_term(self, m_pure_loss):
         r = ahat_dp(m_pure_loss, 1.0, e0)
         assert r.bracket.mid == pytest.approx(1.0 - EXP1, abs=1e-8)
+        assert len(r.terms) == 1
+
+    def test_one_state_per_call(self, m_bd_kill, monkeypatch):
+        builds = []
+
+        class Counting(honesty.DPState):
+            def __init__(self, *args):
+                builds.append(args[3])
+                super().__init__(*args)
+
+        monkeypatch.setattr(honesty, "DPState", Counting)
+        r = ahat_dp(m_bd_kill, 2.0, e0)
+        assert builds == [len(r.terms) - 1]
+
+    @pytest.mark.parametrize("name", ["m_bd_kill", "m_closed_chain", "m_two_state"])
+    def test_bound_sized_state_meets_tol(self, name, request):
+        # the term count comes from (beta t)^{n+1}/(n+1)! |u| <= tol, so the
+        # computed remainder must land below tol too
+        m = request.getfixturevalue(name)
+        for t in np.arange(0.25, 2.01, 0.25):
+            r = ahat_dp(m, float(t), e0)
+            assert r.b_integral_norms[-1] <= 1e-8
 
     def test_dominated_by_a0(self, m_two_state, m_bd_kill):
         for m, t in ((m_two_state, 1.0), (m_bd_kill, 0.5), (m_bd_kill, 2.0)):
@@ -267,6 +290,12 @@ class TestRouteEquivalence:
 
 
 class TestVerdicts:
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda_rejected(self, m_quadratic, lam):
+        # J(inf) = 0 would pass the sub-solution test J u <= u vacuously
+        with pytest.raises(ValueError):
+            honesty_verdict(m_quadratic, e0, lam)
+
     def test_yule_honest(self, m_yule):
         rep = honesty_verdict(m_yule, e0)
         assert rep.verdict == HONEST

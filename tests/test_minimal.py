@@ -6,6 +6,7 @@ import pytest
 from substochastic.l1 import PosSeq, mass
 from substochastic.minimal import (
     EvolveParams,
+    evolve,
     integrate_V,
     resolvent_G,
     semigroup_V,
@@ -196,6 +197,15 @@ class TestSemigroupV:
         _, br, res = semigroup_V(m_quadratic, 1.0, e0, EvolveParams(step_budget=150_000))
         assert res.flagged and res.flag_reason
         assert br.width > 0
+
+    def test_budget_binds_the_first_level(self, m_quadratic):
+        # the first truncation from e_200 alone needs ~2.7e5 Poisson steps
+        res = evolve(m_quadratic, 1.0, PosSeq.basis(200), EvolveParams(step_budget=10_000))
+        assert res.steps_used <= 10_000
+        assert res.flagged and res.flag_reason == "step budget reached"
+        assert (res.mass_bracket.lo, res.mass_bracket.hi) == (0.0, 1.0)
+        assert (res.integral_bracket.lo, res.integral_bracket.hi) == (0.0, 1.0)
+        assert res.value.is_zero and not res.closed
 
 
 class TestIntegrateV:

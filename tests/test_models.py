@@ -491,7 +491,8 @@ class TestOperatorWindow:
                     inside[j - lo] = v
             assert win.apply_B(e).tolist() == inside.tolist()
             assert win.leak[i] == math.fsum(v for j, v in fed.items() if not lo <= j < hi)
-        assert np.array_equal(win.dense(), _old_window_matrix(m, lo, hi))
+        # B applied along the last axis to the identity gives B^T row by row
+        assert np.array_equal(win.apply_B(np.eye(hi - lo)), _old_window_matrix(m, lo, hi).T)
 
     @pytest.mark.parametrize("m, lo, hi", _window_cases(), ids=lambda x: getattr(x, "name", x))
     def test_random_vectors_and_adjoint(self, m, lo, hi):
@@ -503,7 +504,10 @@ class TestOperatorWindow:
         want = [fed.get(k, 0.0) for k in range(lo, hi)]
         assert bv == pytest.approx(want, rel=1e-14, abs=0.0)
         assert float(p @ bv) == pytest.approx(float(win.apply_Bt(p) @ v), rel=1e-13)
-        assert np.allclose(win.dense() @ v, bv, rtol=1e-14, atol=0.0)
+        # a stack is applied row by row, bit for bit
+        stack = np.stack([v, p])
+        assert np.array_equal(win.apply_B(stack), np.stack([bv, win.apply_B(p)]))
+        assert np.array_equal(win.apply_Bt(stack), np.stack([win.apply_Bt(v), win.apply_Bt(p)]))
 
     def test_leaks_at_both_edges(self, m_bd_kill, m_quadratic):
         bd = OperatorWindow(m_bd_kill, 1, 12)
