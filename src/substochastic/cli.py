@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .honesty import (
     DISHONEST,
     HONEST,
-    VerdictPolicy,
     delta_by_routes,
     honesty_verdict,
 )
@@ -48,8 +47,8 @@ class RunConfig:
             raise ValueError("tol must be finite and > 0")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
-        if self.initial < 0:
-            raise ValueError("initial state must be >= 0")
+        if not 0 <= self.initial < 2**62:
+            raise ValueError("initial state must be >= 0 and < 2**62")
         if list(self.t_grid) != sorted(set(self.t_grid)) or not all(0 <= t < math.inf for t in self.t_grid):
             raise ValueError("t grid must be strictly increasing, finite and nonnegative")
 
@@ -112,8 +111,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_verdict(cfg: RunConfig, model) -> int:
     u = PosSeq.basis(cfg.initial)
-    policy = VerdictPolicy(verdict_tol=max(cfg.tol, 1e-12), xi_tol=max(cfg.tol * 0.5, 1e-12))
-    report = honesty_verdict(model, u, cfg.lam, policy)
+    report = honesty_verdict(model, u, cfg.lam, cfg.tol)
     doc = report.to_json()
     doc["config"] = {
         "model": model.name,

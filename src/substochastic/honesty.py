@@ -33,17 +33,15 @@ import numpy as np
 
 from .dyson import DPState
 from .l1 import Bracket, PosSeq, SignedSeq, axpy, leq, mass
-from .minimal import EvolveParams, EvolveResult, evolve, resolvent_G
+from .minimal import EvolveResult, evolve, resolvent_G
 from .models import ModelSpec, OperatorWindow, apply_J
 
 __all__ = [
-    "VerdictPolicy",
     "XiResult",
     "DualWeight",
     "AhatResult",
     "DeltaResult",
     "HonestyReport",
-    "SubsolutionResult",
     "HereditaryReport",
     "a_frak",
     "a0_on_integral",
@@ -64,14 +62,6 @@ __all__ = [
 HONEST = "Honest"
 DISHONEST = "Dishonest"
 UNDETERMINED = "Undetermined"
-
-
-@dataclass(frozen=True)
-class VerdictPolicy:
-    """Tolerances for honesty decisions."""
-
-    verdict_tol: float = 1e-7
-    xi_tol: float = 1e-7
 
 
 # verdicts are re-classified at these resolvent parameters: the zero set of
@@ -112,13 +102,13 @@ def a0_on_integral(
     m: ModelSpec,
     t: float,
     u: PosSeq,
-    params: EvolveParams = EvolveParams(),
+    tol: float = 1e-8,
     ev: EvolveResult | None = None,
 ) -> Bracket:
     """|u| - |V(t)u| as a bracket: the total mass functional applied to the
     trajectory integral, evaluated through the evolution only."""
     if ev is None:
-        ev = evolve(m, t, u, params, want_integral=False)
+        ev = evolve(m, t, u, tol, want_integral=False)
     u_norm = u.head_sum()
     return Bracket(max(0.0, u_norm - ev.mass_bracket.hi), u_norm - ev.mass_bracket.lo)
 
@@ -158,7 +148,7 @@ def _j_iterates(m: ModelSpec, lam: float, u: PosSeq, tol: float, max_iters: int)
     return norms, w
 
 
-def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -> XiResult:
+def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
     """Exact per-source factor chains for upward cascades.
 
     Each unit of mass at k picks up the factor r_m/(lam+a_m) at every level
@@ -170,6 +160,10 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -
     * otherwise r matches a beyond a finite head and the product is
       bracketed two-sided: partial products times the tail credit
       exp(-lam * sum_{m>K} 1/a_m), certified by the rate's integral bound.
+      The credit bounds prod a_m/(lam+a_m), so it holds only once the
+      frontier is past a's table head; the first window reaches there, and
+      a frontier stopped inside the head by ``_XI_MAX_FACTORS`` certifies
+      only the lower edge 0.
     """
     a = m.a
     birth = m.kernel.birth
@@ -183,8 +177,9 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -
     lo_total = 0.0
     hi_total = 0.0
     iters = 0
+    head = len(a.values)  # birth is a power law or a itself, so r = a from here on
     for k0, w in sorted(u.entries.items()):
-        K = max(1024, 2 * (k0 + 1))
+        K = max(1024, 2 * (k0 + 1), head - k0)
         log_partial = 0.0
         frontier = k0
         while True:
@@ -201,21 +196,22 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -
             tail = a.reciprocal_tail_bound(frontier)
             partial = math.exp(-log_partial)
             width = partial * (1.0 - math.exp(-lam * tail))
-            if width <= policy.xi_tol or frontier - k0 >= _XI_MAX_FACTORS:
+            if width <= tol or frontier - k0 >= _XI_MAX_FACTORS:
                 break
             K *= 4
-        lo_total += w * partial * math.exp(-lam * tail)
+        if frontier >= head:
+            lo_total += w * partial * math.exp(-lam * tail)
         hi_total += w * partial
     return XiResult(
         Bracket(lo_total, hi_total), "product-bracket", j_norms, None, iters
     )
 
 
-def _xi_generic(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -> XiResult:
+def _xi_generic(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
     """Iterated upper bounds |J^n u| (nonincreasing on the cone); the lower
     edge stays 0 unless the ratio trail stabilizes, and even then the
     extrapolated value is reported as a heuristic, never certified."""
-    norms, w = _j_iterates(m, lam, u, policy.xi_tol, _XI_MAX_ITERS)
+    norms, w = _j_iterates(m, lam, u, tol, _XI_MAX_ITERS)
     n = len(norms) - 1
     upper = mass(w).hi  # flushed entries ride in the tail
     heuristic = None
@@ -239,7 +235,7 @@ def _xi_generic(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy) -> X
     )
 
 
-def xi(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy = VerdictPolicy()) -> XiResult:
+def xi(m: ModelSpec, lam: float, u: PosSeq, tol: float = 1e-7) -> XiResult:
     """Certified bracket on the honesty defect lim_n |J(lam)^n u|."""
     if lam <= 0:
         raise ValueError("xi requires lambda > 0")
@@ -253,8 +249,8 @@ def xi(m: ModelSpec, lam: float, u: PosSeq, policy: VerdictPolicy = VerdictPolic
     if kind == "pure_birth":
         birth = m.kernel.birth
         if birth is None or birth.kind == "power":
-            return _xi_pure_birth(m, lam, u, policy)
-    return _xi_generic(m, lam, u, policy)
+            return _xi_pure_birth(m, lam, u, tol)
+    return _xi_generic(m, lam, u, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +264,7 @@ class DualWeight:
     assumed beyond the truncation so every iterate stays an upper bound."""
 
     values: tuple[float, ...]
-    n_top: int
     residual: float
-    iters_run: int
 
 
 def xi_dual(m: ModelSpec, lam: float, n_top: int, iters: int) -> DualWeight:
@@ -290,23 +284,21 @@ def xi_dual(m: ModelSpec, lam: float, n_top: int, iters: int) -> DualWeight:
         psi = np.exp(prefix[idx] - prefix[: n_top + 1])
         ext = np.concatenate((psi[1:], [1.0]))
         residual = float(np.max(np.abs(psi - f * ext)))
-        return DualWeight(tuple(psi.tolist()), n_top, residual, iters)
+        return DualWeight(tuple(psi.tolist()), residual)
     # generic adjoint iteration; weight 1 beyond the truncation
     psi = np.ones(n_top + 1)
 
     def adjoint(p: np.ndarray) -> np.ndarray:
         return (win.apply_Bt(p) + win.leak) / denom
 
-    run = 0
     for _ in range(iters):
         nxt = adjoint(psi)
-        run += 1
         if float(np.max(np.abs(nxt - psi))) < 1e-16:
             psi = nxt
             break
         psi = nxt
     residual = float(np.max(np.abs(adjoint(psi) - psi)))
-    return DualWeight(tuple(psi.tolist()), n_top, residual, run)
+    return DualWeight(tuple(psi.tolist()), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +350,6 @@ class AhatResult:
     bracket: Bracket
     terms: tuple[float, ...]
     b_integral_norms: tuple[float, ...]
-    quad_error: float
 
 
 def ahat_dp(
@@ -380,9 +371,9 @@ def ahat_dp(
     if u.tail_bound != 0.0:
         raise ValueError("ahat_dp requires finitely supported input")
     if m.conservative:
-        return AhatResult(Bracket(0.0, 0.0), (), (), 0.0)
+        return AhatResult(Bracket(0.0, 0.0), (), ())
     if t == 0.0 or u.is_zero:
-        return AhatResult(Bracket(0.0, 0.0), (), (), 0.0)
+        return AhatResult(Bracket(0.0, 0.0), (), ())
     reach = (_AHAT_N_CAP + 1) * m.stride
     win = OperatorWindow(m, max(0, min(u.support) - reach), max(u.support) + reach + 1)
     beta_t = t * win.colsum.max(initial=0.0)
@@ -408,7 +399,7 @@ def ahat_dp(
     if a0 is None:
         a0 = a0_on_integral(m, t, u)
     hi = min(hi, a0.hi + qerr)
-    return AhatResult(Bracket(min(lo, hi), hi), tuple(terms), tuple(b_norms), qerr)
+    return AhatResult(Bracket(min(lo, hi), hi), tuple(terms), tuple(b_norms))
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +420,11 @@ def _clamp_nonpos(b: Bracket) -> Bracket:
     return Bracket(min(b.lo, hi), hi)
 
 
-def mass_loss_delta(
-    m: ModelSpec, t: float, u: PosSeq, params: EvolveParams = EvolveParams()
-) -> DeltaResult:
+def mass_loss_delta(m: ModelSpec, t: float, u: PosSeq, tol: float = 1e-8) -> DeltaResult:
     """Delta_u(t) = |V(t)u| - |u| + abar(int_0^t V(s)u ds), via the
     expansion-route functional (the two functionals coincide); always <= 0
     and nonincreasing in t."""
-    a0 = a0_on_integral(m, t, u, params)
+    a0 = a0_on_integral(m, t, u, tol)
     ahat = ahat_dp(m, t, u, a0=a0)
     return DeltaResult(_clamp_nonpos(ahat.bracket - a0), a0, ahat.bracket, "dyson_phillips")
 
@@ -454,10 +443,9 @@ def delta_by_routes(
     so w = (lam-G)^{-1}(lam w + u - V(t)u) and abar(w) is evaluated by the
     resolvent series at the signed preimage.
     """
-    params = EvolveParams(tol=tol)
     # the integral feeds only the resolvent route, which is 0 on conservative models
-    ev = evolve(m, t, u, params, want_integral=not m.conservative)
-    a0 = a0_on_integral(m, t, u, params, ev=ev)
+    ev = evolve(m, t, u, tol, want_integral=not m.conservative)
+    a0 = a0_on_integral(m, t, u, ev=ev)
 
     # expansion route
     ahat = ahat_dp(m, t, u, tol=tol, a0=a0)
@@ -525,21 +513,24 @@ def honesty_verdict(
     m: ModelSpec,
     u: PosSeq,
     lam: float = 1.0,
-    policy: VerdictPolicy = VerdictPolicy(),
+    tol: float = 1e-7,
 ) -> HonestyReport:
     """Three-valued honesty decision for the trajectory from u.
 
-    Honest when the certified xi bracket sits below the verdict tolerance;
-    Dishonest when its certified lower edge clears it; Undetermined
-    otherwise.  A lambda sweep is run to confirm that the classification
+    Honest when the certified xi bracket sits below the verdict tolerance
+    ``tol``; Dishonest when its certified lower edge clears it; Undetermined
+    otherwise.  xi is computed to half that tolerance, and neither goes
+    below 1e-12.  A lambda sweep is run to confirm that the classification
     does not depend on the resolvent parameter (its zero set cannot).
     """
     if u.is_zero or u.head_sum() <= 0.0:
         raise ValueError("honesty_verdict requires nonzero input mass")
     if not math.isfinite(lam):
         raise ValueError("honesty_verdict requires a finite lambda")
-    x = xi(m, lam, u, policy)
-    verdict = _classify(x.bracket, policy.verdict_tol)
+    verdict_tol = max(tol, 1e-12)
+    xi_tol = max(0.5 * tol, 1e-12)
+    x = xi(m, lam, u, xi_tol)
+    verdict = _classify(x.bracket, verdict_tol)
     evidence: dict = {
         "j_norms": list(x.j_norms),
         "certification": x.certification,
@@ -551,8 +542,8 @@ def honesty_verdict(
     sweep = {}
     agree = True
     for lam2 in _LAM_SWEEP:
-        x2 = x if lam2 == lam else xi(m, lam2, u, policy)
-        v2 = _classify(x2.bracket, policy.verdict_tol)
+        x2 = x if lam2 == lam else xi(m, lam2, u, xi_tol)
+        v2 = _classify(x2.bracket, verdict_tol)
         sweep[str(lam2)] = {"lo": x2.bracket.lo, "hi": x2.bracket.hi, "verdict": v2}
         if v2 != verdict:
             agree = False
@@ -560,8 +551,7 @@ def honesty_verdict(
     evidence["lambda_sweep_consistent"] = agree
     if not agree:
         verdict = UNDETERMINED
-    sub = subsolution_check(m, lam, u)
-    if sub.holds is True:
+    if subsolution_check(m, lam, u) is True:
         evidence["subsolution_certificate"] = True
         if verdict == UNDETERMINED:
             verdict = HONEST
@@ -569,18 +559,12 @@ def honesty_verdict(
     return HonestyReport(verdict, x.bracket, lam, route, evidence)
 
 
-@dataclass(frozen=True)
-class SubsolutionResult:
-    holds: bool | None
-    implies_honest: bool
-
-
-def subsolution_check(m: ModelSpec, lam: float, u: PosSeq) -> SubsolutionResult:
-    """J(lam) u <= u certifies an honest trajectory from u."""
+def subsolution_check(m: ModelSpec, lam: float, u: PosSeq) -> bool | None:
+    """Whether J(lam) u <= u, as ``leq`` decides it; True certifies an
+    honest trajectory from u."""
     if lam <= 0:
         raise ValueError("subsolution_check requires lambda > 0")
-    holds = leq(apply_J(m, lam, u), u)
-    return SubsolutionResult(holds, holds is True)
+    return leq(apply_J(m, lam, u), u)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .models import ModelSpec, OperatorWindow, apply_B_entries, resolvent_A_entr
 __all__ = [
     "SeriesResult",
     "TruncationLadder",
-    "EvolveParams",
     "EvolveResult",
     "resolvent_G",
     "semigroup_V",
@@ -47,6 +46,13 @@ __all__ = [
 _SERIES_MAX_TERMS = 50_000
 _N_START = 64  # first truncation of the evolution ladder
 _N_MAX = 1 << 20  # largest truncation before the ladder stops flagged
+# Poisson terms allowed across one evolution ladder, its first level included;
+# rate growth like (k+1)^p makes the uniformization constant on an N-state
+# truncation scale like N^p, so some cap is needed for super-linear models.
+# Hitting it (or _N_MAX) widens the bracket and flags the result instead of
+# failing; when not even the first level fits, the bracket is the trivial
+# [0, |u|].
+_STEP_BUDGET = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,6 @@ def resolvent_G(
     lam: float,
     u: PosSeq,
     tol: float = 1e-8,
-    max_terms: int = _SERIES_MAX_TERMS,
     r: float = 1.0,
 ) -> SeriesResult:
     """Resolvent of the generator A + r*B applied to ``u`` (cone input).
@@ -99,7 +104,7 @@ def resolvent_G(
     rn = 1.0
     terms = 0
     defect = u_norm / lam
-    for _ in range(max_terms):
+    for _ in range(_SERIES_MAX_TERMS):
         step = resolvent_A_entries(m, lam, w.entries)
         for k, v in step.items():
             acc[k] = acc.get(k, 0.0) + rn * v
@@ -118,22 +123,6 @@ def resolvent_G(
 # ---------------------------------------------------------------------------
 # Uniformized evolution on a truncation ladder
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EvolveParams:
-    """Knobs for the truncated evolution.
-
-    ``step_budget`` caps the total number of Poisson terms across the whole
-    ladder, its first level included; rate growth like (k+1)^p makes the
-    uniformization constant on an N-state truncation scale like N^p, so some
-    cap is needed for super-linear models.  Hitting the cap (or the largest
-    truncation) widens the bracket and flags the result instead of failing;
-    when not even the first level fits, the bracket is the trivial [0, |u|].
-    """
-
-    tol: float = 1e-8
-    step_budget: int = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -267,7 +256,7 @@ def evolve(
     m: ModelSpec,
     t: float,
     u: PosSeq,
-    params: EvolveParams = EvolveParams(),
+    tol: float = 1e-8,
     want_integral: bool = True,
 ) -> EvolveResult:
     """Truncation-ladder evolution: doubles N until the mass increment of
@@ -278,6 +267,8 @@ def evolve(
         raise ValueError("evolve requires t >= 0")
     if u.tail_bound != 0.0:
         raise ValueError("evolve requires finitely supported input")
+    if max(u.entries, default=0) >= _N_MAX:
+        raise ValueError(f"evolve requires initial states below {_N_MAX}, the largest truncation")
     u_norm = u.head_sum()
     if t == 0.0 or u.is_zero:
         return EvolveResult(
@@ -299,7 +290,7 @@ def evolve(
     levels: list[int] = []
     values: list[PosSeq] = []
     integrals: list[PosSeq] = []
-    budget = params.step_budget
+    budget = _STEP_BUDGET
     closed = False
     flagged = False
     reason = ""
@@ -329,7 +320,7 @@ def evolve(
         if closed:
             converged = True
             break
-        if last_inc is not None and last_inc < params.tol:
+        if last_inc is not None and last_inc < tol:
             converged = True
             break
         if 2 * n > _N_MAX:
@@ -354,12 +345,12 @@ def evolve(
         cap = u_norm * scale
         gap = defect * u_norm + slack
         if converged and not closed:
-            gap = 2.0 * max(inc or 0.0, 0.0) + params.tol * scale + gap
+            gap = 2.0 * max(inc or 0.0, 0.0) + tol * scale + gap
         elif not closed:
             # doubling increments shrink roughly geometrically; four increments
             # comfortably cover the remaining truncation error (estimate, flagged)
             inc = inc if inc is not None else cap - value
-            gap = min(cap - value, 4.0 * max(inc, params.tol * scale)) + gap
+            gap = min(cap - value, 4.0 * max(inc, tol * scale)) + gap
         return Bracket(max(0.0, value - slack), min(cap, value + gap))
 
     mass_bracket = bracket(values[-1].head_sum(), last_inc, v_defect, 1.0)
@@ -382,17 +373,13 @@ def evolve(
     )
 
 
-def semigroup_V(
-    m: ModelSpec, t: float, u: PosSeq, params: EvolveParams = EvolveParams()
-) -> tuple[PosSeq, Bracket, EvolveResult]:
+def semigroup_V(m: ModelSpec, t: float, u: PosSeq, tol: float = 1e-8) -> tuple[PosSeq, Bracket, EvolveResult]:
     """V(t)u as a certified entrywise lower bound plus its mass bracket."""
-    res = evolve(m, t, u, params, want_integral=False)
+    res = evolve(m, t, u, tol, want_integral=False)
     return res.value, res.mass_bracket, res
 
 
-def integrate_V(
-    m: ModelSpec, t: float, u: PosSeq, params: EvolveParams = EvolveParams()
-) -> tuple[PosSeq, Bracket, EvolveResult]:
+def integrate_V(m: ModelSpec, t: float, u: PosSeq, tol: float = 1e-8) -> tuple[PosSeq, Bracket, EvolveResult]:
     """int_0^t V(s)u ds with the same monotone truncation certificate."""
-    res = evolve(m, t, u, params, want_integral=True)
+    res = evolve(m, t, u, tol, want_integral=True)
     return res.integral, res.integral_bracket, res

@@ -349,9 +349,7 @@ def _as_rate(x: float | RateFn) -> RateFn:
 class DissipativityReport:
     deficits: tuple[float, ...]  # k = 0..n, then listed table columns beyond n
     violations: tuple[tuple[int, float], ...]  # (k, excess rate)
-    conservative_declared: bool
     conservative_observed: bool
-    consistent: bool
 
 
 def dissipativity_audit(m: ModelSpec, n: int) -> DissipativityReport:
@@ -362,14 +360,10 @@ def dissipativity_audit(m: ModelSpec, n: int) -> DissipativityReport:
     tol = _RATE_RTOL * np.maximum(1.0, m.a.at(ks))
     bad = deficits < -tol
     violations = zip(ks[bad].tolist(), (-deficits[bad]).tolist())
-    observed = bool(np.all(np.abs(deficits) <= tol))
-    declared = m.conservative
     return DissipativityReport(
         deficits=tuple(deficits.tolist()),
         violations=tuple(violations),
-        conservative_declared=declared,
-        conservative_observed=observed,
-        consistent=(declared == observed) or not declared,
+        conservative_observed=bool(np.all(np.abs(deficits) <= tol)),
     )
 
 

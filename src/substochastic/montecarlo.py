@@ -46,6 +46,7 @@ __all__ = [
 
 CHUNK = 1024  # paths per Philox substream; part of the pinned algorithm
 STATE_CAP = 1 << 21
+_JUMP_CHECK = 10_000  # simulate_path tests for explosion every this many jumps
 BERNSTEIN_LOG = 30.0  # ln(1/mislabel) budget for the concentration rule
 
 CSV_HEADER = "t,survival,survival_ci,exploded,exploded_ci,killed,killed_ci"
@@ -94,7 +95,7 @@ def _explosion_thresholds(m: ModelSpec, frontier: int) -> tuple[float, float]:
     return m1 * 1.0e3, m1 + margin
 
 
-def simulate_path(m: ModelSpec, k0: int, t: float, rng: np.random.Generator, jump_cap: int = 10_000) -> PathOutcome:
+def simulate_path(m: ModelSpec, k0: int, t: float, rng: np.random.Generator) -> PathOutcome:
     """Scalar reference simulation of a single path (used for validation)."""
     state = k0
     tau = 0.0
@@ -117,7 +118,7 @@ def simulate_path(m: ModelSpec, k0: int, t: float, rng: np.random.Generator, jum
             return PathOutcome("killed", None, tau, jumps)
         state = target
         jumps += 1
-        if jumps % jump_cap == 0:
+        if jumps % _JUMP_CHECK == 0:
             rem = t - tau
             budget, conc = _explosion_thresholds(m, state)
             if rem > budget or rem > conc:
@@ -255,6 +256,10 @@ def simulate(
         raise ValueError("t must be >= 0")
     if initial.tail_bound != 0.0 or abs(initial.head_sum() - 1.0) > 1e-9:
         raise ValueError("initial distribution must be finitely supported with mass 1")
+    if max(initial.entries) >= STATE_CAP:
+        # the cascade runner aborts paths there, and the stepper's jump table
+        # would hold a row for every state from 0 up to the start
+        raise ValueError(f"initial states must lie below the state cap {STATE_CAP}")
     if m.kernel.kind == "pure_birth" and m.conservative:
         runner = _run_pure_birth_chunk
     else:

@@ -1,12 +1,15 @@
 import json
 import math
+import time
 
 import pytest
 
 from substochastic.cli import main, parse_t_grid
-from substochastic.models import dump_model
+from substochastic.honesty import honesty_verdict
+from substochastic.l1 import PosSeq
+from substochastic.models import dump_model, load_model
 from substochastic.montecarlo import CSV_HEADER
-from substochastic.zoo import pure_loss, quadratic_birth, two_state, yule
+from substochastic.zoo import bd_kill, pure_loss, quadratic_birth, two_state, yule
 
 EXP1 = math.exp(-1.0)
 EXP2 = math.exp(-2.0)
@@ -16,7 +19,7 @@ EXP2 = math.exp(-2.0)
 def model_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("models")
     paths = {}
-    for m in (yule(), quadratic_birth(), two_state(), pure_loss()):
+    for m in (yule(), quadratic_birth(), two_state(), pure_loss(), bd_kill()):
         p = d / f"{m.name}.json"
         dump_model(m, str(p))
         paths[m.name] = str(p)
@@ -64,6 +67,26 @@ _NON_FINITE = [
 def test_non_finite_input_exits_one(model_files, tmp_path, capsys, command, model, args):
     out = tmp_path / "r.out"
     assert main([command, "--model", model_files[model], *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert not out.exists()
+
+
+# starts beyond what each command can hold: the dense evolution window, int64
+# state indices, and the Monte Carlo state cap
+_HUGE_START = [
+    ("trajectory", "two_state", str(10**12)),
+    ("verdict", "quadratic_birth", str(10**21)),
+    ("simulate", "bd_kill", str(10**8)),
+]
+
+
+@pytest.mark.parametrize("command, model, initial", _HUGE_START)
+def test_huge_initial_state_exits_one(model_files, tmp_path, capsys, command, model, initial):
+    out = tmp_path / "r.out"
+    t0 = time.perf_counter()
+    assert main([command, "--model", model_files[model], "--initial", initial, "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:")
     assert not out.exists()
@@ -156,6 +179,45 @@ class TestVerdictCommand:
         assert rep["evidence"]["subsolution_certificate"] is True
         assert rep["evidence"]["iterations"] == 5000
         assert rep["xi"]["hi"] == pytest.approx(math.exp(-5000 * math.log1p(1e-9)), rel=1e-9)
+
+    def test_report_is_the_library_verdict_at_tol(self, model_files, tmp_path):
+        # the CLI passes --tol as given; the 1e-12 floors live in honesty_verdict
+        m = load_model(model_files["bd_kill"])
+        u = PosSeq.basis(1)
+        out = tmp_path / "r.json"
+        for tol in (1e-8, 1.5e-12, 1e-13):
+            args = ["verdict", "--model", model_files["bd_kill"], "--initial", "1", "--lambda", "0.5"]
+            assert main(args + ["--tol", repr(tol), "--out", str(out)]) == 0
+            doc = honesty_verdict(m, u, 0.5, tol).to_json()
+            doc["config"] = {"model": "bd_kill", "initial": 1, "lambda": 0.5, "tol": tol}
+            assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert honesty_verdict(m, u, 0.5, 1e-13) == honesty_verdict(m, u, 0.5, 1e-12)
+
+    def test_table_head_past_first_window_exit_zero(self, tmp_path):
+        # A's head runs to k = 2048, twice the first product window; birth
+        # (k+1)^2 equals A only past the head, where prod n^2/(n^2+lam) over
+        # n >= 1 is pi sqrt(lam) / sinh(pi sqrt(lam)), so the exact xi is
+        # about e^-717 (subnormal) and the trajectory is honest
+        a = [(k + 1) ** 2 + 10 for k in range(1024)] + [2 * (k + 1) ** 2 for k in range(1024, 2048)]
+        doc = {
+            "name": "half_head",
+            "space": "l1",
+            "A": {"kind": "table", "values": a, "tail": {"c": 1.0, "p": 2.0}},
+            "B": {"kind": "pure_birth", "birth": {"kind": "power", "c": 1.0, "p": 2.0}},
+            "conservative": False,
+        }
+        path = tmp_path / "half_head.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["verdict", "--model", str(path), "--tol", "2e-6", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["verdict"] == "Honest"
+        for lam, br in rep["evidence"]["lambda_sweep"].items():
+            lam = float(lam)
+            s = math.pi * math.sqrt(lam)
+            log_xi = math.fsum(math.log((n * n + lam) / (lam + a[n - 1])) for n in range(1, 2049))
+            log_xi += math.log(s / math.sinh(s))
+            assert math.log(br["lo"]) <= log_xi <= math.log(br["hi"]), lam
 
     def test_report_round_trips_bit_exactly(self, model_files, tmp_path):
         out = tmp_path / "r.json"

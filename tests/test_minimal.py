@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from substochastic import minimal
 from substochastic.l1 import PosSeq, mass
 from substochastic.minimal import (
-    EvolveParams,
     evolve,
     integrate_V,
     resolvent_G,
@@ -57,9 +57,10 @@ class TestResolventG:
         assert res.value.get(1) == pytest.approx(ref[1], rel=1e-12)
         assert res.converged
 
-    def test_yule_partial_sums_fill_unit_mass(self, m_yule):
+    def test_yule_partial_sums_fill_unit_mass(self, m_yule, monkeypatch):
         # coordinates 1/((n+1)(n+2)) telescope to total mass 1
-        res = resolvent_G(m_yule, 1.0, e0, tol=1e-4, max_terms=20_000)
+        monkeypatch.setattr(minimal, "_SERIES_MAX_TERMS", 20_000)
+        res = resolvent_G(m_yule, 1.0, e0, tol=1e-4)
         for n in (0, 1, 5):
             assert res.value.get(n) == pytest.approx(1.0 / ((n + 1) * (n + 2)), rel=1e-12)
         assert res.mass_bracket.contains(1.0)
@@ -73,8 +74,9 @@ class TestResolventG:
             res = resolvent_G(m, lam, e0, tol=1e-10)
             assert lam * (res.value.head_sum() + res.defect) <= 1.0 + 1e-9
 
-    def test_dishonest_defect_reported_not_hidden(self, m_quadratic):
-        res = resolvent_G(m_quadratic, 1.0, e0, tol=1e-9, max_terms=200)
+    def test_dishonest_defect_reported_not_hidden(self, m_quadratic, monkeypatch):
+        monkeypatch.setattr(minimal, "_SERIES_MAX_TERMS", 200)
+        res = resolvent_G(m_quadratic, 1.0, e0, tol=1e-9)
         assert not res.converged
         assert res.defect > 0.25  # the honesty defect over lambda stalls here
 
@@ -169,14 +171,16 @@ class TestSemigroupV:
         for k in range(4):
             assert v.get(k) == pytest.approx(p * (1 - p) ** k, rel=1e-6)
 
-    def test_substochastic(self, zoo):
+    def test_substochastic(self, zoo, monkeypatch):
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 600_000)
         u = PosSeq({0: 0.5, 1: 0.5})
         for m in zoo:
-            v, br, _ = semigroup_V(m, 0.7, u, EvolveParams(step_budget=600_000))
+            v, br, _ = semigroup_V(m, 0.7, u)
             assert br.hi <= mass(u).hi + 1e-12
 
-    def test_monotone_ladder(self, m_quadratic):
-        _, _, res = semigroup_V(m_quadratic, 1.0, e0, EvolveParams(step_budget=400_000))
+    def test_monotone_ladder(self, m_quadratic, monkeypatch):
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 400_000)
+        _, _, res = semigroup_V(m_quadratic, 1.0, e0)
         masses = res.ladder.masses()
         assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
         # entrywise monotone up to the rounding wobble of ~1e6-step sums
@@ -193,19 +197,31 @@ class TestSemigroupV:
             for k in set(v_ts.entries) | set(v_comp.entries):
                 assert v_comp.get(k) == pytest.approx(v_ts.get(k), rel=1e-8, abs=1e-10)
 
-    def test_budget_flagging(self, m_quadratic):
-        _, br, res = semigroup_V(m_quadratic, 1.0, e0, EvolveParams(step_budget=150_000))
+    def test_budget_flagging(self, m_quadratic, monkeypatch):
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 150_000)
+        _, br, res = semigroup_V(m_quadratic, 1.0, e0)
         assert res.flagged and res.flag_reason
         assert br.width > 0
 
-    def test_budget_binds_the_first_level(self, m_quadratic):
+    def test_budget_binds_the_first_level(self, m_quadratic, monkeypatch):
         # the first truncation from e_200 alone needs ~2.7e5 Poisson steps
-        res = evolve(m_quadratic, 1.0, PosSeq.basis(200), EvolveParams(step_budget=10_000))
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 10_000)
+        res = evolve(m_quadratic, 1.0, PosSeq.basis(200))
         assert res.steps_used <= 10_000
         assert res.flagged and res.flag_reason == "step budget reached"
         assert (res.mass_bracket.lo, res.mass_bracket.hi) == (0.0, 1.0)
         assert (res.integral_bracket.lo, res.integral_bracket.hi) == (0.0, 1.0)
         assert res.value.is_zero and not res.closed
+
+    def test_start_below_the_largest_truncation(self, m_two_state):
+        # two_state is closed below the first truncation from e_{2^19}, which
+        # decays at rate 1; a start at 2^20 has no truncation left to hold it
+        res = evolve(m_two_state, 0.5, PosSeq.basis(1 << 19), want_integral=False)
+        assert res.mass_bracket.lo == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert res.mass_bracket.hi == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert res.closed and not res.flagged
+        with pytest.raises(ValueError, match="largest truncation"):
+            evolve(m_two_state, 0.5, PosSeq.basis(1 << 20))
 
 
 class TestIntegrateV:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from substochastic import montecarlo
 from substochastic.l1 import PosSeq
 from substochastic.minimal import semigroup_V
 from substochastic.models import Kernel, ModelSpec, RateFn
@@ -142,7 +143,8 @@ class TestScalarReference:
         killed = [o for o in outs if o.status == "killed"]
         assert all(o.time_of_absorption <= 1.0 for o in killed)
 
-    def test_explodes_on_runaway_cascade(self, m_quadratic):
+    def test_explodes_on_runaway_cascade(self, m_quadratic, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_JUMP_CHECK", 512)
         rng = np.random.Generator(np.random.Philox(key=[78, 0]))
-        hits = [simulate_path(m_quadratic, 0, 5.0, rng, jump_cap=512).status for _ in range(200)]
+        hits = [simulate_path(m_quadratic, 0, 5.0, rng).status for _ in range(200)]
         assert hits.count("exploded") > 150
