@@ -164,6 +164,9 @@ class DPState:
         decay = np.exp(-np.outer(times, self.window.a))  # D[d] = U(d*h) on the window
         terms = [decay * u_win[None, :]]
         for _ in range(self.n_max):
+            if not terms[-1].any():
+                terms.append(terms[-1])  # every later term is exactly 0 too
+                continue
             terms.append(_simpson_convolution(self.window.apply_B(terms[-1]), decay, h))
         w = _simpson_weights(M, h)
         return terms, [f.T @ w for f in terms]

@@ -151,6 +151,15 @@ class RateFn:
         head = self(k) ** -power
         return exact + head + (float(k + 1) ** (1.0 - q)) / (self.c**power * (q - 1.0))
 
+    def reciprocal_tail_lower_bound(self, k0: int) -> float:
+        """Lower companion of ``reciprocal_tail_bound``: sum_{m >= k0} 1/a_m is
+        at least the integral of the (nonincreasing) power-law reciprocal
+        past every table head; inf if divergent."""
+        if self.c <= 0 or self.reciprocal_sum_diverges():
+            return math.inf
+        k = max(k0, len(self.values))
+        return float(k + 1) ** (1.0 - self.p) / (self.c * (self.p - 1.0))
+
 
 @dataclass(frozen=True)
 class Kernel:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from substochastic import dyson
 from substochastic.dyson import (
     DPState,
     _simpson_convolution,
@@ -45,6 +46,26 @@ class TestDpTerm:
 
     def test_nilpotent_kernel_vanishes(self, m_two_state):
         assert dp_term(m_two_state, 2, 1.0, e0).value.is_zero
+
+    def test_sampling_stops_at_an_exact_zero(self, m_two_state, monkeypatch):
+        # B^2 = 0 on two_state: from e0 the second term is exactly 0, and no
+        # convolution is spent on any term after it
+        calls = {"conv": 0, "level": 0}
+        conv, sample = dyson._simpson_convolution, DPState._sample_level
+
+        def counted_conv(*args):
+            calls["conv"] += 1
+            return conv(*args)
+
+        def counted_level(self, *args):
+            calls["level"] += 1
+            return sample(self, *args)
+
+        monkeypatch.setattr(dyson, "_simpson_convolution", counted_conv)
+        monkeypatch.setattr(DPState, "_sample_level", counted_level)
+        st = DPState(m_two_state, e0, 2.0, 16)
+        assert calls["level"] >= 2 and calls["conv"] == 2 * calls["level"]
+        assert st.terms[1].any() and not any(st.terms[n].any() for n in range(2, 17))
 
 
 def _direct_convolution(g, decay, h):

@@ -11,7 +11,7 @@ from substochastic.minimal import (
     resolvent_G,
     semigroup_V,
 )
-from substochastic.models import ModelSpec
+from substochastic.models import Kernel, ModelSpec, RateFn
 
 e0 = PosSeq.basis(0)
 
@@ -178,13 +178,21 @@ class TestSemigroupV:
             v, br, _ = semigroup_V(m, 0.7, u)
             assert br.hi <= mass(u).hi + 1e-12
 
-    def test_monotone_ladder(self, m_quadratic, monkeypatch):
-        monkeypatch.setattr(minimal, "_STEP_BUDGET", 400_000)
-        _, _, res = semigroup_V(m_quadratic, 1.0, e0)
-        masses = res.ladder.masses()
+    def test_monotone_ladder(self, m_quadratic):
+        # V_N(t)u grows with N; evolve runs one level on this cascade, so
+        # each truncation's pass is called directly
+        values = []
+        for n in (64, 128, 256, 512, 1024):
+            ((v_arr, _, _, _),), _ = minimal._uniformized(m_quadratic, (1.0,), e0, n, False)
+            values.append(PosSeq.from_array(v_arr))
+        masses = [v.head_sum() for v in values]
+        assert masses[-1] > masses[0]
         assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
-        # entrywise monotone up to the rounding wobble of ~1e6-step sums
-        for lo_v, hi_v in zip(res.ladder.values, res.ladder.values[1:]):
+        # entrywise monotone up to the rounding wobble of ~1e6-step sums, up
+        # to N = 512; at N = 1024 the Poisson weights share a certified
+        # relative scale error of 6e-9 (the pass's v_defect), which the
+        # converged low entries show
+        for lo_v, hi_v in zip(values[:4], values[1:4]):
             for k, val in lo_v.entries.items():
                 assert hi_v.get(k) >= val - 1e-10
 
@@ -222,6 +230,108 @@ class TestSemigroupV:
         assert res.closed and not res.flagged
         with pytest.raises(ValueError, match="largest truncation"):
             evolve(m_two_state, 0.5, PosSeq.basis(1 << 20))
+
+
+def theta_mass(t: float) -> float:
+    """|V(t)e0| on quadratic_birth: P(T > t) for the explosion time
+    T = sum_n E_n/n^2, the theta series 2 sum_{n>=1} (-1)^{n+1} e^{-n^2 t}."""
+    return 2.0 * math.fsum((-1) ** (n + 1) * math.exp(-n * n * t) for n in range(1, 200))
+
+
+class TestRenewalRoute:
+    """evolve on an explosive pure-birth cascade: one certified pass."""
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.0, 2.0])
+    def test_theta_oracle(self, m_quadratic, t):
+        res = evolve(m_quadratic, t, e0, want_integral=False)
+        assert res.mass_bracket.contains(theta_mass(t))
+        assert res.mass_bracket.width <= 4e-4
+        assert not res.flagged and not res.closed
+        assert res.ladder.levels == (512,) and res.n_used == 512
+
+    def test_integral_holds_the_theta_integral(self, m_quadratic):
+        # int_0^t P(T > s) ds = 2 sum (-1)^{n+1} (1 - e^{-n^2 t})/n^2, and
+        # 2 sum (-1)^{n+1}/n^2 = pi^2/6
+        t = 1.0
+        exact = math.pi**2 / 6.0 - 2.0 * math.fsum((-1) ** (n + 1) * math.exp(-n * n * t) / (n * n) for n in range(1, 200))
+        assert exact == pytest.approx(0.91830560, abs=1e-8)
+        res = evolve(m_quadratic, t, e0)
+        assert res.integral_bracket.contains(exact)
+        # the truncated integral is a lower bound that the sandwich beats
+        assert res.integral.head_sum() < res.integral_bracket.lo
+        assert res.integral_bracket.width <= 4e-4
+
+    @pytest.mark.parametrize("t", [0.1, 0.5])
+    def test_start_e3_holds_the_exact_law(self, m_quadratic, t):
+        # from e_3 the explosion time is sum_{n>=4} E_n/n^2, whose survival
+        # function drops the factors m = 1..3 from the theta coefficients;
+        # the series cancels badly for larger starts or smaller t
+        exact = math.fsum(
+            2.0 * (-1) ** (n + 1) * math.prod((m * m - n * n) / (m * m) for m in range(1, 4)) * math.exp(-n * n * t)
+            for n in range(4, 200)
+        )
+        res = evolve(m_quadratic, t, PosSeq.basis(3), want_integral=False)
+        assert res.mass_bracket.contains(exact)
+        assert not res.flagged and res.ladder.levels == (512,)
+
+    def test_several_sources_are_linear(self, m_quadratic):
+        u = PosSeq({0: 0.25, 3: 0.5})
+        res = evolve(m_quadratic, 0.25, u, want_integral=False)
+        parts = [evolve(m_quadratic, 0.25, PosSeq.basis(k), want_integral=False).mass_bracket for k in (0, 3)]
+        assert res.mass_bracket.lo >= 0.25 * parts[0].lo + 0.5 * parts[1].lo - 1e-12
+        assert res.mass_bracket.hi <= 0.25 * parts[0].hi + 0.5 * parts[1].hi + 1e-12
+
+    def test_budget_halves_the_truncation(self, m_quadratic, monkeypatch):
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 150_000)
+        res = evolve(m_quadratic, 1.0, e0)
+        assert res.ladder.levels == (256,) and res.steps_used <= 150_000
+        assert res.flagged and res.flag_reason == "step budget reached"
+        assert res.mass_bracket.contains(theta_mass(1.0))
+
+    def test_tails_of_the_time_beyond_n(self, m_quadratic):
+        # R_512 = sum_{n > 512} E_n/n^2 has mean sum_{n > 512} 1/n^2; the
+        # lower tail bound past the summed head tightens r_lo (1.551e-3
+        # without it)
+        r_lo, r_hi = minimal._renewal_tails(m_quadratic.a, 512, 2.5e-9)
+        mean = m_quadratic.a.reciprocal_tail_lower_bound(512)
+        assert r_lo < mean < r_hi
+        assert r_lo == pytest.approx(1.666e-3, abs=1e-6)
+        assert r_hi == pytest.approx(2.297e-3, abs=1e-6)
+
+    def test_other_models_keep_the_ladder(self, zoo, monkeypatch):
+        def no_renewal(*args):
+            raise AssertionError("renewal route taken")
+
+        monkeypatch.setattr(minimal, "_renewal", no_renewal)
+        for m in zoo:
+            if m.name != "quadratic_birth":
+                evolve(m, 0.5, PosSeq.basis(1))
+        assert minimal._renewal_applies(next(m for m in zoo if m.name == "quadratic_birth"))
+        # a separate birth rate, or a divergent reciprocal sum, keeps the ladder
+        fed = ModelSpec("fed", RateFn.power(2.0, 2.0), Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)), False)
+        assert not minimal._renewal_applies(fed)
+        assert not minimal._renewal_applies(ModelSpec.pure_birth(RateFn.power(1.0, 1.0)))
+
+    def test_yule_ladder_runs_two_levels(self, m_yule):
+        res = evolve(m_yule, 1.0, e0, want_integral=False)
+        assert res.ladder.levels[:2] == (64, 128) and not res.flagged
+
+
+@pytest.mark.parametrize(
+    ("t", "tol", "message"),
+    [
+        (1.0, 0.0, "finite tol > 0"),
+        (1.0, -1.0, "finite tol > 0"),
+        (1.0, math.nan, "finite tol > 0"),
+        (1.0, math.inf, "finite tol > 0"),
+        (math.inf, 1e-8, "finite t >= 0"),
+        (math.nan, 1e-8, "finite t >= 0"),
+        (-1.0, 1e-8, "finite t >= 0"),
+    ],
+)
+def test_evolve_rejects_bad_t_and_tol(m_bd_kill, t, tol, message):
+    with pytest.raises(ValueError, match=message):
+        evolve(m_bd_kill, t, e0, tol)
 
 
 class TestIntegrateV:

@@ -61,6 +61,15 @@ class TestRateFn:
             assert r.reciprocal_tail_bound(k0) >= exact
         assert math.isinf(RateFn.power(1.0, 1.0).reciprocal_tail_bound(0))
 
+    def test_reciprocal_tail_lower_bound_brackets_the_sum(self):
+        # the sums run far enough that their own cut (< 1/200_000) stays
+        # below the gap between the two bounds
+        for r in (RateFn.power(1.0, 2.0), RateFn.power(0.5, 3.0), RateFn.table([0.1, 9.0, 4.0], tail_c=2.0, tail_p=2.0)):
+            for k0 in (0, 1, 2, 7, 50):
+                exact = math.fsum(1.0 / r.array(k0, 200_000))
+                assert r.reciprocal_tail_lower_bound(k0) <= exact <= r.reciprocal_tail_bound(k0)
+        assert math.isinf(RateFn.power(1.0, 1.0).reciprocal_tail_lower_bound(0))
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ModelError):
             RateFn("exp", c=1.0)
