@@ -45,8 +45,9 @@ __all__ = [
 
 
 _SERIES_MAX_TERMS = 50_000
+_ULP = 2.3e-16  # a little over the unit roundoff: the error of one rounded operation
 _N_START = 64  # first truncation of the evolution ladder
-_RENEWAL_N = 512  # least truncation of the renewal route (explosive cascades)
+_RENEWAL_N = 512  # least truncation of the renewal route (explosive cascades); a ladder level
 _RENEWAL_HEAD = 1 << 16  # most states of R_N's head summed term by term
 _N_MAX = 1 << 20  # largest truncation before the ladder stops flagged
 # Poisson terms allowed across one evolution ladder, its first level included;
@@ -280,16 +281,13 @@ def _first_level(k: int) -> int:
 # The renewal route for explosive pure-birth cascades
 # ---------------------------------------------------------------------------
 
-_ULP = 2.3e-16  # a little over the unit roundoff: the error of one rounded operation
-
-
 def _renewal_applies(m: ModelSpec) -> bool:
     """A pure-birth cascade feeding its full rate a_k to k+1 (so conservative)
     whose rates have a convergent reciprocal sum, i.e. that explodes."""
     return m.kernel.kind == "pure_birth" and m.kernel.birth is None and not m.a.reciprocal_sum_diverges()
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 60) -> float:
+def _golden_min(f, lo: float, hi: float) -> float:
     """The least value of f at the points of a golden-section search of the
     open interval (lo, hi); f is unimodal there, and every value is a valid
     bound, so the search only has to find a good one."""
@@ -297,7 +295,7 @@ def _golden_min(f, lo: float, hi: float, iters: int = 60) -> float:
     x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
     f1, f2 = f(x1), f(x2)
     best = min(f1, f2)
-    for _ in range(iters):
+    for _ in range(60):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - g * (hi - lo)
@@ -372,7 +370,7 @@ def _renewal(m: ModelSpec, t: float, u: PosSeq, tol: float, want_integral: bool)
     """
     u_norm = u.head_sum()
     floor = _first_level(2 * (max(u.support) + 1))
-    n = n_first = _first_level(max(_RENEWAL_N, floor))
+    n = n_first = max(_RENEWAL_N, floor)
     while n > floor and _poisson_window(m, n, t)[1] > _STEP_BUDGET:
         n //= 2
     if _poisson_window(m, n, t)[1] > _STEP_BUDGET:
@@ -515,7 +513,7 @@ def evolve(
 
     # rounding wobble of the accumulated Poisson sums; the weight-scale error
     # inside v_defect cuts both ways, so it widens the lower edge too
-    fp_slack = (steps_total + 16) * 2.3e-16 * max(u_norm, 1e-300) + v_defect * u_norm
+    fp_slack = (steps_total + 16) * _ULP * max(u_norm, 1e-300) + v_defect * u_norm
 
     def bracket(value: float, inc: float | None, defect: float, scale: float) -> Bracket:
         """Bracket of the mass (scale 1) or the time integral (scale t),

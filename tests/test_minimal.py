@@ -289,12 +289,12 @@ class TestRenewalRoute:
         assert res.mass_bracket.contains(theta_mass(1.0))
 
     def test_tails_of_the_time_beyond_n(self, m_quadratic):
-        # R_512 = sum_{n > 512} E_n/n^2 has mean sum_{n > 512} 1/n^2; the
-        # lower tail bound past the summed head tightens r_lo (1.551e-3
-        # without it)
+        # R_512 = sum_{n > 512} E_n/n^2 has mean sum_{n > 512} 1/n^2, which
+        # the two integral bounds hold; the lower tail bound past the summed
+        # head tightens r_lo (1.551e-3 without it)
         r_lo, r_hi = minimal._renewal_tails(m_quadratic.a, 512, 2.5e-9)
-        mean = m_quadratic.a.reciprocal_tail_lower_bound(512)
-        assert r_lo < mean < r_hi
+        assert r_lo < m_quadratic.a.reciprocal_tail_lower_bound(512)
+        assert m_quadratic.a.reciprocal_tail_bound(512) < r_hi
         assert r_lo == pytest.approx(1.666e-3, abs=1e-6)
         assert r_hi == pytest.approx(2.297e-3, abs=1e-6)
 
