@@ -131,8 +131,7 @@ def _cmd_trajectory(cfg: RunConfig, model) -> int:
     u = PosSeq.basis(cfg.initial)
     u_norm = u.head_sum()
     lines = ["t,mass_lo,mass_hi,abar,ahat,delta_lo,delta_hi"]
-    for t in cfg.t_grid:
-        res, dp = delta_by_routes(model, t, u, cfg.lam, cfg.tol)
+    for t, (res, dp) in zip(cfg.t_grid, delta_by_routes(model, cfg.t_grid, u, cfg.lam, cfg.tol)):
         mass_lo = u_norm - res.a0.hi
         mass_hi = u_norm - res.a0.lo
         lines.append(
@@ -147,8 +146,7 @@ def _cmd_compare(cfg: RunConfig, model) -> int:
     u = PosSeq.basis(cfg.initial)
     rows = []
     worst = 0.0
-    for t in cfg.t_grid:
-        res, dp = delta_by_routes(model, t, u, cfg.lam, cfg.tol)
+    for t, (res, dp) in zip(cfg.t_grid, delta_by_routes(model, cfg.t_grid, u, cfg.lam, cfg.tol)):
         disc = abs(res.bracket.mid - dp.bracket.mid)
         worst = max(worst, disc)
         rows.append(

@@ -13,11 +13,18 @@ corrections), so a term costs O(M*W) on a window of W states.  Each level
 re-samples on the doubled grid; refinement stops when consecutive levels
 agree below tolerance, and the final difference is reported as the
 quadrature error estimate, never discarded.
+
+One state over [0, t] also serves the earlier grid times s = k*t/2^5 (the
+nodes of its coarsest grid, hence of every finer one): each served node
+reads its term sample and its cumulative Simpson integral over [0, s] from
+the same samples, the refinement runs until every served node agrees below
+tolerance, and each node keeps its own error estimates.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +42,7 @@ __all__ = [
     "dp_B_integral",
     "dp_laplace",
     "dp_uniform_tail",
+    "dyadic_node",
 ]
 
 
@@ -124,16 +132,31 @@ def _simpson_convolution(g: np.ndarray, decay: np.ndarray, h: float) -> np.ndarr
     return f
 
 
+def dyadic_node(s: float, t: float) -> int | None:
+    """k with s = k*t/2^_MIN_LEVEL exactly in floating point (0 <= k <=
+    2^_MIN_LEVEL), so that s is a node of every sampling grid over [0, t];
+    None when s is off that grid."""
+    top = 1 << _MIN_LEVEL
+    if s == t:
+        return top
+    if not 0.0 <= s < t:
+        return None
+    k = s * top / t
+    return int(k) if k.is_integer() and k * t / top == s else None
+
+
 class DPState:
     """Sampled expansion terms s -> V_n(s)u on a dyadic grid over [0, t].
 
     ``terms[n]`` has shape (M+1, W): sample index by windowed state.  The
     window is sized so that no transition from an occupied state leaves it
     for any term up to ``n_max``; a model whose kernel cannot be windowed
-    this way is rejected.
+    this way is rejected.  The state serves t and every time in ``nodes``,
+    each of which must be a ``dyadic_node`` of [0, t]; ``integrals``,
+    ``errors`` and ``errors_int`` are keyed by the served time.
     """
 
-    def __init__(self, model: ModelSpec, u: PosSeq, t: float, n_max: int):
+    def __init__(self, model: ModelSpec, u: PosSeq, t: float, n_max: int, nodes: Iterable[float] = ()):
         if t < 0:
             raise ValueError("DPState requires t >= 0")
         if u.tail_bound != 0.0:
@@ -144,6 +167,12 @@ class DPState:
         self.u = u
         self.t = float(t)
         self.n_max = n_max
+        self.nodes: dict[float, int] = {}  # served time -> its index on 2^_MIN_LEVEL panels
+        for s in (*nodes, self.t):
+            k = dyadic_node(s, self.t)
+            if k is None:
+                raise ValueError(f"DPState: {s!r} is not a node of the dyadic grid over [0, {t!r}]")
+            self.nodes[float(s)] = k
         supp = u.support or (0,)
         stride = model.stride
         self.lo = max(0, min(supp) - (n_max + 1) * stride)
@@ -156,8 +185,10 @@ class DPState:
             raise ModelError("DPState: kernel leaks outside its stride window")
         self._sample()
 
-    def _sample_level(self, mlev: int, u_win: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Every term's samples on 2^mlev panels, and its Simpson integral over [0, t]."""
+    def _sample_level(self, mlev: int, u_win: np.ndarray) -> tuple[list[np.ndarray], dict[float, tuple]]:
+        """Every term's samples on 2^mlev panels, and at each served node s
+        (samples at s, Simpson integrals over [0, s]) per term, copied out
+        so that a level can be compared after its samples are dropped."""
         M = 1 << mlev
         h = self.t / M
         times = np.linspace(0.0, self.t, M + 1)
@@ -168,8 +199,12 @@ class DPState:
                 terms.append(terms[-1])  # every later term is exactly 0 too
                 continue
             terms.append(_simpson_convolution(self.window.apply_B(terms[-1]), decay, h))
-        w = _simpson_weights(M, h)
-        return terms, [f.T @ w for f in terms]
+        at_nodes = {}
+        for s, k in self.nodes.items():
+            j = k << (mlev - _MIN_LEVEL)
+            w = _simpson_weights(j, h)
+            at_nodes[s] = ([f[j].copy() for f in terms], [f[: j + 1].T @ w for f in terms])
+        return terms, at_nodes
 
     def _sample(self) -> None:
         u_win = np.zeros(self.hi - self.lo)
@@ -178,44 +213,50 @@ class DPState:
         amax = float(self.window.a.max(initial=1.0))
         lev = int(math.ceil(math.log2(max(4.0, amax * self.t))))
         lev = max(_MIN_LEVEL, min(_MAX_LEVEL - 1, lev))
-        prev, prev_int = self._sample_level(lev, u_win)
-        errors = [math.inf] * (self.n_max + 1)
-        errors_int = [math.inf] * (self.n_max + 1)
-        errors[0] = 0.0  # V_0 sampled exactly
-        while lev < _MAX_LEVEL:
+        prev = self._sample_level(lev, u_win)[1]
+        errors = {s: [0.0] + [math.inf] * self.n_max for s in self.nodes}  # V_0 sampled exactly
+        errors_int = {s: [math.inf] * (self.n_max + 1) for s in self.nodes}
+        while True:
             lev += 1
-            cur, cur_int = self._sample_level(lev, u_win)
+            terms, cur = self._sample_level(lev, u_win)
             worst = 0.0
-            for n in range(self.n_max + 1):
-                diff_int = float(np.abs(cur_int[n] - prev_int[n]).sum())
-                errors_int[n] = diff_int
-                worst = max(worst, diff_int)
-                if n >= 1:
-                    diff = float(np.abs(cur[n][-1] - prev[n][-1]).sum())
-                    errors[n] = diff
-                    worst = max(worst, diff)
-            if worst <= _QUAD_TOL:
+            for s in self.nodes:
+                (cur_v, cur_int), (prev_v, prev_int) = cur[s], prev[s]
+                for n in range(self.n_max + 1):
+                    diff_int = float(np.abs(cur_int[n] - prev_int[n]).sum())
+                    errors_int[s][n] = diff_int
+                    worst = max(worst, diff_int)
+                    if n >= 1:
+                        diff = float(np.abs(cur_v[n] - prev_v[n]).sum())
+                        errors[s][n] = diff
+                        worst = max(worst, diff)
+            if worst <= _QUAD_TOL or lev == _MAX_LEVEL:
                 break
-            prev, prev_int = cur, cur_int
+            prev = cur
+            del terms  # hold one level's samples at a time
         self.level = lev
         self.times = np.linspace(0.0, self.t, (1 << lev) + 1)
-        self.terms = cur
-        self.integrals = cur_int
+        self.terms = terms
+        self.integrals = {s: cur[s][1] for s in self.nodes}
         self.errors = errors
         self.errors_int = errors_int
 
     # -- extraction -----------------------------------------------------
     def term_at_t(self, n: int) -> DPTerm:
-        return DPTerm(PosSeq.from_array(self.terms[n][-1], self.lo), self.errors[n])
+        return DPTerm(PosSeq.from_array(self.terms[n][-1], self.lo), self.errors[self.t][n])
 
-    def integral(self, n: int, weight_lam: float = 0.0) -> tuple[np.ndarray, float]:
-        """int_0^t exp(-weight_lam*s) V_n(s)u ds on the window (array, error)."""
-        err = self.errors_int[n] + _QUAD_TOL * 1e-3
+    def integral(self, n: int, weight_lam: float = 0.0, s: float | None = None) -> tuple[np.ndarray, float]:
+        """int_0^s exp(-weight_lam*r) V_n(r)u dr on the window (array, error),
+        at a served time s (default t)."""
+        s = self.t if s is None else float(s)
+        if s not in self.nodes:
+            raise ValueError(f"DPState over [0, {self.t!r}] does not serve {s!r}")
+        err = self.errors_int[s][n] + _QUAD_TOL * 1e-3
         if not weight_lam:
-            return self.integrals[n], err
-        M = self.times.size - 1
-        w = _simpson_weights(M, self.t / M) * np.exp(-weight_lam * self.times)
-        return self.terms[n].T @ w, err
+            return self.integrals[s][n], err
+        j = self.nodes[s] << (self.level - _MIN_LEVEL)
+        w = _simpson_weights(j, self.t / (self.times.size - 1)) * np.exp(-weight_lam * self.times[: j + 1])
+        return self.terms[n][: j + 1].T @ w, err
 
 
 def dp_term(model: ModelSpec, n: int, t: float, u: PosSeq) -> DPTerm:
@@ -231,7 +272,7 @@ def dp_partial_sum(model: ModelSpec, K: int, t: float, u: PosSeq) -> DPTerm:
     total = np.zeros(st.hi - st.lo)
     for n in range(K + 1):
         total += st.terms[n][-1]
-    return DPTerm(PosSeq.from_array(total, st.lo), math.fsum(st.errors[: K + 1]))
+    return DPTerm(PosSeq.from_array(total, st.lo), math.fsum(st.errors[st.t][: K + 1]))
 
 
 def dp_convolution_residual(model: ModelSpec, n: int, t: float, s: float, u: PosSeq) -> float:

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import DPState
+from .dyson import DPState, dyadic_node
 from .l1 import Bracket, PosSeq, SignedSeq, axpy, leq, mass
 from .minimal import EvolveResult, evolve, resolvent_G
 from .models import ModelSpec, OperatorWindow, apply_J
@@ -352,28 +353,14 @@ class AhatResult:
     b_integral_norms: tuple[float, ...]
 
 
-def ahat_dp(
-    m: ModelSpec,
-    t: float,
-    u: PosSeq,
-    tol: float = 1e-8,
-    a0: Bracket | None = None,
-) -> AhatResult:
-    """sum_n a_frak(int_0^t V_n(s)u ds), bracketed.
+def _ahat_terms(m: ModelSpec, t: float, u: PosSeq, tol: float) -> int:
+    """The last expansion term ``ahat_dp`` reads at t.
 
     With beta the largest column sum of B on the states the terms reach,
-    |B int_0^t V_n u| <= (beta t)^{n+1}/(n+1)! |u|, so one state holds the
-    least n meeting ``tol`` (at most ``_AHAT_N_CAP``).  The remainder after
-    those terms telescopes to at most the computed |B int_0^t V_n u|; the
-    upper edge is additionally capped by the upper edge of the mass loss
-    ``a0`` = |u| - |V(t)u| (evolved here when not given).
+    |B int_0^t V_n u| <= (beta t)^{n+1}/(n+1)! |u|; this is the least n
+    meeting ``tol`` (at most ``_AHAT_N_CAP``).  It is nondecreasing in t,
+    so a state sized at the largest time of a grid holds every time's terms.
     """
-    if u.tail_bound != 0.0:
-        raise ValueError("ahat_dp requires finitely supported input")
-    if m.conservative:
-        return AhatResult(Bracket(0.0, 0.0), (), ())
-    if t == 0.0 or u.is_zero:
-        return AhatResult(Bracket(0.0, 0.0), (), ())
     reach = (_AHAT_N_CAP + 1) * m.stride
     win = OperatorWindow(m, max(0, min(u.support) - reach), max(u.support) + reach + 1)
     beta_t = t * win.colsum.max(initial=0.0)
@@ -382,14 +369,41 @@ def ahat_dp(
     while bound > tol and n_max < _AHAT_N_CAP:
         n_max += 1
         bound *= beta_t / (n_max + 1)
-    st = DPState(m, u, t, n_max)
+    return n_max
+
+
+def ahat_dp(
+    m: ModelSpec,
+    t: float,
+    u: PosSeq,
+    tol: float = 1e-8,
+    a0: Bracket | None = None,
+    st: DPState | None = None,
+) -> AhatResult:
+    """sum_n a_frak(int_0^t V_n(s)u ds), bracketed.
+
+    Terms n <= ``_ahat_terms(m, t, u, tol)`` are read at t from ``st``, a
+    state of (m, u) that serves t, or from one built here.  The remainder
+    after them telescopes to at most the computed |B int_0^t V_n u| of the
+    last one; the upper edge is additionally capped by the upper edge of
+    the mass loss ``a0`` = |u| - |V(t)u| (evolved here when not given).
+    """
+    if u.tail_bound != 0.0:
+        raise ValueError("ahat_dp requires finitely supported input")
+    if m.conservative:
+        return AhatResult(Bracket(0.0, 0.0), (), ())
+    if t == 0.0 or u.is_zero:
+        return AhatResult(Bracket(0.0, 0.0), (), ())
+    n_max = _ahat_terms(m, t, u, tol)
+    if st is None:
+        st = DPState(m, u, t, n_max)
     colsums = st.window.colsum
     deficits = st.window.a - colsums
     terms = []
     b_norms = []
     qerr = 0.0
-    for n in range(n_max + 1):
-        arr, err = st.integral(n)
+    for n in range(min(n_max, st.n_max) + 1):
+        arr, err = st.integral(n, s=t)
         terms.append(float(deficits @ arr))
         b_norms.append(float(colsums @ arr))
         qerr += err * max(1.0, float(deficits.max(initial=0.0)))
@@ -431,24 +445,50 @@ def mass_loss_delta(m: ModelSpec, t: float, u: PosSeq, tol: float = 1e-8) -> Del
 
 def delta_by_routes(
     m: ModelSpec,
-    t: float,
+    ts: Sequence[float],
     u: PosSeq,
     lam: float = 1.0,
     tol: float = 1e-8,
-) -> tuple[DeltaResult, DeltaResult]:
-    """Delta computed independently by the resolvent-series route and the
-    expansion route, sharing one evolution pass at tolerance ``tol``.
+) -> list[tuple[DeltaResult, DeltaResult]]:
+    """Delta at every time of the grid ``ts``, as one (resolvent, expansion)
+    pair per time, computed independently by the two routes, which share
+    one evolution pass per time at tolerance ``tol``.
+
+    Expansion route: one ``DPState`` is built at the largest time not yet
+    served and serves every remaining time that is one of its dyadic nodes;
+    this repeats until the grid is served, so a grid of multiples of
+    t_max/32 costs one state and a one-time grid is the per-time call.
 
     Resolvent route: the trajectory integral w satisfies G w = V(t)u - u,
     so w = (lam-G)^{-1}(lam w + u - V(t)u) and abar(w) is evaluated by the
     resolvent series at the signed preimage.
     """
+    ts = tuple(float(t) for t in ts)
+    if not all(0.0 <= t < math.inf for t in ts):
+        raise ValueError("delta_by_routes requires finite times t >= 0")
+    needs_state = not (m.conservative or u.is_zero)
+    rows = {}
+    left = sorted(set(ts), reverse=True)
+    while left:
+        top = left[0]
+        served = [s for s in left if dyadic_node(s, top) is not None]
+        st = DPState(m, u, top, _ahat_terms(m, top, u, tol), served) if needs_state and top > 0.0 else None
+        for s in served:
+            rows[s] = _delta_pair(m, s, u, lam, tol, st)
+        left = [s for s in left if s not in rows]
+    return [rows[t] for t in ts]
+
+
+def _delta_pair(
+    m: ModelSpec, t: float, u: PosSeq, lam: float, tol: float, st: DPState | None
+) -> tuple[DeltaResult, DeltaResult]:
+    """One time of ``delta_by_routes``; the expansion route reads ``st``."""
     # the integral feeds only the resolvent route, which is 0 on conservative models
     ev = evolve(m, t, u, tol, want_integral=not m.conservative)
     a0 = a0_on_integral(m, t, u, ev=ev)
 
     # expansion route
-    ahat = ahat_dp(m, t, u, tol=tol, a0=a0)
+    ahat = ahat_dp(m, t, u, tol=tol, a0=a0, st=st)
     dp = DeltaResult(_clamp_nonpos(ahat.bracket - a0), a0, ahat.bracket, "dyson_phillips")
 
     # resolvent route

@@ -81,6 +81,10 @@ class RateFn:
                 raise ModelError("table rate needs at least one value")
             if not all(math.isfinite(v) and v >= 0 for v in self.values):
                 raise ModelError("table rate values must be finite and >= 0")
+        # the certified tail bounds divide by the rates: a positive rate must
+        # have a finite reciprocal (at least about 5.6e-309)
+        if not all(v == 0 or math.isfinite(1.0 / v) for v in (self.c, *self.values)):
+            raise ModelError("a positive rate must be at least 1/DBL_MAX (about 5.6e-309)")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     @staticmethod

@@ -92,6 +92,26 @@ def test_huge_initial_state_exits_one(model_files, tmp_path, capsys, command, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verdict", "trajectory", "simulate"])
+def test_subnormal_rate_exits_one(tmp_path, capsys, command):
+    # 1/5e-324 overflows, which the certified tail bounds of this explosive
+    # cascade would divide by
+    doc = {
+        "name": "subnormal",
+        "space": "l1",
+        "A": {"kind": "power", "c": 5e-324, "p": 1.5},
+        "B": {"kind": "pure_birth"},
+        "conservative": True,
+    }
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.out"
+    assert main([command, "--model", str(path), "--paths", "100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert not out.exists()
+
+
 class TestVerdictCommand:
     def test_honest_exit_zero(self, model_files, tmp_path):
         out = tmp_path / "r.json"

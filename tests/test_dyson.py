@@ -14,6 +14,7 @@ from substochastic.dyson import (
     dp_partial_sum,
     dp_term,
     dp_uniform_tail,
+    dyadic_node,
 )
 from substochastic.l1 import PosSeq, mass
 from substochastic.minimal import semigroup_V
@@ -218,6 +219,49 @@ class TestUniformTail:
         rep = dp_uniform_tail(m_quadratic, 3, 1.0, 5.0, e0)
         assert rep.all_within
         assert rep.bound <= math.exp(-5.0) + 1.0 / 6.0  # e^-5 |u| + exact first tail
+
+
+class TestGridNodes:
+    def test_dyadic_node(self):
+        assert dyadic_node(2.0, 2.0) == 32 and dyadic_node(0.0, 2.0) == 0
+        assert dyadic_node(0.25, 2.0) == 4 and dyadic_node(1.0, 1.0) == 32
+        for s, t in ((0.1, 1.0), (0.3, 1.0), (2.5, 2.0), (-0.25, 2.0), (1.0 / 64, 1.0)):
+            assert dyadic_node(s, t) is None
+
+    @pytest.mark.parametrize("node", [0.1, 1.0 / 64, 2.5, -0.25])
+    def test_off_grid_node_rejected(self, m_bd_kill, node):
+        with pytest.raises(ValueError):
+            DPState(m_bd_kill, e0, 2.0, 2, (0.5, node))
+
+    def test_one_node_state_is_the_plain_state(self, m_bd_kill):
+        plain = DPState(m_bd_kill, e0, 1.5, 4)
+        served = DPState(m_bd_kill, e0, 1.5, 4, (1.5,))
+        assert plain.level == served.level and plain.errors == served.errors
+        for n in range(5):
+            assert np.array_equal(plain.terms[n], served.terms[n])
+            for lam in (0.0, 0.7):
+                a, b = plain.integral(n, lam), served.integral(n, lam)
+                assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+    @pytest.mark.parametrize("name", ["m_bd_kill", "m_two_state", "m_closed_chain"])
+    def test_nodes_match_their_own_states(self, name, request):
+        # each served node reads what a state built at that time reads, within
+        # both quadrature error estimates
+        m = request.getfixturevalue(name)
+        grid = DPState(m, e0, 2.0, 6, (0.25, 0.5, 1.25))
+        with pytest.raises(ValueError):
+            grid.integral(0, s=0.75)  # a node of the grid, but not served
+        for s in (0.25, 0.5, 1.25, 2.0):
+            own = DPState(m, e0, s, 6)
+            assert (own.lo, own.hi) == (grid.lo, grid.hi)
+            assert set(grid.errors) == {0.25, 0.5, 1.25, 2.0}
+            j = grid.nodes[s] << (grid.level - dyson._MIN_LEVEL)
+            for n in range(7):
+                (a, ea), (b, eb) = grid.integral(n, s=s), own.integral(n)
+                assert np.abs(a - b).sum() <= ea + eb
+                assert np.abs(grid.terms[n][j] - own.terms[n][-1]).sum() <= grid.errors[s][n] + own.errors[s][n] + 1e-15
+                for ea_n in (grid.errors[s][n], grid.errors_int[s][n]):
+                    assert ea_n <= dyson._QUAD_TOL
 
 
 class TestDPStateWindow:

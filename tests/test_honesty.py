@@ -280,14 +280,64 @@ class TestMassLossDelta:
 
 class TestRouteEquivalence:
     def test_two_state(self, m_two_state):
-        res, dp = delta_by_routes(m_two_state, 1.0, e0)
+        ((res, dp),) = delta_by_routes(m_two_state, (1.0,), e0)
         assert abs(res.bracket.mid - dp.bracket.mid) <= 1e-8
         assert res.functional.mid == pytest.approx(A_TWO_STATE, abs=1e-8)
         assert dp.functional.mid == pytest.approx(A_TWO_STATE, abs=1e-8)
 
     def test_kill_walk(self, m_bd_kill):
-        res, dp = delta_by_routes(m_bd_kill, 1.0, e0)
+        ((res, dp),) = delta_by_routes(m_bd_kill, (1.0,), e0)
         assert abs(res.bracket.mid - dp.bracket.mid) <= 1e-6
+
+
+class TestGridRoute:
+    GRID = tuple(0.25 * k for k in range(9))  # 0:2:0.25
+
+    def test_one_state_per_dyadic_grid(self, m_bd_kill, monkeypatch):
+        builds = []
+
+        class Counting(honesty.DPState):
+            def __init__(self, *args):
+                builds.append(args[2])
+                super().__init__(*args)
+
+        monkeypatch.setattr(honesty, "DPState", Counting)
+        rows = delta_by_routes(m_bd_kill, self.GRID, e0)
+        assert builds == [2.0] and len(rows) == len(self.GRID)
+
+    def test_grid_brackets_hold_the_closed_form(self, m_bd_kill):
+        # bd_kill loses mass at rate 1/2 from every state and is honest, so
+        # ahat = a0 = 1 - e^{-t/2}
+        rows = delta_by_routes(m_bd_kill, self.GRID, e0)
+        for t, (res, dp) in zip(self.GRID, rows):
+            exact = -math.expm1(-t / 2)
+            assert dp.functional.lo - 1e-12 <= exact <= dp.functional.hi + 1e-12
+            assert dp.bracket.lo <= 0.0 <= dp.bracket.hi + 1e-12 and res.bracket.lo <= 0.0
+            if t > 0:
+                per_t = ahat_dp(m_bd_kill, t, e0, a0=dp.a0)
+                assert dp.functional.width <= per_t.bracket.width
+
+    @pytest.mark.parametrize("name", ["m_bd_kill", "m_two_state"])
+    def test_off_grid_times_get_their_own_state(self, name, request):
+        # no time of (0.1, 0.3, 1.0) is a node of a later one's grid, so each
+        # row is the one-time call bit for bit
+        m = request.getfixturevalue(name)
+        ts = (0.1, 0.3, 1.0)
+        rows = delta_by_routes(m, ts, e0, 1.3)
+        assert rows == [delta_by_routes(m, (t,), e0, 1.3)[0] for t in ts]
+
+    def test_grid_rows_come_back_in_grid_order(self, m_two_state):
+        ts = (0.0, 0.3, 0.5, 1.0)  # 0.5 rides on 1.0's state, 0.3 gets its own
+        rows = delta_by_routes(m_two_state, ts, e0)
+        assert (rows[0][1].functional.lo, rows[0][1].functional.hi) == (0.0, 0.0)
+        for t, (res, dp) in zip(ts, rows):
+            assert dp.a0 == a0_on_integral(m_two_state, t, e0)
+            assert abs(res.bracket.mid - dp.bracket.mid) <= 1e-8
+
+    @pytest.mark.parametrize("t", [-0.5, math.inf, math.nan])
+    def test_rejects_bad_times(self, m_bd_kill, t):
+        with pytest.raises(ValueError):
+            delta_by_routes(m_bd_kill, (0.5, t), e0)
 
 
 class TestVerdicts:

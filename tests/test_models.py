@@ -80,6 +80,20 @@ class TestRateFn:
         with pytest.raises(ModelError):
             RateFn.table([1.0, math.nan])
 
+    def test_rejects_rates_whose_reciprocal_overflows(self):
+        # the tail bounds divide by the rates: 1/5e-324 is inf in floats
+        for bad in (
+            lambda: RateFn.power(5e-324, 1.5),
+            lambda: RateFn.power(5e-309, 0.0),
+            lambda: RateFn.table([1.0, 5e-324]),
+            lambda: RateFn.table([1.0], tail_c=1e-310, tail_p=2.0),
+        ):
+            with pytest.raises(ModelError):
+                bad()
+        # zero rates and a positive rate with a finite reciprocal still load
+        assert RateFn.power(5.6e-309, 1.5).c == 5.6e-309
+        assert RateFn.table([0.0, 5.6e-309], tail_c=0.0).values == (0.0, 5.6e-309)
+
 
 class TestModelConstruction:
     def test_pure_birth_diagonal(self, m_quadratic):
