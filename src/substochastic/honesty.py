@@ -35,7 +35,7 @@ import numpy as np
 from .dyson import DPState, dyadic_node
 from .l1 import Bracket, PosSeq, SignedSeq, axpy, leq, mass
 from .minimal import EvolveResult, evolve, resolvent_G
-from .models import ModelSpec, OperatorWindow, apply_J
+from .models import _ULP, ModelSpec, OperatorWindow, apply_J
 
 __all__ = [
     "XiResult",
@@ -70,6 +70,7 @@ UNDETERMINED = "Undetermined"
 _LAM_SWEEP = (0.5, 1.0, 2.0)
 _XI_MAX_ITERS = 5_000  # J applications in the generic xi route
 _XI_MAX_FACTORS = 2_000_000  # factors per source in the product bracket
+_SUBNORMAL = math.ulp(0.0)  # the spacing of floats below the normal range
 _RATIO_WINDOW = 20  # trailing norm ratios behind the heuristic lower edge
 _RATIO_TOL = 1e-4
 _J_NORM_PREFIX = 40  # J applications recorded as evidence for cascades
@@ -159,12 +160,18 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
     * birth tail strictly thinner than the diagonal tail  =>  the per-factor
       penalty log(a_m/r_m) does not vanish, same conclusion;
     * otherwise r matches a beyond a finite head and the product is
-      bracketed two-sided: partial products times the tail credit
-      exp(-lam * sum_{m>K} 1/a_m), certified by the rate's integral bound.
-      The credit bounds prod a_m/(lam+a_m), so it holds only once the
-      frontier is past a's table head; the first window reaches there, and
-      a frontier stopped inside the head by ``_XI_MAX_FACTORS`` certifies
-      only the lower edge 0.
+      bracketed two-sided: the partial product over a window of factors
+      times the closed-form tail bracket ``RateFn.log1p_tail_bracket`` on
+      the rest, sum_{m>=F} log1p(lam/a_m), which holds once the frontier F
+      is past a's table head.  The first window (1,024 factors, or through
+      the head) meets ``tol`` unless the tail is thin (p near 1); then the
+      window grows fourfold, up to ``_XI_MAX_FACTORS``.  A frontier stopped
+      inside the head certifies only the lower edge 0.
+
+    The head's log-sum is rounded outward (each term good to a few ulps,
+    the sum to its length in ulps), and so is every closed form: the lower
+    edge is a certificate and the upper edge never falls below xi, not
+    even when the factors underflow.
     """
     a = m.a
     birth = m.kernel.birth
@@ -181,31 +188,42 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
     head = len(a.values)  # birth is a power law or a itself, so r = a from here on
     for k0, w in sorted(u.entries.items()):
         K = max(1024, 2 * (k0 + 1), head - k0)
-        log_partial = 0.0
+        log_lo = log_hi = 0.0  # the head's -log of the partial product, rounded outward
         frontier = k0
         while True:
             hi_idx = min(k0 + K, k0 + _XI_MAX_FACTORS)
             a_arr = a.array(frontier, hi_idx)
-            if birth is None:
-                log_step = float(np.sum(np.log1p(lam / a_arr)))
-            else:
-                r_arr = birth.array(frontier, hi_idx)
-                log_step = -float(np.sum(np.log(r_arr) - np.log(lam + a_arr)))
-            log_partial += log_step
+            r_arr = a_arr if birth is None else birth.array(frontier, hi_idx)
+            # -log(r/(lam+a)) = log1p((lam + (a-r))/r), and a - r = 0 past the head;
+            # a quotient that overflows reads inf, a factor of 0 (xi's upper edge
+            # stays positive below)
+            x = a_arr - r_arr
+            x += lam
+            with np.errstate(over="ignore"):
+                x /= r_arr
+            s = float(np.log1p(x, out=x).sum())
+            slack = (hi_idx - frontier + 16) * _ULP
+            log_lo += s * (1.0 - slack)
+            log_hi += s * (1.0 + slack)
             frontier = hi_idx
             iters = max(iters, frontier - k0)
-            tail = a.reciprocal_tail_bound(frontier)
-            partial = math.exp(-log_partial)
-            width = partial * (1.0 - math.exp(-lam * tail))
-            if width <= tol or frontier - k0 >= _XI_MAX_FACTORS:
+            if frontier >= head:
+                tail_lo, tail_hi = a.log1p_tail_bracket(frontier, lam)
+            else:
+                tail_lo, tail_hi = 0.0, math.inf
+            lo = math.exp(-(log_hi + tail_hi) * (1.0 + _ULP)) * (1.0 - 2.0 * _ULP)
+            hi = math.exp(-(log_lo + tail_lo) * (1.0 - _ULP)) * (1.0 + 2.0 * _ULP)
+            if hi - lo <= tol or frontier - k0 >= _XI_MAX_FACTORS:
                 break
             K *= 4
-        if frontier >= head:
-            lo_total += w * partial * math.exp(-lam * tail)
-        hi_total += w * partial
-    return XiResult(
-        Bracket(lo_total, hi_total), "product-bracket", j_norms, None, iters
-    )
+        lo_total += w * lo
+        hi_total += w * hi
+    # relative rounding, plus one subnormal ulp per source for exp and the
+    # weights below the normal range; xi > 0 here, and so is the upper edge
+    n = len(u.entries)
+    lo_total = max(0.0, lo_total * (1.0 - 2.0 * n * _ULP) - 2.0 * n * _SUBNORMAL)
+    hi_total = min(u.head_sum(), hi_total * (1.0 + 2.0 * n * _ULP) + 2.0 * n * _SUBNORMAL)
+    return XiResult(Bracket(lo_total, hi_total), "product-bracket", j_norms, None, iters)
 
 
 def _xi_generic(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import Bracket, PosSeq
-from .models import ModelSpec, OperatorWindow, RateFn, apply_B_entries, resolvent_A_entries
+from .models import _ULP, ModelSpec, OperatorWindow, RateFn, apply_B_entries, resolvent_A_entries
 
 __all__ = [
     "SeriesResult",
@@ -45,7 +45,6 @@ __all__ = [
 
 
 _SERIES_MAX_TERMS = 50_000
-_ULP = 2.3e-16  # a little over the unit roundoff: the error of one rounded operation
 _N_START = 64  # first truncation of the evolution ladder
 _RENEWAL_N = 512  # least truncation of the renewal route (explosive cascades); a ladder level
 _RENEWAL_HEAD = 1 << 16  # most states of R_N's head summed term by term

@@ -50,10 +50,23 @@ __all__ = [
 
 _AUDIT_DEPTH = 256  # least depth checked at construction time (plus every listed table column)
 _RATE_RTOL = 1e-12
+_ULP = 2.3e-16  # a little over the unit roundoff: the error of one rounded operation
 
 
 class ModelError(ValueError):
     """Raised for inconsistent model definitions or schema violations."""
+
+
+def _exp_bounds(*logs: float) -> tuple[float, float]:
+    """exp(sum(logs)) rounded down and up, each log (a computed log or a
+    product with one) good to a few ulps; an overflow reads inf."""
+    y = math.fsum(logs)
+    err = 8.0 * _ULP * (math.fsum(map(abs, logs)) + 1.0)
+    down, up = y - err, y + err
+    return (
+        math.exp(min(down, 709.0)) * (1.0 - 2.0 * _ULP),
+        math.exp(up) * (1.0 + 2.0 * _ULP) if up < 709.0 else math.inf,
+    )
 
 
 @dataclass(frozen=True)
@@ -138,22 +151,48 @@ class RateFn:
         """Certified upper bound on sum_{m >= k0} 1/a_m**power; inf if divergent.
 
         Uses the integral bound for the (nonincreasing) power-law tail; table
-        heads are summed exactly.
+        heads are summed exactly.  Rates so small that a power of their
+        reciprocal overflows give inf.
         """
-        if self.c <= 0:
-            return math.inf
-        exact = 0.0
-        k = k0
-        if self.kind == "table" and k0 < len(self.values):
-            exact = math.fsum(1.0 / self.values[m] ** power for m in range(k0, len(self.values)))
-            k = len(self.values)
         q = self.p * power
-        if q <= 1.0:
+        if self.c <= 0 or q <= 1.0:
             return math.inf
-        # sum_{m >= k} (c (m+1)^p)^-power <= f(k) + integral_k^inf c^-power (x+1)^-q dx,
-        # valid down to k = 0 because f is nonincreasing
-        head = self(k) ** -power
-        return exact + head + (float(k + 1) ** (1.0 - q)) / (self.c**power * (q - 1.0))
+        k = max(k0, len(self.values))
+        try:
+            exact = math.fsum(1.0 / self.values[m] ** power for m in range(k0, k))
+            # sum_{m >= k} (c (m+1)^p)^-power <= f(k) + integral_k^inf c^-power (x+1)^-q dx,
+            # valid down to k = 0 because f is nonincreasing
+            head = self(k) ** -power
+            return exact + head + (float(k + 1) ** (1.0 - q)) / (self.c**power * (q - 1.0))
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+
+    def log1p_tail_bracket(self, k0: int, lam: float) -> tuple[float, float]:
+        """Certified (lo, hi) on sum_{m >= k0} log1p(lam / a_m) for k0 past
+        every table head and tail exponent p > 1.
+
+        There f(x) = 1/(c (x+1)^p) and f^2 are convex and decreasing, so
+        S1 = sum_{m>=k0} f(m) and S2 = sum_{m>=k0} f(m)^2 obey
+        int_{k0} f + f(k0)/2 <= S1 <= int_{k0-1/2} f (trapezoid and
+        midpoint rules) and S2 <= int_{k0-1/2} f^2; with
+        x - x^2/2 <= log1p(x) <= x term by term, the sum lies in
+        [max(0, lam S1_lo - lam^2 S2_hi / 2), lam S1_hi].  Each closed form
+        is evaluated in log form and rounded outward, so rates whose
+        reciprocals overflow give a wider bracket (inf at most), never an
+        arithmetic error.
+        """
+        if k0 < len(self.values) or self.c <= 0 or self.reciprocal_sum_diverges():
+            raise ValueError("log1p_tail_bracket needs a convergent power tail past the table head")
+        log_lam, log_c = math.log(lam), math.log(self.c)
+        q1, q2 = self.p - 1.0, 2.0 * self.p - 1.0
+        mid, edge = math.log(k0 + 0.5), math.log(k0 + 1.0)
+        s1_hi = _exp_bounds(log_lam, -q1 * mid, -log_c, -math.log(q1))[1]
+        trap = _exp_bounds(log_lam, -q1 * edge, -log_c, -math.log(q1))[0]
+        half = _exp_bounds(log_lam, -self.p * edge, -log_c, -math.log(2.0))[0]
+        s2_hi = _exp_bounds(2.0 * log_lam, -q2 * mid, -2.0 * log_c, -math.log(2.0 * q2))[1]
+        s1_lo = (trap + half) * (1.0 - _ULP)
+        lo = max(0.0, (s1_lo - s2_hi) * (1.0 - _ULP)) if s2_hi < math.inf else 0.0
+        return lo, s1_hi
 
     def reciprocal_tail_lower_bound(self, k0: int) -> float:
         """Lower companion of ``reciprocal_tail_bound``: sum_{m >= k0} 1/a_m is

@@ -143,8 +143,10 @@ def _sample_initial(initial: PosSeq, n: int, rng: np.random.Generator) -> np.nda
 def _run_pure_birth_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.random.Generator):
     """Upward-cascade fast path: a path from k is a running sum of
     independent Exponential(a_k), Exponential(a_{k+1}), ... holding times;
-    ``tau`` holds the clocks of the undecided paths only, in path order."""
+    ``tau`` holds the clocks of the undecided paths only, in path order.
+    Every block is drawn, scaled and summed in one buffer per chunk."""
     alive = exploded = aborted = 0
+    buf = np.empty(0)
     for k0 in np.unique(states0):
         tau = np.zeros(np.count_nonzero(states0 == k0))
         frontier = int(k0)
@@ -155,9 +157,16 @@ def _run_pure_birth_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.r
                 aborted += tau.size
                 break
             rates = m.a.array(frontier, hi)
-            draws = rng.standard_exponential((tau.size, hi - frontier)) / rates
-            # cumsum adds in order; sum() adds pairwise and would move the last bits
-            ends = tau + np.cumsum(draws, axis=1)[:, -1]
+            size = tau.size * (hi - frontier)
+            if buf.size < size:
+                buf = np.empty(size)
+            draws = buf[:size].reshape(tau.size, hi - frontier)
+            rng.standard_exponential(out=draws)
+            # a clock past DBL_MAX reads inf: alive at any t.  cumsum adds in
+            # order; sum() adds pairwise and would move the last bits
+            with np.errstate(over="ignore"):
+                draws /= rates
+                ends = tau + np.cumsum(draws, axis=1, out=draws)[:, -1]
             resolved = ends > t
             alive += int(resolved.sum())
             tau = ends[~resolved]

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -110,6 +111,37 @@ def test_subnormal_rate_exits_one(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verdict", "trajectory", "simulate"])
+def test_tiny_rate_ends_in_a_result_without_warnings(tmp_path, capsys, command):
+    # c = 5.6e-309 loads (its reciprocal is finite), but lam/a, the holding
+    # times and 1/c^2 overflow; each command must still end in a result or
+    # in one error line, with every warning an error
+    doc = {
+        "name": "tiny",
+        "space": "l1",
+        "A": {"kind": "power", "c": 5.6e-309, "p": 1.5},
+        "B": {"kind": "pure_birth"},
+        "conservative": True,
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--model", str(path), "--paths", "1000", "--out", str(out)])
+    err = capsys.readouterr().err
+    if rc == 1:
+        assert err.count("error:") == 1 and err.startswith("error:")
+        return
+    assert rc in (0, 10, 20) and err == ""
+    if command == "verdict":
+        # xi > 0 (sum 1/a_k converges), far below the smallest float: the
+        # upper edge must not round down to 0
+        doc = json.loads(out.read_text())
+        for b in [doc["xi"], *doc["evidence"]["lambda_sweep"].values()]:
+            assert 0.0 <= b["lo"] <= b["hi"] and b["hi"] > 0.0
 
 
 class TestVerdictCommand:

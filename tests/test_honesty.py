@@ -44,6 +44,13 @@ def product_oracle(lam: float, factors: int = 1_000_000) -> tuple[float, float]:
     return lower, upper
 
 
+def xi_quadratic(lam: float, k: int) -> float:
+    """lim_n |J(lam)^n e_k| on quadratic_birth: pi sqrt(lam)/sinh(pi sqrt(lam))
+    with the first k factors n^2/(n^2+lam) divided out."""
+    s = math.pi * math.sqrt(lam)
+    return s / math.sinh(s) * math.exp(math.fsum(math.log1p(lam / (n * n)) for n in range(1, k + 1)))
+
+
 class TestAFrak:
     def test_conservative_zero(self, m_yule):
         u = PosSeq({0: 0.3, 7: 0.7})
@@ -187,6 +194,44 @@ class TestXi:
         assert x.bracket.lo <= expected <= x.bracket.hi
         assert x.bracket.width <= 1e-6
         assert honesty_verdict(m, e0).verdict == DISHONEST
+
+    def test_quadratic_tail_bracket_holds_the_sinh_product(self, m_quadratic):
+        # one window of 1,024 factors and the closed-form tail bracket
+        for k in (0, 63):
+            for lam in (0.5, 1.0, 2.0):
+                x = xi(m_quadratic, lam, PosSeq.basis(k))
+                assert x.bracket.lo <= xi_quadratic(lam, k) <= x.bracket.hi
+                assert x.bracket.width <= 1e-8 and x.iterations <= 4096
+
+    def test_head_kill_tail_bracket(self):
+        # a_0 = 5 kills 4/5 of the mass at state 0, so xi = (1/6) prod_{n>=2} n^2/(n^2+1)
+        from substochastic.models import Kernel, ModelSpec, RateFn
+
+        m = ModelSpec(
+            "head_kill",
+            RateFn.table([5.0], tail_c=1.0, tail_p=2.0),
+            Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)),
+            conservative=False,
+        )
+        x = xi(m, 1.0, e0)
+        assert x.bracket.lo <= math.pi / math.sinh(math.pi) / 3.0 <= x.bracket.hi
+        assert x.bracket.width <= 1e-8
+
+    def test_thin_tail_inside_the_brute_force_bracket(self):
+        # p = 1.2: the tail's lam^2 S2 / 2 stays above tol for one window, so
+        # the window grows to the cap; its bracket must sit inside the
+        # partial product over as many factors with the old tail credit
+        # exp(-lam (1/a_F + int_F^inf 1/a))
+        from substochastic.models import ModelSpec, RateFn
+
+        p, lam, factors = 1.2, 1.0, 2_000_000
+        m = ModelSpec.pure_birth(RateFn.power(1.0, p))
+        x = xi(m, lam, e0, tol=1e-12)
+        assert x.iterations == factors
+        n = np.arange(1.0, factors + 1.0)
+        partial = math.exp(-math.fsum(np.log1p(lam / n**p)))
+        credit = (factors + 1.0) ** -p + (factors + 1.0) ** (1.0 - p) / (p - 1.0)
+        assert partial * math.exp(-lam * credit) <= x.bracket.lo <= x.bracket.hi <= partial
 
 
 class TestXiDual:

@@ -70,6 +70,30 @@ class TestRateFn:
                 assert r.reciprocal_tail_lower_bound(k0) <= exact <= r.reciprocal_tail_bound(k0)
         assert math.isinf(RateFn.power(1.0, 1.0).reciprocal_tail_lower_bound(0))
 
+    def test_log1p_tail_bracket_holds_the_sinh_product(self):
+        # a_m = (m+1)^2: sum_{m>=k0} log1p(lam/a_m) is log(sinh(s)/s), s = pi sqrt(lam),
+        # less the first k0 terms
+        r = RateFn.power(1.0, 2.0)
+        for lam in (0.5, 1.0, 2.0):
+            s = math.pi * math.sqrt(lam)
+            for k0 in (0, 1, 7, 1024):
+                exact = math.log(math.sinh(s) / s) - math.fsum(math.log1p(lam / (n * n)) for n in range(1, k0 + 1))
+                lo, hi = r.log1p_tail_bracket(k0, lam)
+                assert lo <= exact <= hi
+                if k0 == 1024:
+                    assert hi - lo <= 2e-9  # lam^2 S2/2 + lam (midpoint - trapezoid)
+        # past the head of a table only; no finite sum when p <= 1
+        with pytest.raises(ValueError):
+            RateFn.table([1.0, 2.0], tail_c=1.0, tail_p=2.0).log1p_tail_bracket(1, 1.0)
+        with pytest.raises(ValueError):
+            RateFn.power(1.0, 1.0).log1p_tail_bracket(0, 1.0)
+
+    def test_log1p_tail_bracket_widens_instead_of_overflowing(self):
+        # 1/c^2 overflows: the lower edge falls back to 0, never to an error
+        lo, hi = RateFn.power(5.6e-309, 1.5).log1p_tail_bracket(1024, 2.0)
+        assert lo == 0.0 and 0.0 < hi
+        assert RateFn.power(5.6e-309, 1.5).reciprocal_tail_bound(0, power=2.0) == math.inf
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ModelError):
             RateFn("exp", c=1.0)
