@@ -457,7 +457,7 @@ def mass_loss_delta(m: ModelSpec, t: float, u: PosSeq, tol: float = 1e-8) -> Del
     expansion-route functional (the two functionals coincide); always <= 0
     and nonincreasing in t."""
     a0 = a0_on_integral(m, t, u, tol)
-    ahat = ahat_dp(m, t, u, a0=a0)
+    ahat = ahat_dp(m, t, u, tol, a0=a0)
     return DeltaResult(_clamp_nonpos(ahat.bracket - a0), a0, ahat.bracket, "dyson_phillips")
 
 

@@ -10,13 +10,15 @@ closure-extension of A + B:
   The same loop weights term n by r^n (0 <= r <= 1) for Kato's generator
   A + r*B, and one bound ``r^K |J^K u| / lam`` certifies every truncation;
 
-* the evolution ``V(t) u`` on an N-state truncation, evaluated by
+* the evolution ``V(t) u`` on one N-state truncation, evaluated by
   uniformization (Poisson-weighted powers of ``I + Q/c``), which preserves
   positivity and substochasticity term by term.  Dropped columns beyond the
   truncation are counted as kill, so every truncated value is an entrywise
-  lower bound of the true one and the ladder of truncations increases
-  monotonically.  An explosive pure-birth cascade needs no ladder: tail
-  bounds on the time spent beyond N certify a single truncation.
+  lower bound of the true one.  The truncation loses exactly the paths
+  that reach N, so a bound on the chance of reaching N by time t certifies
+  the upper edge; an explosive pure-birth cascade, which reaches N with
+  high probability, is certified instead by tail bounds on the time it
+  spends beyond N (the renewal sandwich).
 
 The same Poisson pass also yields ``int_0^t V(s) u ds`` exactly (the time
 integral of the Poisson weights has a closed form), which downstream
@@ -27,15 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .l1 import Bracket, PosSeq
-from .models import _ULP, ModelSpec, OperatorWindow, RateFn, apply_B_entries, resolvent_A_entries
+from .models import _ULP, ModelSpec, OperatorWindow, RateFn, _exp_bounds, apply_B_entries, resolvent_A_entries
 
 __all__ = [
     "SeriesResult",
-    "TruncationLadder",
     "EvolveResult",
     "resolvent_G",
     "semigroup_V",
@@ -45,16 +47,13 @@ __all__ = [
 
 
 _SERIES_MAX_TERMS = 50_000
-_N_START = 64  # first truncation of the evolution ladder
-_RENEWAL_N = 512  # least truncation of the renewal route (explosive cascades); a ladder level
+_N_START = 64  # least truncation of the evolution
+_RENEWAL_N = 512  # least truncation of the renewal route (explosive cascades)
 _RENEWAL_HEAD = 1 << 16  # most states of R_N's head summed term by term
-_N_MAX = 1 << 20  # largest truncation before the ladder stops flagged
-# Poisson terms allowed across one evolution ladder, its first level included;
-# rate growth like (k+1)^p makes the uniformization constant on an N-state
+_N_MAX = 1 << 20  # largest truncation that the search for a certified one doubles to
+# Poisson terms allowed in the one uniformized pass of an evolution; rate
+# growth like (k+1)^p makes the uniformization constant on an N-state
 # truncation scale like N^p, so some cap is needed for super-linear models.
-# Hitting it (or _N_MAX) widens the bracket and flags the result instead of
-# failing; when not even the first level fits, the bracket is the trivial
-# [0, |u|].
 _STEP_BUDGET = 3_000_000
 
 
@@ -124,33 +123,27 @@ def resolvent_G(
 
 
 # ---------------------------------------------------------------------------
-# Uniformized evolution on a truncation ladder
+# Uniformized evolution on one certified truncation
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TruncationLadder:
-    levels: tuple[int, ...]
-    values: tuple[PosSeq, ...]
-
-    def masses(self) -> tuple[float, ...]:
-        return tuple(v.head_sum() for v in self.values)
-
-
-@dataclass(frozen=True)
 class EvolveResult:
-    """Joint result of V(t)u and int_0^t V(s)u ds on the final truncation."""
+    """Joint result of V(t)u and int_0^t V(s)u ds on the one truncation."""
 
     value: PosSeq
     mass_bracket: Bracket
     integral: PosSeq | None
     integral_bracket: Bracket | None
-    ladder: TruncationLadder
     n_used: int
     steps_used: int
-    closed: bool
     flagged: bool
     flag_reason: str
+
+    @property
+    def ladder(self) -> SimpleNamespace:
+        """The truncations run, as ``ladder.levels``: (n_used,), (0,) when none."""
+        return SimpleNamespace(levels=(self.n_used,))
 
 
 def _make_stepper(win: OperatorWindow, c: float):
@@ -268,12 +261,124 @@ def _uniformized(
     return out, steps
 
 
-def _first_level(k: int) -> int:
-    """The least truncation _N_START * 2^j that is >= k."""
+def _reach(m: ModelSpec, top: int, n: int, t: float) -> float:
+    """Band bound on the chance that a path started at or below ``top``
+    reaches a state >= n by time t.
+
+    With jumps of at most s = ``m.stride`` the path leaves every band
+    [top + i s, top + (i+1) s) below n, the start's own included, by an
+    upward jump from inside it; those come at rate at most c_i, the band's
+    largest sum of positive-offset rates, so the time spent in band i is at
+    least an independent Exp(c_i) time.  By Chernoff the chance is at most
+    exp(th t - sum_i log1p(th / c_i)) for every th >= 0, and 0 when some c_i
+    is 0.  th comes from Newton's method on sum_i 1/(c_i + th) = t from
+    Jensen's root bands/t - mean(c), below the minimizer, which the
+    iterates rise to without passing.  The log-sum is rounded down and the
+    exponential up.
+    """
+    if m.stride == 0:
+        return 0.0
+    bands = (n - top) // m.stride
+    if bands <= 0:
+        return 1.0
+    if m.kernel.kind == "table" and top + (bands - 1) * m.stride > max((k for k, _ in m.kernel.columns), default=-1):
+        return 0.0  # the last band lies past every listed column, where a table is empty
+    ks = np.arange(top, top + bands * m.stride)
+    up = sum((r for d, r in m.kernel.bands(ks, m.a.at(ks)).items() if d > 0), np.zeros(ks.size))
+    c = up.reshape(bands, m.stride).max(axis=1)
+    if not c.all():
+        return 0.0
+    # th stays below 1e300, where c + th and 1/(c + th) are finite for any t
+    th = min(max(0.0, bands / t - float(c.mean())), 1e300)
+    for _ in range(100):
+        w = 1.0 / (c + th)
+        big = w.max()
+        w /= big  # scaled: the squares of reciprocals of rates near 1e-308 overflow
+        step = (w.sum() - t / big) / (big * (w @ w))
+        if not (step > 1e-9 * th and th + step < 1e300):
+            break
+        th += step
+    with np.errstate(over="ignore"):
+        # an overflowed ratio reads DBL_MAX, whose log1p is still a lower bound
+        x = np.minimum(th / c, np.finfo(float).max)
+    log_sum = float(np.log1p(x).sum()) * (1.0 - (bands + 3) * _ULP)
+    return min(1.0, _exp_bounds(th * t, -log_sum)[1])
+
+
+def _drift_reach(m: ModelSpec, top: int, n: int, t: float) -> float:
+    """Drift bound on the chance that a path started at or below ``top``
+    reaches a state >= n by time t, for walks whose down rates check their
+    up rates.
+
+    With g_k(x) = sum_d r_{k,d} (e^{d x} - 1) over the offsets of k's
+    column, V(k) = e^{x k} has QV(k) <= g_k(x) V(k) (killing only lowers
+    it).  Stopped at n, V(X_s) - C s is a supermartingale for C = max(0,
+    max_{k<n} g_k V(k)): the chance is at most (e^{x top} + C t) / e^{x n}
+    (walks that drift down).  So is e^{x(s) (X_s + K)} for x(s) falling at
+    the rate phi(x) = max(0, max_{k<n} g_k(x) / (k + K)): from x(0) to
+    x(t) = y the chance is at most exp(x(0) (top + K) - y (n + K)) (walks
+    that grow or sit near balance; K = 4^i up to 16 n).  x and y run over a
+    geometric grid of (0, 40/s]; phi is convex, so its larger end value
+    bounds it on each segment (a rise below 1e-300 reads 1e-300).  g and
+    phi are rounded up, an overflow reading inf; the time sums carry a pad.
+    """
+    # a table kernel is empty past its listed columns
+    ks = np.arange(min(n, 1 + max((k for k, _ in m.kernel.columns), default=-1)) if m.kernel.kind == "table" else n)
+    offsets = m.kernel.bands(ks, m.a.at(ks))
+    xs = np.geomspace(1.0 / (n + 1), 40.0 / m.stride, 200)
+    kk = 4.0 ** np.arange(math.ceil(math.log(16 * n, 4)) + 1)
+    phi = np.empty((xs.size, kk.size))
+    best = 1.0
+    for j, x in enumerate(xs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = [r * np.expm1(d * x) for d, r in offsets.items()]
+            g = sum(terms, np.zeros(ks.size)) + (len(terms) + 3) * _ULP * sum(map(np.abs, terms), np.zeros(ks.size))
+            g = np.nan_to_num(g, nan=np.inf)
+            phi[j] = [max(0.0, float((g / (ks + k_off)).max(initial=0.0))) for k_off in kk]
+            # g_k V(k) / V(n), the exponential good to about x (n - k) ulps
+            h = np.nan_to_num(g * np.exp(x * (ks - n)) * (1.0 + 4 * _ULP * (2.0 + x * (n - ks))), nan=np.inf)
+        best = min(best, _exp_bounds(-(n - top) * x)[1] + t * float(h.max(initial=0.0)) * (1.0 + 4 * _ULP))
+    rises = np.maximum(phi[:-1], phi[1:]) * (1.0 + 4 * _ULP)
+    for k_off, rise in zip(kk, rises.T):
+        cum = np.concatenate(([0.0], np.cumsum(np.minimum(np.diff(xs) / np.maximum(rise, 1e-300), 4.0 * t))))
+        # the time from grid point i up to j is cum[j] - cum[i], good to xs.size ulps of cum[-1]
+        t_pad = t + 4 * xs.size * _ULP * cum[-1]
+        end = np.searchsorted(cum, cum + t_pad, side="right") - 1
+        i = np.nonzero(end < xs.size - 1)[0]  # starts whose x(0) stays on the grid
+        x0 = (xs[end[i]] + (cum[i] + t_pad - cum[end[i]]) * rise[end[i]]) * (1.0 + 4 * _ULP)
+        logs = x0 * (top + k_off) - xs[i] * (n + k_off)
+        if logs.size:
+            a = int(np.argmin(logs))
+            best = min(best, _exp_bounds(x0[a] * (top + k_off), -xs[i[a]] * (n + k_off))[1])
+    return best
+
+
+def _truncation(m: ModelSpec, t: float, top: int, tol: float, renewal: bool) -> tuple[int, float, str]:
+    """(N, reach, flag reason) for the one pass of an evolution from starts
+    at or below ``top``.
+
+    N is the least _N_START * 2^j >= 2(top+1) that is certified: on the
+    renewal route at or above _RENEWAL_N, elsewhere with the band bound
+    ``_reach`` or the drift bound ``_drift_reach`` at most tol/2 (reach is 0
+    on the renewal route).  Failing that it is the largest that fits the
+    step budget and _N_MAX, and the reason says which cap bound.  N is 0
+    when not even the first level fits the budget.
+    """
     n = _N_START
-    while n < k:
+    while n < 2 * (top + 1):
         n *= 2
-    return n
+    found = 0, 1.0, "step budget reached"
+    while _poisson_window(m, n, t)[1] <= _STEP_BUDGET:
+        reach = 0.0 if renewal else _reach(m, top, n, t)
+        if reach > tol / 2.0:  # the drift bound only where the band bound falls short
+            reach = min(reach, _drift_reach(m, top, n, t))
+        if (n >= _RENEWAL_N) if renewal else (reach <= tol / 2.0):
+            return n, reach, ""
+        found = n, reach, "step budget reached"
+        if 2 * n > _N_MAX:
+            return n, reach, "n_max reached"
+        n *= 2
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +386,18 @@ def _first_level(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _renewal_applies(m: ModelSpec) -> bool:
-    """A pure-birth cascade feeding its full rate a_k to k+1 (so conservative)
-    whose rates have a convergent reciprocal sum, i.e. that explodes."""
-    return m.kernel.kind == "pure_birth" and m.kernel.birth is None and not m.a.reciprocal_sum_diverges()
+    """A pure-birth cascade, with or without a separate birth rate, whose
+    rates have a convergent reciprocal sum: a path that is not killed
+    explodes."""
+    return m.kernel.kind == "pure_birth" and not m.a.reciprocal_sum_diverges()
+
+
+def _kills_from(m: ModelSpec, k: int) -> bool:
+    """True when some state >= k of a pure-birth cascade has a positive kill
+    rate a - birth: past both table heads the two power tails decide it."""
+    birth = m.kernel.birth or m.a  # no separate birth rate: a feeds k+1 in full
+    head = max(len(m.a.values), len(birth.values))
+    return (birth.c, birth.p) != (m.a.c, m.a.p) or bool(np.any(m.deficits(np.arange(k, head)) > 0.0))
 
 
 def _golden_min(f, lo: float, hi: float) -> float:
@@ -348,74 +462,6 @@ def _renewal_tails(a: RateFn, n: int, eps: float) -> tuple[float, float]:
     return max(0.0, r_lo), max(0.0, r_hi)
 
 
-def _renewal(m: ModelSpec, t: float, u: PosSeq, tol: float, want_integral: bool) -> EvolveResult | None:
-    """The renewal sandwich: one uniformized pass at one truncation N.
-
-    From a start k < N the truncated mass |V_N(s)e_k| is exactly P(S_N > s),
-    S_N the time to reach N, and the cascade explodes at S_N + R_N with
-    R_N, the time spent at or beyond N, independent of S_N.  With
-    P(R_N < r_lo) <= eps and P(R_N > r_hi) <= eps, eps = tol/4, and V_N(s) = I
-    for s <= 0, linearly in u >= 0:
-
-        |V(t)u| >= (1 - eps) |V_N(t - r_lo)u|,
-        |V(t)u| <= |V_N(t - r_hi)u| + eps |u|,
-
-    and the integral over [0, t] likewise, the stretch before each shift
-    adding min(t, r)|u|.  N is the least _N_START * 2^j at or above
-    _RENEWAL_N and 2(top+1); it is halved, down to the ladder's first level,
-    while its Poisson window exceeds the step budget (still certified, but
-    flagged).  Returns None when not even that level fits, or when the
-    rates are too small for the tail sums to be held in floating point.
-    """
-    u_norm = u.head_sum()
-    floor = _first_level(2 * (max(u.support) + 1))
-    n = n_first = max(_RENEWAL_N, floor)
-    while n > floor and _poisson_window(m, n, t)[1] > _STEP_BUDGET:
-        n //= 2
-    if _poisson_window(m, n, t)[1] > _STEP_BUDGET:
-        return None
-    eps = tol / 4.0
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            r_lo, r_hi = _renewal_tails(m.a, n, eps)
-    except ArithmeticError:
-        return None  # rates so small that 1/a_m overflows: no float certificate
-    times = (t, max(t - r_lo, 0.0), max(t - r_hi, 0.0))
-    passes, steps = _uniformized(m, times, u, n, want_integral)
-    (v_t, i_t, dv_t, _), (v_lo, i_lo, dv_lo, _), (v_hi, i_hi, dv_hi, di_hi) = passes
-    fp_slack = (steps + 16) * _ULP * max(u_norm, 1e-300)
-
-    def sandwich(at_t, at_lo, at_hi, defect_hi: float, scale: float, before_lo: float, before_hi: float) -> Bracket:
-        """Mass (scale 1) or integral (scale t) bracket from the vectors at t,
-        t - r_lo and t - r_hi; slack and Poisson defects enter as on the
-        ladder."""
-
-        def slack(defect: float) -> float:
-            return (fp_slack + defect * u_norm) * max(scale, 1.0)
-
-        lo = max(0.0, at_t.sum() - slack(dv_t), (1.0 - eps) * (before_lo + at_lo.sum() - slack(dv_lo)))
-        hi = before_hi + at_hi.sum() + defect_hi * u_norm + slack(dv_hi) + eps * u_norm * scale
-        return Bracket(float(lo), float(min(u_norm * scale, hi)))
-
-    value = PosSeq.from_array(v_t)
-    integral = integral_bracket = None
-    if want_integral:
-        integral = PosSeq.from_array(i_t)
-        integral_bracket = sandwich(i_t, i_lo, i_hi, di_hi, t, min(t, r_lo) * u_norm, min(t, r_hi) * u_norm)
-    return EvolveResult(
-        value=value,
-        mass_bracket=sandwich(v_t, v_lo, v_hi, dv_hi, 1.0, 0.0, 0.0),
-        integral=integral,
-        integral_bracket=integral_bracket,
-        ladder=TruncationLadder((n,), (value,)),
-        n_used=n,
-        steps_used=steps,
-        closed=False,
-        flagged=n < n_first,
-        flag_reason="step budget reached" if n < n_first else "",
-    )
-
-
 def evolve(
     m: ModelSpec,
     t: float,
@@ -423,14 +469,33 @@ def evolve(
     tol: float = 1e-8,
     want_integral: bool = True,
 ) -> EvolveResult:
-    """V(t)u and int_0^t V(s)u ds, bracketed.
+    """V(t)u and int_0^t V(s)u ds, bracketed: one uniformized pass at one
+    truncation N (see ``_truncation``), certified on one of two routes.
 
-    A pure-birth cascade with sum 1/a_k < inf takes the renewal route: one
-    pass at one N, certified by tail bounds on the time spent beyond N.
-    Every other model takes the truncation ladder: it doubles N until the
-    mass increment of V_N(t)u falls below ``tol``, the model is detected
-    closed below N, or a resource cap is hit (then the bracket widens and
-    the result is flagged).
+    Reach route, every model but the explosive pure-birth cascades: the
+    truncation differs from the chain only on paths that reach N, so with
+    reach >= P(reach N by t) (``_reach`` or ``_drift_reach``),
+
+        |V_N(t)u| <= |V(t)u| <= |V_N(t)u| + reach |u|,
+
+    and the integral over [0, t] likewise with t reach |u|.
+
+    Renewal route, a pure-birth cascade with sum 1/a_k < inf: from a start
+    k < N the truncated mass |V_N(s)e_k| is the chance of being alive short
+    of N at s; a path that reaches N at S_N spends R_N = sum_{m >= N}
+    E_m / a_m or less beyond N, independent of S_N.  With P(R_N < r_lo) <=
+    eps and P(R_N > r_hi) <= eps, eps = tol/4, and V_N(s) = I for s <= 0,
+    linearly in u >= 0:
+
+        |V(t)u| <= |V_N(t - r_hi)u| + eps |u|,
+        |V(t)u| >= (1 - eps) |V_N(t - r_lo)u|  when no state at or above
+                   the lowest start kills (else >= |V_N(t)u|),
+
+    and the integral likewise, the stretch before each shift adding
+    min(t, r)|u|.  One pass evaluates all three times.
+
+    A result short of the certified N keeps a certified, wider bracket and
+    is flagged; with no level at all it is [0, |u|] around the zero vector.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("evolve requires a finite t >= 0")
@@ -441,110 +506,66 @@ def evolve(
     if max(u.entries, default=0) >= _N_MAX:
         raise ValueError(f"evolve requires initial states below {_N_MAX}, the largest truncation")
     u_norm = u.head_sum()
-    if t == 0.0 or u.is_zero:
+    n, reach, reason, renewal = 0, 0.0, "", False
+    eps = tol / 4.0
+    r_lo = r_hi = 0.0
+    if t > 0.0 and not u.is_zero:
+        top = max(u.support)
+        renewal = _renewal_applies(m)
+        n, reach, reason = _truncation(m, t, top, tol, renewal)
+        if renewal and n:
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    r_lo, r_hi = _renewal_tails(m.a, n, eps)
+            except ArithmeticError:
+                # the tail sums leave floating point (a rate or its reciprocal overflows)
+                renewal = False
+                n, reach, reason = _truncation(m, t, top, tol, False)
+    if n == 0:
+        # exact for t = 0 or a zero input; else not even the first level fits the budget
         return EvolveResult(
-            value=u,
-            mass_bracket=Bracket(u_norm, u_norm),
+            value=PosSeq.zero() if reason else u,
+            mass_bracket=Bracket(0.0 if reason else u_norm, u_norm),
             integral=PosSeq.zero() if want_integral else None,
-            integral_bracket=Bracket(0.0, 0.0) if want_integral else None,
-            ladder=TruncationLadder((0,), (u,)),
+            integral_bracket=Bracket(0.0, t * u_norm) if want_integral else None,
             n_used=0,
             steps_used=0,
-            closed=True,
-            flagged=False,
-            flag_reason="",
+            flagged=bool(reason),
+            flag_reason=reason,
         )
-    top = max(u.support)
-    if _renewal_applies(m):
-        res = _renewal(m, t, u, tol, want_integral)
-        if res is not None:
-            return res
-        # no truncation fits the step budget, so neither does the ladder's
-        # first, and it returns the trivial [0, |u|] below; or the rates are
-        # too small to certify in floating point, and the ladder estimates
-    n = _first_level(2 * (top + 1))
-    levels: list[int] = []
-    values: list[PosSeq] = []
-    integrals: list[PosSeq] = []
-    budget = _STEP_BUDGET
-    closed = False
-    flagged = False
-    reason = ""
-    converged = False
-    v_defect = i_defect = 0.0
-    steps_total = 0
-    last_inc: float | None = None
-    last_inc_i: float | None = None
-    while True:
-        closed = m.closed_below(n, u.support)
-        if _poisson_window(m, n, t)[1] > budget:
-            flagged = True
-            reason = "step budget reached"
-            break
-        ((v_arr, i_arr, v_def, i_def),), steps = _uniformized(m, (t,), u, n, want_integral)
-        steps_total += steps
-        budget -= steps
-        v_defect, i_defect = v_def, i_def
-        levels.append(n)
-        values.append(PosSeq.from_array(v_arr))
-        if want_integral:
-            integrals.append(PosSeq.from_array(i_arr))
-            if len(integrals) >= 2:
-                last_inc_i = integrals[-1].head_sum() - integrals[-2].head_sum()
-        if len(values) >= 2:
-            last_inc = values[-1].head_sum() - values[-2].head_sum()
-        if closed:
-            converged = True
-            break
-        if last_inc is not None and last_inc < tol:
-            converged = True
-            break
-        if 2 * n > _N_MAX:
-            flagged = True
-            reason = "n_max reached"
-            break
-        n *= 2
-    if not levels:
-        # not even the first level fits the budget: the bracket below widens
-        # to the trivial [0, cap] around the zero vector
-        closed = False
-        levels, values, integrals = [0], [PosSeq.zero()], [PosSeq.zero()]
+    shifts = (0.0, r_lo, r_hi) if renewal else (0.0,)
+    passes, steps = _uniformized(m, tuple(max(t - r, 0.0) for r in shifts), u, n, want_integral)
+    (v_t, i_t, dv_t, _), (v_lo, i_lo, dv_lo, _), (v_hi, i_hi, dv_hi, di_hi) = passes if renewal else passes * 3
+    # the shifted lower edge needs paths that cannot die once past the lowest start
+    keep = 1.0 - eps if renewal and not _kills_from(m, min(u.support)) else 0.0
+    extra = eps if renewal else reach
+    # rounding wobble of the accumulated Poisson sums
+    fp_slack = (steps + 16) * _ULP * max(u_norm, 1e-300)
 
-    # rounding wobble of the accumulated Poisson sums; the weight-scale error
-    # inside v_defect cuts both ways, so it widens the lower edge too
-    fp_slack = (steps_total + 16) * _ULP * max(u_norm, 1e-300) + v_defect * u_norm
+    def bracket(at_t, at_lo, at_hi, defect_hi: float, scale: float, before_lo: float, before_hi: float) -> Bracket:
+        """Mass (scale 1) or integral (scale t) bracket from the vectors at t,
+        t - r_lo and t - r_hi; the weight-scale error inside each Poisson
+        defect cuts both ways, so it widens the lower edges too."""
 
-    def bracket(value: float, inc: float | None, defect: float, scale: float) -> Bracket:
-        """Bracket of the mass (scale 1) or the time integral (scale t),
-        whose exact value is at most u_norm * scale."""
-        slack = fp_slack * max(scale, 1.0)
-        cap = u_norm * scale
-        gap = defect * u_norm + slack
-        if converged and not closed:
-            gap = 2.0 * max(inc or 0.0, 0.0) + tol * scale + gap
-        elif not closed:
-            # doubling increments shrink roughly geometrically; four increments
-            # comfortably cover the remaining truncation error (estimate, flagged)
-            inc = inc if inc is not None else cap - value
-            gap = min(cap - value, 4.0 * max(inc, tol * scale)) + gap
-        return Bracket(max(0.0, value - slack), min(cap, value + gap))
+        def slack(defect: float) -> float:
+            return (fp_slack + defect * u_norm) * max(scale, 1.0)
 
-    mass_bracket = bracket(values[-1].head_sum(), last_inc, v_defect, 1.0)
+        lo = max(0.0, at_t.sum() - slack(dv_t), keep * (before_lo + at_lo.sum() - slack(dv_lo)))
+        hi = before_hi + at_hi.sum() + defect_hi * u_norm + slack(dv_hi) + extra * u_norm * scale
+        return Bracket(float(lo), float(min(u_norm * scale, hi)))
+
     integral = integral_bracket = None
     if want_integral:
-        integral = integrals[-1]
-        integral_bracket = bracket(integral.head_sum(), last_inc_i, i_defect, t)
-
+        integral = PosSeq.from_array(i_t)
+        integral_bracket = bracket(i_t, i_lo, i_hi, di_hi, t, min(t, r_lo) * u_norm, min(t, r_hi) * u_norm)
     return EvolveResult(
-        value=values[-1],
-        mass_bracket=mass_bracket,
+        value=PosSeq.from_array(v_t),
+        mass_bracket=bracket(v_t, v_lo, v_hi, dv_hi, 1.0, 0.0, 0.0),
         integral=integral,
         integral_bracket=integral_bracket,
-        ladder=TruncationLadder(tuple(levels), tuple(values)),
-        n_used=levels[-1],
-        steps_used=steps_total,
-        closed=closed,
-        flagged=flagged,
+        n_used=n,
+        steps_used=steps,
+        flagged=bool(reason),
         flag_reason=reason,
     )
 
@@ -556,6 +577,6 @@ def semigroup_V(m: ModelSpec, t: float, u: PosSeq, tol: float = 1e-8) -> tuple[P
 
 
 def integrate_V(m: ModelSpec, t: float, u: PosSeq, tol: float = 1e-8) -> tuple[PosSeq, Bracket, EvolveResult]:
-    """int_0^t V(s)u ds with the same monotone truncation certificate."""
+    """int_0^t V(s)u ds with the same truncation certificate."""
     res = evolve(m, t, u, tol, want_integral=True)
     return res.integral, res.integral_bracket, res

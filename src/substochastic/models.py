@@ -306,28 +306,6 @@ class ModelSpec:
     def deficit(self, k: int) -> float:
         return float(self.deficits((k,))[0])
 
-    def closed_below(self, n: int, support: tuple[int, ...]) -> bool:
-        """True when no state reachable from ``support`` ever feeds index >= n."""
-        if any(k >= n for k in support):
-            return False
-        if self.kernel.kind in ("pure_birth", "birth_death"):
-            return False  # unbounded upward reach
-        if self.kernel.kind == "zero":
-            return True
-        seen = set(support)
-        frontier = list(support)
-        while frontier:
-            k = frontier.pop()
-            for j, r in self.column(k):
-                if r <= 0:
-                    continue
-                if j >= n:
-                    return False
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        return True
-
     # -- constructors ---------------------------------------------------
     @staticmethod
     def pure_birth(a: RateFn, name: str = "pure_birth") -> "ModelSpec":

@@ -322,6 +322,12 @@ class TestMassLossDelta:
             for b1, b2 in zip(brs, brs[1:]):
                 assert b2.lo <= b1.hi + 1e-9
 
+    def test_tol_reaches_the_expansion(self, m_bd_kill, m_two_state):
+        # the expansion is sized for the call's tol, not for the default 1e-8
+        for m in (m_bd_kill, m_two_state):
+            d = mass_loss_delta(m, 1.0, e0, tol=1e-3)
+            assert d.functional == ahat_dp(m, 1.0, e0, 1e-3, a0=d.a0).bracket
+
 
 class TestRouteEquivalence:
     def test_two_state(self, m_two_state):

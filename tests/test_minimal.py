@@ -149,7 +149,7 @@ class TestSemigroupV:
 
     def test_two_state_closed_form(self, m_two_state):
         v, br, res = semigroup_V(m_two_state, 1.0, e0)
-        assert res.closed and not res.flagged
+        assert not res.flagged and br.width <= 1e-12
         assert v.get(0) == pytest.approx(EXP1, abs=1e-13)
         assert v.get(1) == pytest.approx(EXP1 - EXP2, abs=1e-13)
         assert br.contains(EXP1 + EXP1 - EXP2)
@@ -219,15 +219,26 @@ class TestSemigroupV:
         assert res.flagged and res.flag_reason == "step budget reached"
         assert (res.mass_bracket.lo, res.mass_bracket.hi) == (0.0, 1.0)
         assert (res.integral_bracket.lo, res.integral_bracket.hi) == (0.0, 1.0)
-        assert res.value.is_zero and not res.closed
+        assert res.value.is_zero
+
+    def test_explosive_walk_keeps_the_trivial_upper_edge(self, monkeypatch):
+        # b = 2(k+1)^2, d = (k+1)^2 explodes without being pure birth: the
+        # reach bound stays near 1 at every truncation, so the certified
+        # upper edge is |u|, flagged, and the lower edge is the truncated mass
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 100_000)
+        m = ModelSpec.birth_death(RateFn.power(2.0, 2.0), RateFn.power(1.0, 2.0), name="explosive_walk")
+        res = evolve(m, 1.0, e0, want_integral=False)
+        assert res.flagged and res.flag_reason == "step budget reached"
+        assert res.mass_bracket.hi == 1.0
+        assert res.mass_bracket.lo == pytest.approx(res.value.head_sum(), abs=1e-9)
 
     def test_start_below_the_largest_truncation(self, m_two_state):
-        # two_state is closed below the first truncation from e_{2^19}, which
-        # decays at rate 1; a start at 2^20 has no truncation left to hold it
+        # from e_{2^19}, which decays at rate 1, the first truncation certifies
+        # the mass; a start at 2^20 has no truncation left to hold it
         res = evolve(m_two_state, 0.5, PosSeq.basis(1 << 19), want_integral=False)
         assert res.mass_bracket.lo == pytest.approx(math.exp(-0.5), rel=1e-12)
         assert res.mass_bracket.hi == pytest.approx(math.exp(-0.5), rel=1e-12)
-        assert res.closed and not res.flagged
+        assert not res.flagged and res.mass_bracket.width <= 1e-12
         with pytest.raises(ValueError, match="largest truncation"):
             evolve(m_two_state, 0.5, PosSeq.basis(1 << 20))
 
@@ -246,7 +257,7 @@ class TestRenewalRoute:
         res = evolve(m_quadratic, t, e0, want_integral=False)
         assert res.mass_bracket.contains(theta_mass(t))
         assert res.mass_bracket.width <= 4e-4
-        assert not res.flagged and not res.closed
+        assert not res.flagged
         assert res.ladder.levels == (512,) and res.n_used == 512
 
     def test_integral_holds_the_theta_integral(self, m_quadratic):
@@ -288,6 +299,30 @@ class TestRenewalRoute:
         assert res.flagged and res.flag_reason == "step budget reached"
         assert res.mass_bracket.contains(theta_mass(1.0))
 
+    @pytest.mark.parametrize(("a0", "t", "frozen"), [(5.0, 0.25, 0.42886683), (5.0, 1.0, 0.05972007), (100.0, 0.05, None)])
+    def test_head_kill_holds_the_oracle(self, a0, t, frozen):
+        # state 0 feeds state 1 at rate 1 and kills at rate a0 - 1; past it
+        # a_k = (k+1)^2 all feeds k+1.  From e0, |V(t)e0| = e^{-a0 t} +
+        # int_0^t e^{-a0 s} P(T' > t-s) ds with T' = sum_{n>=2} E_n/n^2 the
+        # explosion time from state 1, whose survival function is
+        # sum_{n>=2} 2(-1)^n (n^2-1) e^{-n^2 x} (the partial fractions of
+        # prod n^2/(n^2+s)); below x = 1e-3 it is 1 to double precision.
+        # At a0 = 100 the lower edge shifted by r_lo would read above the
+        # exact mass: paths still at state 0 die between t - r_lo and t
+        quad = pytest.importorskip("scipy.integrate").quad
+
+        def survival(x: float) -> float:
+            return 1.0 if x < 1e-3 else math.fsum(2.0 * (-1) ** n * (n * n - 1) * math.exp(-n * n * x) for n in range(2, 400))
+
+        val, _ = quad(lambda s: math.exp(-a0 * s) * survival(t - s), 0.0, t, points=[t - 1e-3], limit=200)
+        exact = math.exp(-a0 * t) + val
+        if frozen is not None:
+            assert exact == pytest.approx(frozen, abs=1e-8)
+        m = ModelSpec("head_kill", RateFn.table([a0], tail_c=1.0, tail_p=2.0), Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)), False)
+        res = evolve(m, t, e0, want_integral=False)
+        assert res.mass_bracket.contains(exact)
+        assert not res.flagged and res.ladder.levels == (512,)
+
     def test_tails_of_the_time_beyond_n(self, m_quadratic):
         # R_512 = sum_{n > 512} E_n/n^2 has mean sum_{n > 512} 1/n^2, which
         # the two integral bounds hold; the lower tail bound past the summed
@@ -298,23 +333,108 @@ class TestRenewalRoute:
         assert r_lo == pytest.approx(1.666e-3, abs=1e-6)
         assert r_hi == pytest.approx(2.297e-3, abs=1e-6)
 
-    def test_other_models_keep_the_ladder(self, zoo, monkeypatch):
-        def no_renewal(*args):
-            raise AssertionError("renewal route taken")
-
-        monkeypatch.setattr(minimal, "_renewal", no_renewal)
+    def test_which_models_take_the_renewal_route(self, zoo):
         for m in zoo:
-            if m.name != "quadratic_birth":
-                evolve(m, 0.5, PosSeq.basis(1))
-        assert minimal._renewal_applies(next(m for m in zoo if m.name == "quadratic_birth"))
-        # a separate birth rate, or a divergent reciprocal sum, keeps the ladder
+            assert minimal._renewal_applies(m) == (m.name == "quadratic_birth")
+        # a separate birth rate takes it too; a divergent reciprocal sum does not
         fed = ModelSpec("fed", RateFn.power(2.0, 2.0), Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)), False)
-        assert not minimal._renewal_applies(fed)
+        assert minimal._renewal_applies(fed)
         assert not minimal._renewal_applies(ModelSpec.pure_birth(RateFn.power(1.0, 1.0)))
+        res = evolve(fed, 0.25, e0, want_integral=False)
+        assert res.ladder.levels == (512,) and not res.flagged
 
-    def test_yule_ladder_runs_two_levels(self, m_yule):
+    def test_yule_runs_one_level(self, m_yule):
         res = evolve(m_yule, 1.0, e0, want_integral=False)
-        assert res.ladder.levels[:2] == (64, 128) and not res.flagged
+        assert res.ladder.levels == (64,) and not res.flagged
+
+
+class TestReachBound:
+    """The chance of reaching a truncation by time t, which certifies every
+    model off the renewal route."""
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 2.0])
+    def test_yule_law(self, m_yule, t):
+        # yule reaches N from e0 by t with probability (1 - e^{-t})^N
+        for n in (64, 128, 256):
+            assert minimal._reach(m_yule, 0, n, t) >= (1.0 - math.exp(-t)) ** n
+
+    def test_start_band_counts(self, m_yule):
+        # the optimum is 2.2e-12 against the exact 1.8e-13; leaving out the
+        # start's own band would give 8.0e-11
+        assert minimal._reach(m_yule, 0, 64, 1.0) <= 1e-11
+
+    @pytest.mark.parametrize(("c", "t"), [(1.0, 40.0), (3.0, 2.0), (0.5, 100.0)])
+    def test_constant_rate_poisson_tail(self, c, t):
+        # a constant rate c reaches N from e0 by t exactly when Poisson(ct) >= N;
+        # Chernoff is within a factor of about sqrt(2 pi N) of that tail
+        m = ModelSpec.pure_birth(RateFn.power(c, 0.0))
+        lam = c * t
+        for n in (64, 128):
+            tail = math.fsum(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1.0)) for k in range(n, n + 4000))
+            assert tail <= minimal._reach(m, 0, n, t) <= 30.0 * tail
+
+    def test_zero_without_transport(self, m_pure_loss):
+        assert minimal._reach(m_pure_loss, 0, 64, 1e6) == 0.0
+
+    def test_evolve_adds_the_reach_to_the_upper_edges(self, m_yule):
+        # at a loose tol yule from e0 stops at N = 64 by t = 3, where the
+        # truncation has lost (1 - e^{-3})^64 = 0.038 of the unit mass; the
+        # exact mass is 1 and the exact integral 3
+        res = evolve(m_yule, 3.0, e0, tol=0.5)
+        assert res.n_used == 64 and not res.flagged
+        assert res.mass_bracket.lo == pytest.approx(1.0 - (1.0 - math.exp(-3.0)) ** 64, abs=1e-10)
+        assert res.mass_bracket.hi == 1.0 and res.integral_bracket.hi == 3.0
+
+    @pytest.mark.parametrize(("b", "d"), [(1.0, 2.0), (1.0, 1.0), (2.0, 1.0)])
+    def test_walks_hold_the_exact_hitting_chance(self, b, d):
+        # the linear walk b(k+1) up, d(k+1) down (none at 0) reaches n = 12
+        # from e0 by t with the chance that the walk on 0..n-1, n absorbing,
+        # sits at n at t
+        expm = pytest.importorskip("scipy.linalg").expm
+        n = 12
+        m = ModelSpec.birth_death(RateFn.power(b, 1.0), RateFn.power(d, 1.0))
+        q = np.zeros((n + 1, n + 1))
+        for k in range(n):
+            q[k + 1, k] = b * (k + 1)
+            q[k - 1, k] = d * (k + 1) if k else 0.0
+            q[k, k] = -q[k + 1, k] - q[k - 1, k]
+        for t in (0.5, 3.0, 30.0):
+            exact = expm(q * t)[n, 0]
+            assert minimal._reach(m, 0, n, t) >= exact
+            assert minimal._drift_reach(m, 0, n, t) >= exact
+
+    def test_up_rates_and_drift_keep_a_subcritical_walk_at_the_first_level(self):
+        # b = k+1, d = 2(k+1): the band bound counts only the up rates, and
+        # with V = 2^k, whose drift is positive only at 0 (rate 1), the drift
+        # bound is (1 + t) 2^{-N} at every t, up to the 4% spacing of its
+        # grid of x near log 2; the mass is exactly 1
+        m = ModelSpec.birth_death(RateFn.power(1.0, 1.0), RateFn.power(2.0, 1.0))
+        # the total rate 3(k+1) in place of the up rate would read about 1
+        assert minimal._reach(m, 0, 512, 3.0) <= 1e-10
+        assert minimal._drift_reach(m, 0, 64, 1e6) <= 4.0 * (1.0 + 1e6) * 2.0**-64
+        for t, width in ((3.0, 1e-11), (100.0, 1e-10)):
+            res = evolve(m, t, e0, want_integral=False)
+            assert res.n_used == 64 and not res.flagged
+            assert res.mass_bracket.contains(1.0) and res.mass_bracket.width <= width
+
+    @pytest.mark.parametrize(("b", "t", "n"), [(2.0, 3.0, 2048), (1.0, 10.0, 512)])
+    def test_growing_walks_need_no_more_than_the_doubling_ladder(self, b, t, n):
+        # b(k+1) up, (k+1) down: the up rates alone would ask N of about
+        # 19 e^{bt}; the drift bound with x(s) falling at the linear rate
+        # follows the walk's own scale, e^{(b-1)t}, or t at b = 1, and
+        # certifies the N the doubling ladder used to stop at
+        m = ModelSpec.birth_death(RateFn.power(b, 1.0), RateFn.power(1.0, 1.0))
+        res = evolve(m, t, e0, want_integral=False)
+        assert res.n_used == n and not res.flagged
+        assert res.mass_bracket.contains(1.0) and res.mass_bracket.width <= 1e-9
+
+    def test_finite_table_keeps_the_first_level(self, m_closed_chain):
+        # no column is listed past state 7, so no path ever reaches 64
+        assert minimal._reach(m_closed_chain, 0, 64, 1e12) == 0.0
+        for t, width in ((50.0, 1e-12), (1e4, 2e-10)):
+            res = evolve(m_closed_chain, t, e0, want_integral=False)
+            assert res.n_used == 64 and not res.flagged
+            assert res.mass_bracket.width <= width
 
 
 @pytest.mark.parametrize(
