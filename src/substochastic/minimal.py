@@ -22,7 +22,11 @@ closure-extension of A + B:
 
 The same Poisson pass also yields ``int_0^t V(s) u ds`` exactly (the time
 integral of the Poisson weights has a closed form), which downstream
-functionals consume.
+functionals consume.  The pass is blocked: the stepper writes the powers
+into a preallocated block of rows, and each time adds its weights on the
+block by one matrix product.  Its size is capped twice, by the Poisson
+steps and by the work, N times the steps; a truncation short of the
+certified one is flagged with the cap that bound.
 """
 
 from __future__ import annotations
@@ -55,6 +59,11 @@ _N_MAX = 1 << 20  # largest truncation that the search for a certified one doubl
 # growth like (k+1)^p makes the uniformization constant on an N-state
 # truncation scale like N^p, so some cap is needed for super-linear models.
 _STEP_BUDGET = 3_000_000
+# N times Poisson steps allowed in that pass: the steps alone do not bound
+# the time of a pass at a large N.
+_WORK_BUDGET = 1 << 31
+_BLOCK_BYTES = 4 << 20  # most bytes of one block of Poisson powers
+_BLOCK_ROWS = 256  # most powers in one block
 
 
 @dataclass(frozen=True)
@@ -146,20 +155,36 @@ class EvolveResult:
         return SimpleNamespace(levels=(self.n_used,))
 
 
-def _make_stepper(win: OperatorWindow, c: float):
-    """Return f with f(v, out) <- (I + Q/c) v; positive and substochastic.
+def _block_rows(n: int) -> int:
+    """Powers held in one block of an N-state pass: _BLOCK_BYTES of them,
+    at least 1 and at most _BLOCK_ROWS."""
+    return min(max(_BLOCK_BYTES // (8 * n), 1), _BLOCK_ROWS)
 
-    Columns leaving the window are dropped, i.e. counted as kill.
+
+def _make_stepper(win: OperatorWindow, c: float, rows: int):
+    """Return (block, fill): an uninitialised (rows + 1, N) block, and fill
+    with fill(k): block[i+1] <- (I + Q/c) block[i] for i < k, in turn;
+    positive and substochastic.
+
+    Columns leaving the window are dropped, i.e. counted as kill.  Every
+    row's band views and one scratch vector per band are built here, as a
+    flat list of (ufunc, in, in, out) calls, so a step allocates nothing.
     """
     diag = 1.0 - win.a / c
-    shifts = [(tgt, src, r / c) for tgt, src, r in win.shifts()]
+    bands = [(tgt, src, r / c, np.empty(r.size)) for tgt, src, r in win.shifts()]
+    block = np.empty((rows + 1, diag.size))
+    calls = []
+    for v, out in zip(block[:-1], block[1:]):
+        calls.append((np.multiply, v, diag, out))
+        for tgt, src, rc, tmp in bands:
+            calls += [(np.multiply, rc, v[src], tmp), (np.add, out[tgt], tmp, out[tgt])]
+    per_step = 1 + 2 * len(bands)
 
-    def step(v: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(v, diag, out=out)
-        for tgt, src, rc in shifts:
-            out[tgt] += rc * v[src]
+    def fill(k: int) -> None:
+        for f, x, y, z in calls[: k * per_step]:
+            f(x, y, z)
 
-    return step
+    return block, fill
 
 
 def _poisson_weights(lam_p: float, jmax: int):
@@ -188,12 +213,13 @@ def _poisson_weights(lam_p: float, jmax: int):
     return pmf, sf, missing
 
 
-def _poisson_window(m: ModelSpec, n: int, t: float) -> tuple[float, int]:
+def _poisson_window(m: ModelSpec, n: int, t: float) -> tuple[float, float]:
     """The uniformization constant c of the N-state truncation, and the last
     Poisson term summed to time t: the mean c*t plus nine standard deviations
-    plus 40."""
+    plus 40, inf when that leaves floating point (no budget fits it)."""
     c = max(m.a.max_upto(n), 1e-12)
-    return c, int(math.ceil(c * t + 9.0 * math.sqrt(c * t) + 40.0))
+    last = c * t + 9.0 * math.sqrt(c * t) + 40.0
+    return c, math.ceil(last) if math.isfinite(last) else math.inf
 
 
 def _uniformized(
@@ -207,17 +233,16 @@ def _uniformized(
     optionally int_0^t V_N(s)u ds at each t in ``times``.
 
     The powers (I + Q/c)^j u do not depend on t, so the pass runs to the
-    largest time's Poisson window and each time weighs the powers inside its
-    own window.  Returns ([(v_acc, i_acc, v_defect, i_defect) per time],
+    largest time's Poisson window.  The stepper fills a block of powers (row
+    0 holds the last power of the previous block), and each time then adds
+    its weights on the block's rows inside its own window by one matrix
+    product.  Returns ([(v_acc, i_acc, v_defect, i_defect) per time],
     steps): the accumulated vectors plus bounds on the weight mass each
     accumulation is missing (relative to the truncated evolution itself, per
     unit input mass).
     """
-    u_arr = np.zeros(n)
-    for k, v in u.entries.items():
-        u_arr[k] = v
-    weights = []  # per time: pmf, sf, and the first and last nonzero pmf index
-    out = []  # per time: v_acc, i_acc, v_defect, i_defect
+    weights = []  # per time: first index, nonzero pmf slice, sf/c where sf > 0 (with the integral)
+    defects = []  # per time: v_defect, i_defect
     steps = 0
     for t in times:
         c, jmax = _poisson_window(m, n, t)
@@ -234,31 +259,45 @@ def _uniformized(
         nz = np.nonzero(pmf)[0]
         lo_w = int(nz[0]) if nz.size else 0
         hi_w = int(nz[-1]) if nz.size else -1
-        weights.append((pmf, sf, lo_w, hi_w))
+        # sf[j] > 0 exactly for j < hi_w; copies, so the full arrays are freed
+        weights.append((lo_w, pmf[lo_w : hi_w + 1].copy(), sf[: max(hi_w, 0)] / c if want_integral else None))
         # Missing Poisson weight (both tails + underflow) plus the shared
         # scale error of the weights, per unit input mass.  Integral weights
         # missed beyond jmax, sum_{j>jmax} sf[j]/c, are bounded by a geometric
         # comparison from sf[jmax].
         tail_sum = float(sf[-1]) * max(2.0, math.sqrt(lam_p)) if jmax >= 2 * lam_p else t
-        v_acc = pmf[0] * u_arr
-        i_acc = (sf[0] / c) * u_arr if want_integral else None
-        out.append((v_acc, i_acc, missing + scale_err, tail_sum / c + (missing + scale_err) * t))
-    if steps:
-        step = _make_stepper(OperatorWindow(m, 0, n), c)
-    v = u_arr.copy()
-    buf = np.empty(n)
-    scratch = np.empty(n)
-    for j in range(1, steps + 1):
-        step(v, buf)
-        v, buf = buf, v
-        for (pmf, sf, lo_w, hi_w), (v_acc, i_acc, _, _) in zip(weights, out):
-            if lo_w <= j <= hi_w:
-                np.multiply(v, pmf[j], out=scratch)
-                v_acc += scratch
-            if i_acc is not None and j < sf.size and sf[j] > 0.0:
-                np.multiply(v, sf[j] / c, out=scratch)
-                i_acc += scratch
-    return out, steps
+        defects.append((missing + scale_err, tail_sum / c + (missing + scale_err) * t))
+    rows = min(_block_rows(n), max(steps, 1))
+    # the window's transients peak before any N-vector of the pass exists
+    block, fill = _make_stepper(OperatorWindow(m, 0, n), c, rows)
+    block[0] = 0.0
+    for k, v in u.entries.items():
+        block[0, k] = v
+    out = [(np.zeros(n), np.zeros(n) if want_integral else None, *d) for d in defects]
+    prod = np.empty(n)
+
+    def add(acc: np.ndarray, w: np.ndarray, w_lo: int, lo: int, hi: int) -> None:
+        """acc += sum_j w[j - w_lo] (row j - j0 of the block) over the powers
+        j in [lo, hi) that w weighs."""
+        lo, hi = max(lo, w_lo), min(hi, w_lo + w.size)
+        if lo < hi:
+            np.matmul(w[lo - w_lo : hi - w_lo], block[lo - j0 : hi - j0], out=prod)
+            np.add(acc, prod, out=acc)
+
+    j0 = first = 0  # the power in row 0, and the first power not yet added
+    while True:
+        k = min(rows, steps - j0)
+        if k:
+            fill(k)
+        for (lo_w, pmf, sfc), (v_acc, i_acc, _, _) in zip(weights, out):
+            add(v_acc, pmf, lo_w, first, j0 + k + 1)
+            if sfc is not None:
+                add(i_acc, sfc, 0, first, j0 + k + 1)
+        j0 += k
+        first = j0 + 1
+        if j0 >= steps:
+            return out, steps
+        block[0] = block[k]
 
 
 def _reach(m: ModelSpec, top: int, n: int, t: float) -> float:
@@ -361,24 +400,29 @@ def _truncation(m: ModelSpec, t: float, top: int, tol: float, renewal: bool) -> 
     renewal route at or above _RENEWAL_N, elsewhere with the band bound
     ``_reach`` or the drift bound ``_drift_reach`` at most tol/2 (reach is 0
     on the renewal route).  Failing that it is the largest that fits the
-    step budget and _N_MAX, and the reason says which cap bound.  N is 0
-    when not even the first level fits the budget.
+    step budget, the work budget on N times steps and _N_MAX, and the reason
+    says which cap bound.  N is 0 when not even the first level fits the
+    budgets.
     """
     n = _N_START
     while n < 2 * (top + 1):
         n *= 2
-    found = 0, 1.0, "step budget reached"
-    while _poisson_window(m, n, t)[1] <= _STEP_BUDGET:
+    found = 0, 1.0
+    while True:
+        steps = _poisson_window(m, n, t)[1]
+        if steps > _STEP_BUDGET:
+            return (*found, "step budget reached")
+        if n * steps > _WORK_BUDGET:
+            return (*found, "work budget reached")
         reach = 0.0 if renewal else _reach(m, top, n, t)
         if reach > tol / 2.0:  # the drift bound only where the band bound falls short
             reach = min(reach, _drift_reach(m, top, n, t))
         if (n >= _RENEWAL_N) if renewal else (reach <= tol / 2.0):
             return n, reach, ""
-        found = n, reach, "step budget reached"
+        found = n, reach
         if 2 * n > _N_MAX:
             return n, reach, "n_max reached"
         n *= 2
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +583,16 @@ def evolve(
     # the shifted lower edge needs paths that cannot die once past the lowest start
     keep = 1.0 - eps if renewal and not _kills_from(m, min(u.support)) else 0.0
     extra = eps if renewal else reach
-    # rounding wobble of the accumulated Poisson sums
+    # Rounding wobble of the accumulated Poisson sums.  Every summand
+    # w_j v_j[k] is nonnegative and they total at most |u| (t|u| for the
+    # integral), so a sum whose summands each pass through at most D
+    # roundings errs by at most D ulps of that total.  A window of W <=
+    # steps + 1 powers is added block by block: one product per block, a
+    # dot product of at most rows <= max(steps, 1) terms (at most rows
+    # roundings in any order the BLAS picks), then one addition into the
+    # accumulator, for at most W/rows + 2 blocks.  As r + W/r <= 1 + W for
+    # 1 <= r <= W, D <= steps + 4 for every window and block size, inside
+    # the steps + 16 below.
     fp_slack = (steps + 16) * _ULP * max(u_norm, 1e-300)
 
     def bracket(at_t, at_lo, at_hi, defect_hi: float, scale: float, before_lo: float, before_hi: float) -> Bracket:

@@ -144,6 +144,27 @@ def test_tiny_rate_ends_in_a_result_without_warnings(tmp_path, capsys, command):
             assert 0.0 <= b["lo"] <= b["hi"] and b["hi"] > 0.0
 
 
+def test_overflowing_poisson_window_gives_a_flagged_row(tmp_path, capsys):
+    # c t = 1e310 leaves floating point: the uniformized pass fits no
+    # budget, so the row is the trivial certified [0, |u|], without warnings
+    doc = {
+        "name": "huge_rate",
+        "space": "l1",
+        "A": {"kind": "power", "c": 1e300, "p": 0},
+        "B": {"kind": "pure_birth"},
+        "conservative": True,
+    }
+    path = tmp_path / "huge_rate.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["trajectory", "--model", str(path), "--t-grid", "1e10", "--out", str(out)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    t, mass_lo, mass_hi, *_ = (float(x) for x in out.read_text().strip().split("\n")[1].split(","))
+    assert (t, mass_lo, mass_hi) == (1e10, 0.0, 1.0)
+
+
 class TestVerdictCommand:
     def test_honest_exit_zero(self, model_files, tmp_path):
         out = tmp_path / "r.json"

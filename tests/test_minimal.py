@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from substochastic.minimal import (
     resolvent_G,
     semigroup_V,
 )
-from substochastic.models import Kernel, ModelSpec, RateFn
+from substochastic.models import _ULP, Kernel, ModelSpec, OperatorWindow, RateFn
 
 e0 = PosSeq.basis(0)
 
@@ -242,6 +243,35 @@ class TestSemigroupV:
         with pytest.raises(ValueError, match="largest truncation"):
             evolve(m_two_state, 0.5, PosSeq.basis(1 << 20))
 
+    def test_work_budget_flags_a_large_start(self, m_quadratic):
+        # from e_500000 the first truncation is 2^20 states with 112,976
+        # steps, about 1.2e11 state-steps: flagged before any reach bound
+        res = evolve(m_quadratic, 1e-7, PosSeq.basis(500_000))
+        assert res.flagged and res.flag_reason == "work budget reached"
+        assert res.n_used == 0 and res.value.is_zero
+        assert (res.mass_bracket.lo, res.mass_bracket.hi) == (0.0, 1.0)
+
+    def test_work_budget_caps_a_long_pass(self, m_bd_conservative, monkeypatch):
+        # the upward walk at t = 1e5 is certified only at N = 262,144 with
+        # 254,540 steps; the largest level inside the budget is N = 8192
+        n, _, reason = minimal._truncation(m_bd_conservative, 1e5, 0, 1e-8, False)
+        assert (n, reason) == (8192, "work budget reached")
+        assert n * minimal._poisson_window(m_bd_conservative, n, 1e5)[1] <= minimal._WORK_BUDGET
+        # the flagged pass keeps a certified bracket; a smaller budget keeps it short
+        monkeypatch.setattr(minimal, "_WORK_BUDGET", 1 << 22)
+        res = evolve(m_bd_conservative, 1e4, e0)
+        assert res.flagged and res.flag_reason == "work budget reached"
+        assert res.n_used * res.steps_used <= 1 << 22 and res.n_used == 128
+        assert res.mass_bracket.lo <= 1.0 == res.mass_bracket.hi
+
+    def test_overflowing_window_does_not_fit(self):
+        # c t overflows: the Poisson window is infinite, which no budget fits
+        m = ModelSpec.pure_birth(RateFn.power(1e300, 0.0), name="huge")
+        assert minimal._poisson_window(m, 64, 1e10)[1] == math.inf
+        res = evolve(m, 1e10, e0)
+        assert res.flagged and res.flag_reason == "step budget reached"
+        assert (res.mass_bracket.lo, res.mass_bracket.hi) == (0.0, 1.0)
+
 
 def theta_mass(t: float) -> float:
     """|V(t)e0| on quadratic_birth: P(T > t) for the explosion time
@@ -452,6 +482,104 @@ class TestReachBound:
 def test_evolve_rejects_bad_t_and_tol(m_bd_kill, t, tol, message):
     with pytest.raises(ValueError, match=message):
         evolve(m_bd_kill, t, e0, tol)
+
+
+def sequential_pass(m: ModelSpec, times, u: PosSeq, n: int, want_integral: bool):
+    """The uniformized pass as a plain loop: the stepper's operations in its
+    order, one power at a time, and every weighted sum by math.fsum."""
+    c, steps = minimal._poisson_window(m, n, max(times))
+    win = OperatorWindow(m, 0, n)
+    diag = 1.0 - win.a / c
+    powers = [np.zeros(n)]
+    for k, v in u.entries.items():
+        powers[0][k] = v
+    for _ in range(steps):
+        v, out = powers[-1], np.empty(n)
+        np.multiply(v, diag, out=out)
+        for tgt, src, r in win.shifts():
+            out[tgt] += (r / c) * v[src]
+        powers.append(out)
+    refs = []
+    for t in times:
+        if t == 0.0:
+            pmf, sf = np.ones(1), np.zeros(1)
+        else:
+            pmf, sf, _ = minimal._poisson_weights(c * t, minimal._poisson_window(m, n, t)[1])
+        v_ref = np.array([math.fsum(pmf[j] * powers[j][k] for j in range(pmf.size)) for k in range(n)])
+        i_ref = np.array([math.fsum(sf[j] / c * powers[j][k] for j in range(sf.size)) for k in range(n)])
+        refs.append((v_ref, i_ref if want_integral else None))
+    return refs, powers
+
+
+def times_for_steps(m: ModelSpec, n: int, steps: int) -> float:
+    """The least t (to float resolution) whose Poisson window has ``steps`` steps."""
+    lo, hi = 0.0, 1.0
+    while minimal._poisson_window(m, n, hi)[1] < steps:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if minimal._poisson_window(m, n, mid)[1] < steps else (lo, mid)
+    assert minimal._poisson_window(m, n, hi)[1] == steps
+    return hi
+
+
+class TestBlockedKernel:
+    """_uniformized adds each time's weights to a block of powers by one
+    matrix product; the sums agree with sequential fsum ones within the
+    rounding slack that evolve pads its brackets with."""
+
+    N = 64
+    U = PosSeq({0: 0.5, 3: 0.25})
+
+    @pytest.mark.parametrize("want_integral", [False, True])
+    @pytest.mark.parametrize("edge", [-1, 0, 1, "2rows+1"])
+    @pytest.mark.parametrize("model", ["m_quadratic", "m_bd_kill"])
+    def test_matches_sequential_fsum(self, model, edge, want_integral, request):
+        m = request.getfixturevalue(model)
+        rows = minimal._block_rows(self.N)
+        steps = 2 * rows + 1 if edge == "2rows+1" else rows + edge
+        t = times_for_steps(m, self.N, steps)
+        times = (t, 0.6 * t, 0.0)  # three windows, as on the renewal route
+        got, got_steps = minimal._uniformized(m, times, self.U, self.N, want_integral)
+        assert got_steps == steps
+        refs, _ = sequential_pass(m, times, self.U, self.N, want_integral)
+        fp_slack = (steps + 16) * _ULP * self.U.head_sum()
+        for (v_acc, i_acc, _, _), (v_ref, i_ref), s in zip(got, refs, times):
+            assert float(np.abs(v_acc - v_ref).sum()) <= fp_slack
+            if want_integral:
+                assert float(np.abs(i_acc - i_ref).sum()) <= fp_slack * max(s, 1.0)
+            else:
+                assert i_acc is None
+
+    def test_stepper_powers_are_the_sequential_ones_bit_for_bit(self, m_bd_kill):
+        steps = 2 * minimal._block_rows(self.N) + 1
+        t = times_for_steps(m_bd_kill, self.N, steps)
+        _, powers = sequential_pass(m_bd_kill, (t,), self.U, self.N, False)
+        c = minimal._poisson_window(m_bd_kill, self.N, t)[0]
+        block, fill = minimal._make_stepper(OperatorWindow(m_bd_kill, 0, self.N), c, 5)
+        block[0] = powers[0]
+        for j0 in range(0, steps - 5, 5):
+            fill(5)
+            assert np.array_equal(block, np.array(powers[j0 : j0 + 6]))
+            block[0] = block[5]
+
+    def test_a_large_pass_allocates_a_few_vectors(self, m_two_state, monkeypatch):
+        # N = 2^21 holds one row per block, so the pass keeps seven
+        # N-vectors: the block's two rows, diag, the band's rates and
+        # scratch, the accumulator and the product; a 256-row block would be
+        # 257.  The window is built untraced, as its own transients are not
+        # the pass's.
+        n = 1 << 21
+        win = OperatorWindow(m_two_state, 0, n)
+        monkeypatch.setattr(minimal, "OperatorWindow", lambda m, lo, hi: win)
+        tracemalloc.start()
+        try:
+            _, steps = minimal._uniformized(m_two_state, (0.5,), PosSeq.basis(1 << 19), n, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == 50 and minimal._block_rows(n) == 1
+        assert peak <= 8 * 8 * n
 
 
 class TestIntegrateV:
