@@ -278,7 +278,11 @@ class ModelSpec:
         if self.a.c <= 0:
             raise ModelError(f"model {self.name!r}: diagonal rate tail must be > 0")
         depth = _audit_depth(self.a, self.kernel.birth, self.kernel.death)
-        if np.any(self.a.array(0, depth) <= 0):
+        with np.errstate(over="ignore"):
+            rates = [r.array(0, depth) for r in (self.a, self.kernel.birth, self.kernel.death) if r is not None]
+        if not all(np.isfinite(r).all() for r in rates):
+            raise ModelError(f"model {self.name!r}: a rate overflows to inf on the states 0..{depth - 1}")
+        if np.any(rates[0] <= 0):
             raise ModelError(f"model {self.name!r}: diagonal rates must be > 0")
         birth = self.kernel.birth
         if self.kernel.kind == "pure_birth" and birth is not None:

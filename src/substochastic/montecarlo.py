@@ -6,10 +6,13 @@ with probability rate/a_k or die with the deficit probability.  Surviving
 mass at time t estimates |V(t)u|; paths that run away to infinity in finite
 time estimate the explosion defect 1 - |V(t)u| of conservative models.
 
-Conservative pure-birth cascades keep one clock per undecided path; every
-other kernel steps through one jump table built from ``m.a.array`` and
-``m.column`` once per ``simulate`` call, never from ``OperatorWindow``, so
-the oracle stays independent of the routes it checks.
+Every cost follows the states the paths use.  Conservative pure-birth
+cascades keep one clock per undecided path and draw its holding times in
+blocks of 16 states, doubling up to 2^16; every other kernel steps the live
+paths only through one jump table per ``simulate`` call, built from
+``m.a.array`` and ``m.column`` over a window of states around the visited
+ones (never from ``OperatorWindow``, so the oracle stays independent of the
+routes it checks).
 
 Explosion is declared only under a certified criterion on the remaining
 holding-time budget: with the whole upward tail ahead, the leftover time
@@ -46,6 +49,7 @@ __all__ = [
 
 CHUNK = 1024  # paths per Philox substream; part of the pinned algorithm
 STATE_CAP = 1 << 21
+_FIRST_BLOCK = 16  # holding times drawn per undecided cascade path at first; doubles to 1 << 16
 _JUMP_CHECK = 10_000  # simulate_path tests for explosion every this many jumps
 BERNSTEIN_LOG = 30.0  # ln(1/mislabel) budget for the concentration rule
 
@@ -150,7 +154,7 @@ def _run_pure_birth_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.r
     for k0 in np.unique(states0):
         tau = np.zeros(np.count_nonzero(states0 == k0))
         frontier = int(k0)
-        block = 256
+        block = _FIRST_BLOCK
         while tau.size:
             hi = min(frontier + block, STATE_CAP)
             if hi <= frontier:
@@ -182,64 +186,68 @@ def _run_pure_birth_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.r
 
 
 class _JumpTable:
-    """Jump law of a bounded kernel on states 0 .. rows-1, grown on demand:
-    row k holds a_k, the running sums of r/a_k over the column of k (padded
-    with inf) and its targets (padded with -1, killed), so u ~ U[0, 1) at
-    state k jumps to ``tgt[k, #(cum[k] <= u)]``."""
+    """Jump law of a bounded kernel on the states lo .. hi-1, grown on
+    demand: row k - lo holds a_k, the running sums of r/a_k over the column
+    of k (padded with inf) and its targets (padded with -1, killed), so
+    u ~ U[0, 1) at state k jumps to ``tgt[k - lo, #(cum[k - lo] <= u)]``.
+    Each row depends on its own state only, so a row reads the same in
+    every window that holds it."""
 
-    rows = 0
+    lo = hi = 0
 
-    def cover(self, m: ModelSpec, top: int) -> None:
-        """Make sure the rows reach state top + 1."""
-        if top + 2 <= self.rows:
+    def cover(self, m: ModelSpec, bottom: int, top: int) -> None:
+        """Make sure the rows span the states bottom .. top, doubling the
+        window on each side that falls short (64 rows around the first
+        visit)."""
+        if self.lo <= bottom and top < self.hi:
             return
-        rows = max(2 * self.rows, top + 2, 64)
-        cols = [m.column(k) for k in range(rows)]
+        if self.hi == 0:
+            lo, hi = max(bottom - 32, 0), top + 32
+        else:
+            size = self.hi - self.lo
+            lo = max(min(bottom, self.lo - size), 0) if bottom < self.lo else self.lo
+            hi = max(top + 1, self.hi + size) if top >= self.hi else self.hi
+        cols = [m.column(k) for k in range(lo, hi)]
         width = 1 + max(map(len, cols))
-        rates = np.zeros((rows, width))
-        tgt = np.full((rows, width), -1, dtype=np.int64)
-        for k, col in enumerate(cols):
+        rates = np.zeros((hi - lo, width))
+        tgt = np.full((hi - lo, width), -1, dtype=np.int64)
+        for row, col in enumerate(cols):
             if col:
-                tgt[k, : len(col)], rates[k, : len(col)] = zip(*col)
-        self.a = m.a.array(0, rows)
+                tgt[row, : len(col)], rates[row, : len(col)] = zip(*col)
+        self.a = m.a.array(lo, hi)
         self.cum = np.cumsum(rates / self.a[:, None], axis=1)
         self.cum[tgt < 0] = np.inf
         self.tgt = tgt
-        self.rows = rows
+        self.lo, self.hi = lo, hi
 
 
 def _run_stepper_chunk(
     m: ModelSpec, states0: np.ndarray, t: float, rng: np.random.Generator, table: _JumpTable
 ):
     """General bounded-kernel path engine: one clock and one ``table``
-    lookup per step, for every kernel kind."""
-    states = states0.astype(np.int64).copy()
-    tau = np.zeros(states0.size)
-    active = np.ones(states0.size, dtype=bool)
+    lookup per step, for every kernel kind.  ``states`` and ``tau`` hold
+    the live paths only, in path order, so each step draws one clock per
+    live path and one uniform per jumping path."""
+    states = states0.astype(np.int64)
+    tau = np.zeros(states.size)
     alive = killed = aborted = 0
     steps = 0
-    while active.any():
+    while states.size:
         steps += 1
         if steps > 1_000_000:
-            aborted += int(active.sum())
+            aborted += states.size
             break
-        idx = np.nonzero(active)[0]
-        s = states[idx]
-        table.cover(m, int(s.max()))
-        tau[idx] += rng.standard_exponential(idx.size) / table.a[s]
-        done = tau[idx] > t
+        table.cover(m, int(states.min()), int(states.max()))
+        rows = states - table.lo
+        tau += rng.standard_exponential(states.size) / table.a[rows]
+        done = tau > t
         alive += int(done.sum())
-        jump_idx = idx[~done]
-        active[idx[done]] = False
-        if jump_idx.size == 0:
-            continue
-        u = rng.random(jump_idx.size)
-        s = states[jump_idx]
-        target = table.tgt[s, (u[:, None] >= table.cum[s]).sum(1)]
-        die = target < 0
-        killed += int(die.sum())
-        active[jump_idx[die]] = False
-        states[jump_idx[~die]] = target[~die]
+        rows, tau = rows[~done], tau[~done]
+        u = rng.random(rows.size)
+        target = table.tgt[rows, (u[:, None] >= table.cum[rows]).sum(1)]
+        live = target >= 0
+        killed += rows.size - int(live.sum())
+        states, tau = target[live], tau[live]
     return alive, 0, killed, aborted
 
 
@@ -266,8 +274,8 @@ def simulate(
     if initial.tail_bound != 0.0 or abs(initial.head_sum() - 1.0) > 1e-9:
         raise ValueError("initial distribution must be finitely supported with mass 1")
     if max(initial.entries) >= STATE_CAP:
-        # the cascade runner aborts paths there, and the stepper's jump table
-        # would hold a row for every state from 0 up to the start
+        # the cascade runner aborts paths there: a start at the cap could
+        # never resolve
         raise ValueError(f"initial states must lie below the state cap {STATE_CAP}")
     if m.kernel.kind == "pure_birth" and m.conservative:
         runner = _run_pure_birth_chunk

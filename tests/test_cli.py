@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from substochastic import montecarlo
 from substochastic.cli import main, parse_t_grid
 from substochastic.honesty import honesty_verdict
 from substochastic.l1 import PosSeq
@@ -163,6 +164,27 @@ def test_overflowing_poisson_window_gives_a_flagged_row(tmp_path, capsys):
     assert rc == 0 and capsys.readouterr().err == ""
     t, mass_lo, mass_hi, *_ = (float(x) for x in out.read_text().strip().split("\n")[1].split(","))
     assert (t, mass_lo, mass_hi) == (1e10, 0.0, 1.0)
+
+
+def test_overflowing_rate_exits_one(tmp_path, capsys):
+    # 1e300 (k+1)^10 leaves floating point at k = 6: the loader says so in
+    # one error line, with every warning an error
+    doc = {
+        "name": "overflowing_rate",
+        "space": "l1",
+        "A": {"kind": "power", "c": 1e300, "p": 10},
+        "B": {"kind": "pure_birth"},
+        "conservative": True,
+    }
+    path = tmp_path / "overflowing_rate.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["trajectory", "--model", str(path), "--t-grid", "0.5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("error:") == 1 and err.startswith("error:")
+    assert "overflows" in err and not out.exists()
 
 
 class TestVerdictCommand:
@@ -389,17 +411,25 @@ class TestSimulateCommand:
         assert lines[0] == "t,survival,survival_ci,exploded,exploded_ci,killed,killed_ci"
         assert len(lines) == 3
 
-    def test_aborted_paths_warned(self, model_files, tmp_path, capsys):
-        # seed 335335917 leaves one of 100k quadratic_birth paths undecided at STATE_CAP
+    def test_aborted_paths_warned(self, model_files, tmp_path, capsys, monkeypatch):
+        # under a cap of 2^10 the remaining time of a quadratic_birth path is
+        # about 1e-3, so every path that reaches the cap within that of t is
+        # left undecided: some of 100k are, at any seed
+        monkeypatch.setattr(montecarlo, "STATE_CAP", 1 << 10)
         out = tmp_path / "sim.csv"
         args = ["simulate", "--model", model_files["quadratic_birth"], "--t-grid", "0.5,1"]
-        assert main(args + ["--paths", "100000", "--seed", "335335917", "--out", str(out)]) == 0
+        assert main(args + ["--paths", "100000", "--seed", "1", "--out", str(out)]) == 0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "warning: t=1.0: 1 of 100000 paths reached the state cap undecided"
-            " and are left out of every fraction"
-        ]
+        expected = []
+        for t in (0.5, 1.0):
+            aborted = montecarlo.simulate(quadratic_birth(), PosSeq.basis(0), t, 100_000, 1).aborted
+            assert aborted > 0
+            expected.append(
+                f"warning: t={t!r}: {aborted} of 100000 paths reached the state cap undecided"
+                " and are left out of every fraction"
+            )
+        assert captured.err.splitlines() == expected
         lines = out.read_text().strip().split("\n")
         assert lines[0] == CSV_HEADER and len(lines) == 3
 

@@ -138,6 +138,15 @@ class TestModelConstruction:
         with pytest.raises(ModelError):
             ModelSpec.table(a_values=(1.0,), columns={0: [(1, 0.5)]}, conservative=True)
 
+    def test_overflowing_rates_rejected(self):
+        # the audit reads the rates once, under errstate, and names the
+        # overflow instead of reporting the inf - inf deficit it makes
+        with np.errstate(all="raise"):
+            with pytest.raises(ModelError, match="overflows"):
+                ModelSpec.pure_birth(RateFn.power(1e300, 10.0))
+            with pytest.raises(ModelError, match="overflows"):
+                ModelSpec.birth_death(RateFn.power(1e300, 10.0), RateFn.power(1.0, 10.0))
+
 
 class TestApplyB:
     def test_single_transition(self, m_quadratic):

@@ -8,6 +8,7 @@ from substochastic.l1 import PosSeq
 from substochastic.minimal import semigroup_V
 from substochastic.models import Kernel, ModelSpec, RateFn
 from substochastic.montecarlo import (
+    SimEstimates,
     explosion_cdf,
     simulate,
     simulate_path,
@@ -105,6 +106,63 @@ class TestAgainstClosedForms:
         init = PosSeq({0: 0.5, 1: 0.5})
         est = simulate(m_pure_loss, init, 1.0, 50_000, seed=5)
         assert est.survival == pytest.approx(math.exp(-1.0), abs=4 * est.survival_ci)
+
+
+# (model, start, t, n_paths, seed) -> (survival, survival_ci, killed,
+# killed_ci), recorded before the stepper kept live paths only and its jump
+# table became a window; both keep the draws and every row bit for bit
+_STEPPER_BYTES = [
+    ("m_bd_kill", PosSeq.basis(0), 0.5, 10_000, 7, (0.7767, 0.008162573134594264, 0.2233, 0.008162573134594262)),
+    ("m_bd_kill", PosSeq.basis(0), 1.0, 10_000, 7, (0.5998, 0.009602799124921858, 0.4002, 0.009602799124921858)),
+    ("m_bd_kill", PosSeq.basis(0), 2.0, 10_000, 7, (0.3691, 0.009458197047556157, 0.6309, 0.009458197047556157)),
+    ("m_bd_kill", PosSeq({0: 0.5, 300: 0.5}), 1.0, 5_000, 7, (0.606, 0.013544266553785775, 0.394, 0.013544266553785775)),
+    ("m_bd_kill", PosSeq.basis(4096), 1.0, 1_000, 3, (0.62, 0.030084563483620635, 0.38, 0.030084563483620635)),
+    ("m_closed_chain", PosSeq.basis(0), 0.5, 10_000, 7, (0.9474, 0.004375378552582621, 0.0526, 0.004375378552582622)),
+    ("m_closed_chain", PosSeq.basis(0), 1.0, 10_000, 7, (0.8964, 0.005972922407532179, 0.1036, 0.0059729224075321784)),
+    ("m_closed_chain", PosSeq.basis(0), 2.0, 10_000, 7, (0.7926, 0.00794671213763277, 0.2074, 0.00794671213763277)),
+]
+
+
+class TestStepper:
+    @pytest.mark.parametrize("fixture, initial, t, n, seed, pinned", _STEPPER_BYTES)
+    def test_estimates_pinned(self, request, fixture, initial, t, n, seed, pinned):
+        s, s_ci, k, k_ci = pinned
+        expected = SimEstimates(t, n, seed, s, s_ci, 0.0, 0.0, k, k_ci, 0)
+        assert simulate(request.getfixturevalue(fixture), initial, t, n, seed) == expected
+
+    def test_cost_follows_the_paths(self, m_bd_kill, monkeypatch):
+        # no path from 2^12 or 2^18 reaches 0 by t = 1, so the two starts
+        # draw alike and only the table's window moves
+        spans = []
+        cover = montecarlo._JumpTable.cover
+
+        def spy(table, m, bottom, top):
+            cover(table, m, bottom, top)
+            spans.append(table.hi - table.lo)
+
+        monkeypatch.setattr(montecarlo._JumpTable, "cover", spy)
+        far = simulate(m_bd_kill, PosSeq.basis(1 << 18), 1.0, 1000, 3)
+        assert max(spans) <= 4096
+        assert far == simulate(m_bd_kill, PosSeq.basis(1 << 12), 1.0, 1000, 3)
+
+    def test_window_rows_match_the_full_table(self):
+        # a non-integer exponent, where a rate's last bit could depend on
+        # how it is evaluated; every row must read the same in any window
+        m = ModelSpec(
+            "killing_birth_15",
+            RateFn.power(2.0, 1.5),
+            Kernel("pure_birth", birth=RateFn.power(1.5, 1.5)),
+            conservative=False,
+        )
+        full, window = montecarlo._JumpTable(), montecarlo._JumpTable()
+        full.cover(m, 0, 999)
+        window.cover(m, 700, 710)
+        window.cover(m, 650, 760)
+        assert full.lo == 0 and 0 < window.lo <= 650 and 760 < window.hi <= full.hi
+        rows = slice(window.lo, window.hi)
+        assert np.array_equal(window.a, full.a[rows])
+        assert np.array_equal(window.cum, full.cum[rows])
+        assert np.array_equal(window.tgt, full.tgt[rows])
 
 
 class TestExplosionCdf:
