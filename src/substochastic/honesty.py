@@ -159,11 +159,11 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
     * sum 1/a_m divergent  =>  factors <= a/(lam+a) force the product to 0;
     * birth tail strictly thinner than the diagonal tail  =>  the per-factor
       penalty log(a_m/r_m) does not vanish, same conclusion;
-    * otherwise r matches a beyond a finite head and the product is
-      bracketed two-sided: the partial product over a window of factors
+    * otherwise r = a from ``ModelSpec.cascade_head`` on, and the product
+      is bracketed two-sided: the partial product over a window of factors
       times the closed-form tail bracket ``RateFn.log1p_tail_bracket`` on
       the rest, sum_{m>=F} log1p(lam/a_m), which holds once the frontier F
-      is past a's table head.  The first window (1,024 factors, or through
+      is past that head.  The first window (1,024 factors, or through
       the head) meets ``tol`` unless the tail is thin (p near 1); then the
       window grows fourfold, up to ``_XI_MAX_FACTORS``.  A frontier stopped
       inside the head certifies only the lower edge 0.
@@ -178,14 +178,13 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
     j_norms = tuple(_j_iterates(m, lam, u, 0.0, _J_NORM_PREFIX)[0])
     if a.reciprocal_sum_diverges():
         return XiResult(Bracket(0.0, 0.0), "divergent-rate-sum", j_norms, None, 0)
-    tail_equal = birth is None or (birth.p == a.p and birth.c == a.c)
-    if not tail_equal:
+    head = m.cascade_head()  # r = a from here on
+    if head is None:
         return XiResult(Bracket(0.0, 0.0), "thinner-birth-tail", j_norms, None, 0)
     # two-sided product bracket per source index
     lo_total = 0.0
     hi_total = 0.0
     iters = 0
-    head = len(a.values)  # birth is a power law or a itself, so r = a from here on
     for k0, w in sorted(u.entries.items()):
         K = max(1024, 2 * (k0 + 1), head - k0)
         log_lo = log_hi = 0.0  # the head's -log of the partial product, rounded outward
@@ -195,11 +194,11 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
             a_arr = a.array(frontier, hi_idx)
             r_arr = a_arr if birth is None else birth.array(frontier, hi_idx)
             # -log(r/(lam+a)) = log1p((lam + (a-r))/r), and a - r = 0 past the head;
-            # a quotient that overflows reads inf, a factor of 0 (xi's upper edge
-            # stays positive below)
+            # a quotient that overflows, or a table birth rate of 0, reads inf, a
+            # factor of 0 (xi's upper edge stays positive below)
             x = a_arr - r_arr
             x += lam
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", divide="ignore"):
                 x /= r_arr
             s = float(np.log1p(x, out=x).sum())
             slack = (hi_idx - frontier + 16) * _ULP
@@ -265,11 +264,7 @@ def xi(m: ModelSpec, lam: float, u: PosSeq, tol: float = 1e-7) -> XiResult:
     kind = m.kernel.kind
     if kind == "zero":
         return XiResult(Bracket(0.0, 0.0), "zero-kernel", (u.head_sum(), 0.0), None, 1)
-    if kind == "pure_birth":
-        birth = m.kernel.birth
-        if birth is None or birth.kind == "power":
-            return _xi_pure_birth(m, lam, u, tol)
-    return _xi_generic(m, lam, u, tol)
+    return (_xi_pure_birth if kind == "pure_birth" else _xi_generic)(m, lam, u, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +341,7 @@ def _abar_cone_series(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> AbarRe
     total = a_frak(m, res.value)
     rem_hi = lam * res.defect
     if rem_hi > tol:
-        rem_hi = max(0.0, rem_hi - xi(m, lam, u).bracket.lo)
+        rem_hi = max(0.0, rem_hi - xi(m, lam, u, tol).bracket.lo)
     return AbarResult(Bracket(total, total + rem_hi), res.terms_used, rem_hi <= tol)
 
 
@@ -429,7 +424,7 @@ def ahat_dp(
     lo = max(0.0, partial - qerr)
     hi = partial + b_norms[-1] + qerr
     if a0 is None:
-        a0 = a0_on_integral(m, t, u)
+        a0 = a0_on_integral(m, t, u, tol)
     hi = min(hi, a0.hi + qerr)
     return AhatResult(Bracket(min(lo, hi), hi), tuple(terms), tuple(b_norms))
 

@@ -320,8 +320,8 @@ def _reach(m: ModelSpec, top: int, n: int, t: float) -> float:
     bands = (n - top) // m.stride
     if bands <= 0:
         return 1.0
-    if m.kernel.kind == "table" and top + (bands - 1) * m.stride > max((k for k, _ in m.kernel.columns), default=-1):
-        return 0.0  # the last band lies past every listed column, where a table is empty
+    if top + (bands - 1) * m.stride >= m.kernel.extent:
+        return 0.0  # the last band lies where every column is empty
     ks = np.arange(top, top + bands * m.stride)
     up = sum((r for d, r in m.kernel.bands(ks, m.a.at(ks)).items() if d > 0), np.zeros(ks.size))
     c = up.reshape(bands, m.stride).max(axis=1)
@@ -361,8 +361,7 @@ def _drift_reach(m: ModelSpec, top: int, n: int, t: float) -> float:
     bounds it on each segment (a rise below 1e-300 reads 1e-300).  g and
     phi are rounded up, an overflow reading inf; the time sums carry a pad.
     """
-    # a table kernel is empty past its listed columns
-    ks = np.arange(min(n, 1 + max((k for k, _ in m.kernel.columns), default=-1)) if m.kernel.kind == "table" else n)
+    ks = np.arange(min(n, m.kernel.extent))  # every column is empty from the extent on
     offsets = m.kernel.bands(ks, m.a.at(ks))
     xs = np.geomspace(1.0 / (n + 1), 40.0 / m.stride, 200)
     kk = 4.0 ** np.arange(math.ceil(math.log(16 * n, 4)) + 1)
@@ -438,10 +437,9 @@ def _renewal_applies(m: ModelSpec) -> bool:
 
 def _kills_from(m: ModelSpec, k: int) -> bool:
     """True when some state >= k of a pure-birth cascade has a positive kill
-    rate a - birth: past both table heads the two power tails decide it."""
-    birth = m.kernel.birth or m.a  # no separate birth rate: a feeds k+1 in full
-    head = max(len(m.a.values), len(birth.values))
-    return (birth.c, birth.p) != (m.a.c, m.a.p) or bool(np.any(m.deficits(np.arange(k, head)) > 0.0))
+    rate a - birth: from ``cascade_head`` on the two rates agree."""
+    head = m.cascade_head()
+    return head is None or bool(np.any(m.deficits(np.arange(k, head)) > 0.0))
 
 
 def _golden_min(f, lo: float, hi: float) -> float:

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _AUDIT_DEPTH = 256  # least depth checked at construction time (plus every listed table column)
+_RATE_LIMIT = 1 << 22  # audited too, on the rising power tails: past what any route reads from k < 2^21
 _RATE_RTOL = 1e-12
 _ULP = 2.3e-16  # a little over the unit roundoff: the error of one rounded operation
 
@@ -209,9 +210,9 @@ class Kernel:
     """Transition rule giving, for each source state, the column of B.
 
     kinds: "zero" (B = 0), "pure_birth" (full diagonal rate feeds k+1, or a
-    separate birth rate when given), "birth_death" (rates b_k up, d_k down,
-    with the death rate at state 0 dropped), "table" (explicit finite
-    columns, empty beyond the table).
+    separate birth rate when given), "birth_death" (b_k up, d_k down, d_0
+    dropped; pure_birth when d_k = 0 for k >= 1), "table" (explicit columns,
+    empty from ``extent``, the first state past them; inf for other kinds).
     """
 
     kind: str
@@ -224,7 +225,12 @@ class Kernel:
             raise ModelError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "birth_death" and (self.birth is None or self.death is None):
             raise ModelError("birth_death kernel needs birth and death rates")
+        if self.kind == "birth_death" and self.death.c == 0 and not any(self.death.values[1:]):
+            object.__setattr__(self, "kind", "pure_birth")
+            object.__setattr__(self, "death", None)
         object.__setattr__(self, "_listed", dict(self.columns))
+        object.__setattr__(self, "_keys", np.array([-1, *sorted(self._listed)]))  # -1: below every state
+        object.__setattr__(self, "extent", 1 + max(self._listed, default=-1) if self.kind == "table" else math.inf)
         if len(self._listed) != len(self.columns):
             raise ModelError("table kernel lists a source state twice")
         for k, col in self.columns:
@@ -242,8 +248,10 @@ class Kernel:
         if self.kind == "birth_death":
             return {1: self.birth.at(ks), -1: np.where(ks > 0, self.death.at(ks), 0.0)}
         out: dict[int, np.ndarray] = {}  # zero or table: offsets in order of first appearance
-        for i, k in enumerate(ks.tolist()):
-            for j, r in self._listed.get(k, ()):
+        # the listed sources among ks, in order: np.isin costs ~30 us on a small ks
+        for i in np.flatnonzero(self._keys[np.searchsorted(self._keys, ks, side="right") - 1] == ks).tolist():
+            k = int(ks[i])
+            for j, r in self._listed[k]:
                 if r > 0:
                     out.setdefault(j - k, np.zeros(ks.size))[i] += r
         return out
@@ -279,9 +287,10 @@ class ModelSpec:
             raise ModelError(f"model {self.name!r}: diagonal rate tail must be > 0")
         depth = _audit_depth(self.a, self.kernel.birth, self.kernel.death)
         with np.errstate(over="ignore"):
-            rates = [r.array(0, depth) for r in (self.a, self.kernel.birth, self.kernel.death) if r is not None]
+            ks = np.append(np.arange(depth), _RATE_LIMIT)
+            rates = [r.at(ks) for r in (self.a, self.kernel.birth, self.kernel.death) if r is not None]
         if not all(np.isfinite(r).all() for r in rates):
-            raise ModelError(f"model {self.name!r}: a rate overflows to inf on the states 0..{depth - 1}")
+            raise ModelError(f"model {self.name!r}: a rate overflows to inf at or below state {_RATE_LIMIT}")
         if np.any(rates[0] <= 0):
             raise ModelError(f"model {self.name!r}: diagonal rates must be > 0")
         birth = self.kernel.birth
@@ -294,8 +303,8 @@ class ModelSpec:
         if report.violations:
             k, excess = report.violations[0]
             raise ModelError(f"model {self.name!r}: column {k} rates exceed a_{k} by {excess:.3g}")
-        if self.conservative and not report.conservative_observed:
-            raise ModelError(f"model {self.name!r} declared conservative but has a nonzero column deficit")
+        if self.conservative != report.conservative_observed:
+            raise ModelError(f"model {self.name!r}: declared conservative {self.conservative}, deficits disagree")
 
     # -- column access -------------------------------------------------
     def column(self, k: int) -> tuple[tuple[int, float], ...]:
@@ -309,6 +318,11 @@ class ModelSpec:
 
     def deficit(self, k: int) -> float:
         return float(self.deficits((k,))[0])
+
+    def cascade_head(self) -> int | None:
+        """The state from which a pure birth's rate equals a; None when their power tails differ."""
+        birth = self.kernel.birth or self.a  # no separate birth rate: a feeds k+1 in full
+        return max(len(self.a.values), len(birth.values)) if (birth.c, birth.p) == (self.a.c, self.a.p) else None
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -354,7 +368,6 @@ class ModelSpec:
         columns: dict[int, list[tuple[int, float]]],
         tail_c: float = 1.0,
         tail_p: float = 0.0,
-        conservative: bool = False,
         name: str = "table",
     ) -> "ModelSpec":
         cols = tuple(
@@ -362,7 +375,7 @@ class ModelSpec:
             for k, col in sorted(columns.items())
         )
         a = RateFn.table(a_values, tail_c=tail_c, tail_p=tail_p)
-        return ModelSpec(name, a, Kernel("table", columns=cols), conservative)
+        return ModelSpec(name, a, Kernel("table", columns=cols), False)
 
 
 def _audit_depth(*rates: RateFn | None) -> int:
@@ -388,8 +401,9 @@ class DissipativityReport:
 
 def dissipativity_audit(m: ModelSpec, n: int) -> DissipativityReport:
     """Column-by-column deficit report for states k <= n, then for every
-    listed table column beyond n (a table kernel is empty past its list)."""
-    ks = np.array([*range(n + 1), *sorted(k for k, _ in m.kernel.columns if k > n)], dtype=np.int64)
+    listed table column beyond n and the first state past them, whose empty
+    column kills: no table model is conservative."""
+    ks = np.array([*range(n + 1), *sorted(k for k in (*m.kernel._listed, m.kernel.extent) if n < k < math.inf)])
     deficits = m.deficits(ks)
     tol = _RATE_RTOL * np.maximum(1.0, m.a.at(ks))
     bad = deficits < -tol
@@ -506,13 +520,16 @@ class OperatorWindow:
         self.lo, self.hi = lo, hi
         self.a = m.a.at(ks)
         bands = m.kernel.bands(ks, self.a)
-        self.colsum = sum(bands.values(), np.zeros(hi - lo))
-        self.leak = np.zeros(hi - lo)
+        w = hi - lo
+        self.colsum = sum(bands.values(), np.zeros(w))
+        self.leak = np.zeros(w)
         self.bands = {}
         for d, r in bands.items():
-            out = (ks + d < lo) | (ks + d >= hi)
+            if r is self.a:
+                r = r.copy()
+            out = slice(max(w - d, 0), w) if d >= 0 else slice(0, min(-d, w))  # targets outside
             self.leak[out] += r[out]
-            r = np.where(out, 0.0, r)
+            r[out] = 0.0
             if r.any():
                 self.bands[d] = r
 

@@ -32,7 +32,6 @@ def two_state(name: str = "two_state") -> ModelSpec:
         columns={0: [(1, 1.0)], 1: []},
         tail_c=1.0,
         tail_p=0.0,
-        conservative=False,
         name=name,
     )
 
@@ -80,7 +79,6 @@ def closed_chain(name: str = "closed_chain") -> ModelSpec:
         columns=columns,
         tail_c=1.0,
         tail_p=0.0,
-        conservative=False,
         name=name,
     )
 

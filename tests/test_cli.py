@@ -187,6 +187,28 @@ def test_overflowing_rate_exits_one(tmp_path, capsys):
     assert "overflows" in err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verdict", "trajectory", "simulate"])
+def test_rate_overflowing_past_the_audit_depth_exits_one(tmp_path, capsys, command):
+    # 1e280 (k+1)^10 is finite on the states 0..256 but not at 2^22, past
+    # everything the three commands read from a start below 2^21
+    doc = {
+        "name": "deep_overflow",
+        "space": "l1",
+        "A": {"kind": "power", "c": 1e280, "p": 10},
+        "B": {"kind": "pure_birth"},
+        "conservative": True,
+    }
+    path = tmp_path / "deep_overflow.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--model", str(path), "--paths", "100", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("error:") == 1 and err.startswith("error:")
+    assert "overflows" in err and not out.exists()
+
+
 class TestVerdictCommand:
     def test_honest_exit_zero(self, model_files, tmp_path):
         out = tmp_path / "r.json"

@@ -217,6 +217,25 @@ class TestXi:
         assert x.bracket.lo <= math.pi / math.sinh(math.pi) / 3.0 <= x.bracket.hi
         assert x.bracket.width <= 1e-8
 
+    def test_table_birth_takes_the_product_bracket(self):
+        # a_0 = 2 kills half of state 0, then a = birth = (k+1)^2; the birth
+        # rate as a table and as a power law spell the same rates
+        from substochastic.models import Kernel, ModelSpec, RateFn
+
+        a = RateFn.table([2.0], tail_c=1.0, tail_p=2.0)
+        twins = [
+            ModelSpec("table_birth", a, Kernel("pure_birth", birth=birth), conservative=False)
+            for birth in (RateFn.table([1.0], tail_c=1.0, tail_p=2.0), RateFn.power(1.0, 2.0))
+        ]
+        for lam in (0.5, 1.0, 2.0):
+            x, y = (xi(m, lam, e0) for m in twins)
+            assert x.certification == y.certification == "product-bracket"
+            assert x.bracket == y.bracket
+            assert x.bracket.lo <= xi_quadratic(lam, 0) * (1.0 + lam) / (2.0 + lam) <= x.bracket.hi
+        # a birth rate of 0 in the head stops every path: xi = 0
+        dead = ModelSpec("dead", a, Kernel("pure_birth", birth=RateFn.table([0.0], tail_c=1.0, tail_p=2.0)), False)
+        assert xi(dead, 1.0, e0).bracket.lo == 0.0 and xi(dead, 1.0, e0).bracket.hi <= 1e-300
+
     def test_thin_tail_inside_the_brute_force_bracket(self):
         # p = 1.2: the tail's lam^2 S2 / 2 stays above tol for one window, so
         # the window grows to the cap; its bracket must sit inside the
@@ -293,6 +312,32 @@ class TestAhat:
         for t in np.arange(0.25, 2.01, 0.25):
             r = ahat_dp(m, float(t), e0)
             assert r.b_integral_norms[-1] <= 1e-8
+
+    def test_tol_reaches_every_inner_call(self, m_two_state, monkeypatch):
+        from substochastic.models import Kernel, ModelSpec, RateFn
+
+        seen = []
+
+        def spy(real):
+            def wrapped(m, x, u, tol, *args, **kwargs):
+                seen.append(tol)
+                return real(m, x, u, tol, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(honesty, "evolve", spy(honesty.evolve))
+        ahat_dp(m_two_state, 1.0, e0, tol=1e-6)
+        assert seen == [1e-6]
+        # the series remainder of a dishonest cascade takes xi's credit
+        m = ModelSpec(
+            "head_deficit",
+            RateFn.table([3.0], tail_c=1.0, tail_p=2.0),
+            Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)),
+            conservative=False,
+        )
+        monkeypatch.setattr(honesty, "xi", spy(honesty.xi))
+        abar_resolvent(m, 1.0, e0)
+        assert seen[1:] == [honesty._ABAR_TOL]
 
     def test_dominated_by_a0(self, m_two_state, m_bd_kill):
         for m, t in ((m_two_state, 1.0), (m_bd_kill, 0.5), (m_bd_kill, 2.0)):

@@ -290,6 +290,11 @@ class TestRenewalRoute:
         assert not res.flagged
         assert res.ladder.levels == (512,) and res.n_used == 512
 
+    def test_zero_death_walk_takes_the_renewal_route(self, m_quadratic):
+        walk = ModelSpec.birth_death(RateFn.power(1.0, 2.0), 0.0)
+        res = evolve(walk, 0.5, e0)
+        assert not res.flagged and res == evolve(m_quadratic, 0.5, e0)
+
     def test_integral_holds_the_theta_integral(self, m_quadratic):
         # int_0^t P(T > s) ds = 2 sum (-1)^{n+1} (1 - e^{-n^2 t})/n^2, and
         # 2 sum (-1)^{n+1}/n^2 = pi^2/6

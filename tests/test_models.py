@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -136,7 +137,34 @@ class TestModelConstruction:
 
     def test_conservative_mismatch_rejected(self):
         with pytest.raises(ModelError):
-            ModelSpec.table(a_values=(1.0,), columns={0: [(1, 0.5)]}, conservative=True)
+            ModelSpec("t", RateFn.table((1.0,)), Kernel("table", columns=((0, ((1, 0.5),)),)), conservative=True)
+
+    def test_conservative_declaration_checked_both_ways(self, m_quadratic):
+        with pytest.raises(ModelError, match="declared conservative False"):
+            model_from_json({**model_to_json(m_quadratic), "conservative": False})
+        # columns 0..299 each feed k+1 at the full rate a_k = 1; the empty
+        # column at 300, first past the table, kills
+        doc = {
+            "name": "chain300",
+            "space": "l1",
+            "A": {"kind": "power", "c": 1.0, "p": 0.0},
+            "B": {"kind": "table", "columns": [[k, [[k + 1, 1.0]]] for k in range(300)], "tail": None},
+            "conservative": True,
+        }
+        with pytest.raises(ModelError, match="declared conservative True"):
+            model_from_json(doc)
+        m = model_from_json({**doc, "conservative": False})
+        assert m.kernel.extent == 300 and dissipativity_audit(m, 256).deficits[-1] == 1.0
+
+    def test_zero_death_walk_is_the_cascade(self):
+        b = RateFn.power(1.0, 2.0)
+        # the death rate at state 0 is dropped, so only k >= 1 decide
+        for death in (RateFn.power(0.0, 0.0), RateFn.table([3.0, 0.0], tail_c=0.0, tail_p=1.0)):
+            assert Kernel("birth_death", birth=b, death=death) == Kernel("pure_birth", birth=b)
+        assert Kernel("birth_death", birth=b, death=RateFn.table([0.0, 1.0], tail_c=0.0)).kind == "birth_death"
+        m = ModelSpec.birth_death(b, 0.0, kill=RateFn.power(0.5, 2.0))
+        assert model_to_json(m)["B"] == {"kind": "pure_birth", "birth": {"kind": "power", "c": 1.0, "p": 2.0}}
+        assert model_from_json(model_to_json(m)) == m
 
     def test_overflowing_rates_rejected(self):
         # the audit reads the rates once, under errstate, and names the
@@ -575,6 +603,18 @@ class TestOperatorWindow:
         assert bd.leak[0] == 1.0 and bd.leak[-1] == 1.0 and not bd.leak[1:-1].any()
         pb = OperatorWindow(m_quadratic, 0, 16)
         assert pb.leak[-1] == 256.0 and not pb.leak[:-1].any()
+
+    def test_build_peak(self, m_bd_kill, m_two_state):
+        # the states, a, the bands, colsum and leak: no mask or copy per band
+        n = 1 << 20
+        for m, vectors in ((m_bd_kill, 6.0), (m_two_state, 5.0)):
+            tracemalloc.start()
+            try:
+                OperatorWindow(m, 0, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (vectors + 0.01) * 8 * n, m.name
 
     def test_empty_window_rejected(self, m_yule):
         with pytest.raises(ValueError):
