@@ -20,7 +20,7 @@ from .honesty import (
     honesty_verdict,
 )
 from .l1 import PosSeq
-from .models import ModelError, load_model
+from .models import STATE_LIMIT, ModelError, load_model
 from .montecarlo import CSV_HEADER, simulate
 
 __all__ = ["main", "parse_t_grid", "RunConfig"]
@@ -47,8 +47,8 @@ class RunConfig:
             raise ValueError("tol must be finite and > 0")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
-        if not 0 <= self.initial < 2**62:
-            raise ValueError("initial state must be >= 0 and < 2**62")
+        if not 0 <= self.initial < STATE_LIMIT:
+            raise ValueError("initial state must be >= 0 and < 2**21")
         if list(self.t_grid) != sorted(set(self.t_grid)) or not all(0 <= t < math.inf for t in self.t_grid):
             raise ValueError("t grid must be strictly increasing, finite and nonnegative")
 

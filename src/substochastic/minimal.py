@@ -435,13 +435,6 @@ def _renewal_applies(m: ModelSpec) -> bool:
     return m.kernel.kind == "pure_birth" and not m.a.reciprocal_sum_diverges()
 
 
-def _kills_from(m: ModelSpec, k: int) -> bool:
-    """True when some state >= k of a pure-birth cascade has a positive kill
-    rate a - birth: from ``cascade_head`` on the two rates agree."""
-    head = m.cascade_head()
-    return head is None or bool(np.any(m.deficits(np.arange(k, head)) > 0.0))
-
-
 def _golden_min(f, lo: float, hi: float) -> float:
     """The least value of f at the points of a golden-section search of the
     open interval (lo, hi); f is unimodal there, and every value is a valid
@@ -579,7 +572,7 @@ def evolve(
     passes, steps = _uniformized(m, tuple(max(t - r, 0.0) for r in shifts), u, n, want_integral)
     (v_t, i_t, dv_t, _), (v_lo, i_lo, dv_lo, _), (v_hi, i_hi, dv_hi, di_hi) = passes if renewal else passes * 3
     # the shifted lower edge needs paths that cannot die once past the lowest start
-    keep = 1.0 - eps if renewal and not _kills_from(m, min(u.support)) else 0.0
+    keep = 1.0 - eps if renewal and not m.kills_from(min(u.support)) else 0.0
     extra = eps if renewal else reach
     # Rounding wobble of the accumulated Poisson sums.  Every summand
     # w_j v_j[k] is nonnegative and they total at most |u| (t|u| for the

@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 _AUDIT_DEPTH = 256  # least depth checked at construction time (plus every listed table column)
-_RATE_LIMIT = 1 << 22  # audited too, on the rising power tails: past what any route reads from k < 2^21
+STATE_LIMIT = 1 << 21  # every state a file or a start names lies below it
+_RATE_LIMIT = 2 * STATE_LIMIT  # audited too, on the rising power tails: past what any route reads below STATE_LIMIT
 _RATE_RTOL = 1e-12
 _ULP = 2.3e-16  # a little over the unit roundoff: the error of one rounded operation
 
@@ -228,16 +229,16 @@ class Kernel:
         if self.kind == "birth_death" and self.death.c == 0 and not any(self.death.values[1:]):
             object.__setattr__(self, "kind", "pure_birth")
             object.__setattr__(self, "death", None)
+        for k, col in self.columns:
+            if not all(0 <= s < STATE_LIMIT for s in (k, *(j for j, _ in col))):
+                raise ModelError(f"table kernel column {k}: states must be >= 0 and below 2^21")
+            if not all(math.isfinite(r) and r >= 0 for _, r in col):
+                raise ModelError(f"table kernel column {k}: rates must be finite and >= 0")
         object.__setattr__(self, "_listed", dict(self.columns))
         object.__setattr__(self, "_keys", np.array([-1, *sorted(self._listed)]))  # -1: below every state
         object.__setattr__(self, "extent", 1 + max(self._listed, default=-1) if self.kind == "table" else math.inf)
         if len(self._listed) != len(self.columns):
             raise ModelError("table kernel lists a source state twice")
-        for k, col in self.columns:
-            if k < 0 or any(j < 0 for j, _ in col):
-                raise ModelError(f"table kernel column {k}: states must be >= 0")
-            if not all(math.isfinite(r) and r >= 0 for _, r in col):
-                raise ModelError(f"table kernel column {k}: rates must be finite and >= 0")
 
     def bands(self, ks: np.ndarray, a: np.ndarray) -> dict[int, np.ndarray]:
         """The columns at the states ``ks`` (with diagonal rates ``a``), laid
@@ -323,6 +324,12 @@ class ModelSpec:
         """The state from which a pure birth's rate equals a; None when their power tails differ."""
         birth = self.kernel.birth or self.a  # no separate birth rate: a feeds k+1 in full
         return max(len(self.a.values), len(birth.values)) if (birth.c, birth.p) == (self.a.c, self.a.p) else None
+
+    def kills_from(self, k: int) -> bool:
+        """True when some state >= k of a pure-birth cascade has a positive kill
+        rate a - birth: from ``cascade_head`` on the two rates agree."""
+        head = self.cascade_head()
+        return head is None or k < head and bool(np.any(self.deficits(np.arange(k, head)) > 0.0))
 
     # -- constructors ---------------------------------------------------
     @staticmethod

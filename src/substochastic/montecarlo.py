@@ -3,22 +3,25 @@
 Simulates the pure-jump process whose forward equation is u' = (A + B)u:
 hold at state k for an Exponential(a_k) time, then jump to a column target
 with probability rate/a_k or die with the deficit probability.  Surviving
-mass at time t estimates |V(t)u|; paths that run away to infinity in finite
-time estimate the explosion defect 1 - |V(t)u| of conservative models.
+mass at time t estimates |V(t)u|; the lost mass splits into killed paths
+and paths that run away to infinity in finite time (the explosion defect).
 
-Every cost follows the states the paths use.  Conservative pure-birth
-cascades keep one clock per undecided path and draw its holding times in
-blocks of 16 states, doubling up to 2^16; every other kernel steps the live
-paths only through one jump table per ``simulate`` call, built from
-``m.a.array`` and ``m.column`` over a window of states around the visited
-ones (never from ``OperatorWindow``, so the oracle stays independent of the
-routes it checks).
+Every cost follows the states the paths use.  Every pure-birth cascade,
+killing or not, keeps one clock per undecided path and draws its holding
+times in blocks of 16 states, doubling up to 2^16; a block in which some
+state kills (``m.deficits``) also draws one uniform per path and state.
+Every other kernel steps the live paths only through one jump table per
+``simulate`` call, built from ``m.a.array`` and ``m.column`` over a window
+of states around the visited ones (never from ``OperatorWindow``, so the
+oracle stays independent of the routes it checks).
 
-Explosion is declared only under a certified criterion on the remaining
-holding-time budget: with the whole upward tail ahead, the leftover time
-sum has mean at most M1 = sum 1/a and variance at most M2 = sum 1/a^2, so
-remaining > M1 * 1000 (budget rule) or remaining > M1 + bernstein_margin
-(concentration rule, mislabel probability < 1e-12) both certify the label.
+Explosion is declared only past the last killing state of a pure-birth
+cascade (``ModelSpec.kills_from``), under a certified criterion on the
+remaining holding-time budget: with the whole upward tail ahead, the
+leftover time sum has mean at most M1 = sum 1/a and variance at most
+M2 = sum 1/a^2, so remaining > M1 * 1000 (budget rule) or remaining >
+M1 + bernstein_margin (concentration rule, mislabel probability < 1e-12)
+both certify the label.
 Models whose reciprocal rate sum diverges cannot explode; their paths
 always resolve or hit the safety cap as a loud warning.
 
@@ -36,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .l1 import PosSeq
-from .models import ModelSpec
+from .models import STATE_LIMIT, ModelSpec
 
 __all__ = [
     "PathOutcome",
@@ -48,7 +51,7 @@ __all__ = [
 ]
 
 CHUNK = 1024  # paths per Philox substream; part of the pinned algorithm
-STATE_CAP = 1 << 21
+STATE_CAP = STATE_LIMIT
 _FIRST_BLOCK = 16  # holding times drawn per undecided cascade path at first; doubles to 1 << 16
 _JUMP_CHECK = 10_000  # simulate_path tests for explosion every this many jumps
 BERNSTEIN_LOG = 30.0  # ln(1/mislabel) budget for the concentration rule
@@ -87,16 +90,17 @@ def _ci(p: float, n: int) -> float:
     return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _explosion_thresholds(m: ModelSpec, frontier: int) -> tuple[float, float]:
-    """(budget_threshold, concentration_threshold) on the remaining time;
-    +inf when the model cannot explode past this frontier."""
+def _explosion_threshold(m: ModelSpec, frontier: int) -> float:
+    """The remaining time past which a path at ``frontier`` surely explodes,
+    the lower of the budget and concentration thresholds; +inf unless no
+    state of a pure-birth cascade kills from the frontier on."""
     m1 = m.a.reciprocal_tail_bound(frontier)
-    if math.isinf(m1):
-        return math.inf, math.inf
+    if math.isinf(m1) or m.kernel.kind != "pure_birth" or m.kills_from(frontier):
+        return math.inf
     m2 = m.a.reciprocal_tail_bound(frontier, power=2.0)
     bmax = 1.0 / m.a(frontier)
     margin = 2.0 * bmax * BERNSTEIN_LOG + math.sqrt(2.0 * m2 * BERNSTEIN_LOG)
-    return m1 * 1.0e3, m1 + margin
+    return min(m1 * 1.0e3, m1 + margin)
 
 
 def simulate_path(m: ModelSpec, k0: int, t: float, rng: np.random.Generator) -> PathOutcome:
@@ -123,9 +127,7 @@ def simulate_path(m: ModelSpec, k0: int, t: float, rng: np.random.Generator) -> 
         state = target
         jumps += 1
         if jumps % _JUMP_CHECK == 0:
-            rem = t - tau
-            budget, conc = _explosion_thresholds(m, state)
-            if rem > budget or rem > conc:
+            if t - tau > _explosion_threshold(m, state):
                 return PathOutcome("exploded", None, tau, jumps)
             if state >= STATE_CAP:
                 return PathOutcome("aborted", state, None, jumps)
@@ -148,8 +150,10 @@ def _run_pure_birth_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.r
     """Upward-cascade fast path: a path from k is a running sum of
     independent Exponential(a_k), Exponential(a_{k+1}), ... holding times;
     ``tau`` holds the clocks of the undecided paths only, in path order.
-    Every block is drawn, scaled and summed in one buffer per chunk."""
-    alive = exploded = aborted = 0
+    Every block is drawn, scaled and summed in one buffer per chunk.  A
+    block with a positive deficit then draws one uniform per path and state:
+    u < deficit_m / a_m kills the path as it leaves m."""
+    alive = exploded = killed = aborted = 0
     buf = np.empty(0)
     for k0 in np.unique(states0):
         tau = np.zeros(np.count_nonzero(states0 == k0))
@@ -161,6 +165,7 @@ def _run_pure_birth_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.r
                 aborted += tau.size
                 break
             rates = m.a.array(frontier, hi)
+            q = m.deficits(np.arange(frontier, hi)) / rates if m.kills_from(frontier) else np.zeros(0)
             size = tau.size * (hi - frontier)
             if buf.size < size:
                 buf = np.empty(size)
@@ -171,18 +176,22 @@ def _run_pure_birth_chunk(m: ModelSpec, states0: np.ndarray, t: float, rng: np.r
             with np.errstate(over="ignore"):
                 draws /= rates
                 ends = tau + np.cumsum(draws, axis=1, out=draws)[:, -1]
+            dead = np.zeros(tau.size, dtype=bool)
+            if np.any(q > 0.0):
+                hits = rng.random(draws.shape) < q
+                dead = hits.any(axis=1)  # the first kill ends the clock: alive if past t
+                ends[dead] = tau[dead] + draws[dead, hits[dead].argmax(axis=1)]
             resolved = ends > t
             alive += int(resolved.sum())
-            tau = ends[~resolved]
+            killed += int((dead & ~resolved).sum())
+            tau = ends[~(resolved | dead)]
             frontier = hi
             block = min(2 * block, 1 << 16)
             if tau.size:
-                rem = t - tau
-                budget, conc = _explosion_thresholds(m, frontier)
-                boom = (rem > budget) | (rem > conc)
+                boom = t - tau > _explosion_threshold(m, frontier)
                 exploded += int(boom.sum())
                 tau = tau[~boom]
-    return alive, exploded, 0, aborted
+    return alive, exploded, killed, aborted
 
 
 class _JumpTable:
@@ -277,7 +286,7 @@ def simulate(
         # the cascade runner aborts paths there: a start at the cap could
         # never resolve
         raise ValueError(f"initial states must lie below the state cap {STATE_CAP}")
-    if m.kernel.kind == "pure_birth" and m.conservative:
+    if m.kernel.kind == "pure_birth":
         runner = _run_pure_birth_chunk
     else:
         runner = partial(_run_stepper_chunk, table=_JumpTable())

@@ -74,11 +74,13 @@ def test_non_finite_input_exits_one(model_files, tmp_path, capsys, command, mode
     assert not out.exists()
 
 
-# starts beyond what each command can hold: the dense evolution window, int64
-# state indices, and the Monte Carlo state cap
+# starts beyond what each command can hold: every command reads below 2^22
+# from a start below 2^21, the bound on every named state
 _HUGE_START = [
     ("trajectory", "two_state", str(10**12)),
     ("verdict", "quadratic_birth", str(10**21)),
+    ("verdict", "quadratic_birth", str(2**21)),
+    ("verdict", "quadratic_birth", str(5_000_000)),
     ("simulate", "bd_kill", str(10**8)),
 ]
 
@@ -207,6 +209,32 @@ def test_rate_overflowing_past_the_audit_depth_exits_one(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert rc == 1 and err.count("error:") == 1 and err.startswith("error:")
     assert "overflows" in err and not out.exists()
+
+
+# a table column naming a state at or past 2^21: the target 2^40 under
+# A = (k+1)^30, and a key past int64
+_FAR_STATES = {
+    "target": ({"kind": "power", "c": 1.0, "p": 30.0}, [[0, [[1 << 40, 0.5]]]]),
+    "key": ({"kind": "power", "c": 1.0, "p": 1.0}, [[10**20, [[0, 0.5]]]]),
+}
+
+
+@pytest.mark.parametrize("command", ["verdict", "trajectory", "simulate"])
+@pytest.mark.parametrize("far", sorted(_FAR_STATES))
+def test_table_state_past_the_state_limit_exits_one(tmp_path, capsys, command, far):
+    a, columns = _FAR_STATES[far]
+    doc = {"name": "far", "space": "l1", "A": a, "B": {"kind": "table", "columns": columns, "tail": None}, "conservative": False}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.out"
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--model", str(path), "--paths", "100", "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("error:") == 1 and err.startswith("error:")
+    assert "2^21" in err and not out.exists()
 
 
 class TestVerdictCommand:

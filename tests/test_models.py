@@ -15,6 +15,7 @@ from substochastic.models import (
     Kernel,
     ModelError,
     ModelSpec,
+    STATE_LIMIT,
     OperatorWindow,
     RateFn,
     apply_A,
@@ -165,6 +166,23 @@ class TestModelConstruction:
         m = ModelSpec.birth_death(b, 0.0, kill=RateFn.power(0.5, 2.0))
         assert model_to_json(m)["B"] == {"kind": "pure_birth", "birth": {"kind": "power", "c": 1.0, "p": 2.0}}
         assert model_from_json(model_to_json(m)) == m
+
+    def test_kills_from(self, m_quadratic):
+        # a_0 = 5 feeds state 1 at rate 1 and kills at rate 4; past it a = birth
+        head_kill = ModelSpec("head_kill", RateFn.table([5.0], tail_c=1.0, tail_p=2.0), Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)), False)
+        assert head_kill.kills_from(0) and not head_kill.kills_from(1)
+        # a thinner birth tail kills at every state, however far out
+        thinner = ModelSpec("thinner", RateFn.power(2.0, 2.0), Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)), False)
+        assert all(thinner.kills_from(k) for k in (0, 1, 1000, 1 << 20))
+        assert not any(m_quadratic.kills_from(k) for k in (0, 1, 1000))
+
+    def test_named_states_lie_below_the_state_limit(self):
+        # a table key or target at 2^21 is refused by the API as by the loader
+        for cols in (((STATE_LIMIT, ((0, 0.5),)),), ((0, ((STATE_LIMIT, 0.5),)),)):
+            with pytest.raises(ModelError, match="below 2\\^21"):
+                Kernel("table", columns=cols)
+        m = ModelSpec.table((1.0,), {0: [(STATE_LIMIT - 1, 0.5)], STATE_LIMIT - 1: [(0, 0.5)]})
+        assert m.kernel.extent == STATE_LIMIT and m.deficit(0) == 0.5
 
     def test_overflowing_rates_rejected(self):
         # the audit reads the rates once, under errstate, and names the
@@ -409,6 +427,9 @@ class TestModelJson:
             [[-1, [[0, 0.5]]]],
             [[0, [[1, 5.0], [2, -4.0]]]],  # negative rate masking an excess
             [[300, [[301, 5.0]]]],  # violation beyond the first 257 states
+            [[0, [[1 << 40, 0.5]]]],  # states at or past 2^21
+            [[1 << 21, [[0, 0.5]]]],
+            [[10**20, [[0, 0.5]]]],
         ],
         ids=lambda c: json.dumps(c),
     )

@@ -82,6 +82,18 @@ class TestAgainstClosedForms:
                 },
                 name="table_three_targets",
             ),
+        ],
+        ids=lambda m: m.name,
+    )
+    def test_stepper_matches_semigroup_mass(self, m):
+        est = simulate(m, e0, 1.0, 20_000, seed=13)
+        assert est.counts_sum_to_one and est.aborted == 0
+        _, mass, _ = semigroup_V(m, 1.0, e0)
+        assert mass.lo - 4 * est.survival_ci <= est.survival <= mass.hi + 4 * est.survival_ci
+
+    @pytest.mark.parametrize(
+        "m",
+        [
             # killing cascade: birth 1.5(k+1) under the diagonal 2(k+1)
             ModelSpec(
                 "killing_birth",
@@ -92,9 +104,11 @@ class TestAgainstClosedForms:
         ],
         ids=lambda m: m.name,
     )
-    def test_stepper_matches_semigroup_mass(self, m):
+    def test_clock_runner_matches_semigroup_mass(self, m, monkeypatch):
+        # every pure-birth kernel runs on the clock runner, killing or not
+        monkeypatch.setattr(montecarlo, "_run_stepper_chunk", None)
         est = simulate(m, e0, 1.0, 20_000, seed=13)
-        assert est.counts_sum_to_one and est.aborted == 0
+        assert est.counts_sum_to_one and est.aborted == 0 and est.exploded == 0.0
         _, mass, _ = semigroup_V(m, 1.0, e0)
         assert mass.lo - 4 * est.survival_ci <= est.survival <= mass.hi + 4 * est.survival_ci
 
@@ -163,6 +177,61 @@ class TestStepper:
         assert np.array_equal(window.a, full.a[rows])
         assert np.array_equal(window.cum, full.cum[rows])
         assert np.array_equal(window.tgt, full.tgt[rows])
+
+
+def _cascade(name: str, a0: float, birth: RateFn) -> ModelSpec:
+    """a_0 = a0 feeds state 1 at rate 1 and kills the rest; past it a = birth = (k+1)^2."""
+    return ModelSpec(name, RateFn.table([a0], tail_c=1.0, tail_p=2.0), Kernel("pure_birth", birth=birth), False)
+
+
+TABLE_BIRTH = _cascade("table_birth", 2.0, RateFn.table([1.0], tail_c=1.0, tail_p=2.0))
+HEAD_KILL = _cascade("head_kill", 5.0, RateFn.power(1.0, 2.0))
+
+
+class TestKillingCascades:
+    """Killed paths die at state 0, at rate a0 - 1 for an Exponential(a0)
+    time: the killed mass is (1 - 1/a0)(1 - e^{-a0 t}), and every other path
+    that is not alive has exploded."""
+
+    @pytest.mark.parametrize(
+        "m, a0, ts",
+        [(TABLE_BIRTH, 2.0, (0.5, 1.0, 2.0)), (HEAD_KILL, 5.0, (0.25, 1.0))],
+        ids=["table_birth", "head_kill"],
+    )
+    def test_fractions_hold_the_laws(self, m, a0, ts):
+        n = 100_000
+
+        def off_by(est: float, lo: float, hi: float) -> float:
+            """The distance of est from [lo, hi] in binomial standard errors."""
+            p = min(max(est, 1.0 / n), 1.0 - 1.0 / n)
+            return max(lo - est, est - hi, 0.0) / math.sqrt(p * (1.0 - p) / n)
+
+        for t in ts:
+            est = simulate(m, e0, t, n, seed=1)
+            assert est.counts_sum_to_one and est.aborted == 0
+            _, mass, _ = semigroup_V(m, t, e0)
+            killed = (1.0 - 1.0 / a0) * -math.expm1(-a0 * t)
+            assert off_by(est.survival, mass.lo, mass.hi) <= 5.0
+            assert off_by(est.killed, killed, killed) <= 5.0
+            assert off_by(est.exploded, 1.0 - killed - mass.hi, 1.0 - killed - mass.lo) <= 5.0
+            assert est.exploded > 0.0 or t < 1.0
+
+    def test_explosion_threshold(self, m_quadratic):
+        # the explosive walk b = 2(k+1)^2, d = (k+1)^2 has a convergent
+        # reciprocal rate sum, but no certificate holds for walks
+        walk = ModelSpec.birth_death(RateFn.power(2.0, 2.0), RateFn.power(1.0, 2.0))
+        assert montecarlo._explosion_threshold(walk, 5) == math.inf
+        # below its last killing state a cascade's path may still be killed
+        assert montecarlo._explosion_threshold(HEAD_KILL, 0) == math.inf
+        assert montecarlo._explosion_threshold(HEAD_KILL, 1) < math.inf
+        assert montecarlo._explosion_threshold(HEAD_KILL, 1) == montecarlo._explosion_threshold(m_quadratic, 1)
+
+    def test_scalar_reference_kills_and_explodes(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_JUMP_CHECK", 64)
+        rng = np.random.Generator(np.random.Philox(key=[79, 0]))
+        outs = [simulate_path(TABLE_BIRTH, 0, 5.0, rng).status for _ in range(400)]
+        assert {"killed", "exploded"} <= set(outs) <= {"alive", "killed", "exploded"}
+        assert outs.count("killed") == pytest.approx(200, abs=5 * 10)
 
 
 class TestExplosionCdf:
