@@ -52,8 +52,13 @@ __all__ = [
 
 _SERIES_MAX_TERMS = 50_000
 _N_START = 64  # least truncation of the evolution
-_RENEWAL_N = 512  # least truncation of the renewal route (explosive cascades)
+_RENEWAL_N = 256  # least truncation of the renewal route (explosive cascades)
+# least truncation of the renewal route from a start with a killing state at
+# or above it, whose lower edge is the truncated mass at t alone
+_RENEWAL_N_KILLING = 512
 _RENEWAL_HEAD = 1 << 16  # most states of R_N's head summed term by term
+_RENEWAL_STRATA = 64  # strata r_1 = r_lo < ... < r_J = r_hi of the renewal sandwich
+_THETA_BLOCK = 1 << 17  # most entries of one block of the th-by-head matrix of R_N's log-moments
 _N_MAX = 1 << 20  # largest truncation that the search for a certified one doubles to
 # Poisson terms allowed in the one uniformized pass of an evolution; rate
 # growth like (k+1)^p makes the uniformization constant on an N-state
@@ -187,30 +192,33 @@ def _make_stepper(win: OperatorWindow, c: float, rows: int):
     return block, fill
 
 
-def _poisson_weights(lam_p: float, jmax: int):
-    """pmf[j] and sf[j] = P(X >= j+1) for X ~ Poisson(lam_p), j <= jmax.
+def _poisson_weights(lam_p: float, jmax: int, lo: int = 0):
+    """pmf[j - lo] and sf[j - lo] = P(j < X <= jmax) for X ~ Poisson(lam_p),
+    lo <= j <= jmax, and the defect: a bound on the weight missing from the
+    window plus the relative error that all its weights share.
 
     Built multiplicatively from the mode so that huge rates never overflow;
-    underflowed weights are zero and their mass shows up in the returned
-    missing-weight bound.
+    underflowed weights are zero and their mass shows up in the defect.
+    The mode log-weight is a difference of ~lam_p*log(lam_p)-sized terms,
+    which is where the shared error comes from.
     """
-    j0 = min(int(lam_p), jmax)
+    j0 = min(max(int(lam_p), lo), jmax)
     log_p0 = j0 * math.log(lam_p) - lam_p - math.lgamma(j0 + 1.0)
-    pmf = np.zeros(jmax + 1)
-    pmf[j0] = math.exp(log_p0)
+    pmf = np.zeros(jmax - lo + 1)
+    pmf[j0 - lo] = math.exp(log_p0)
     if j0 < jmax:
         ratios = lam_p / np.arange(j0 + 1.0, jmax + 1.0)
-        pmf[j0 + 1 :] = pmf[j0] * np.cumprod(ratios)
-    if j0 > 0:
-        ratios = np.arange(float(j0), 0.0, -1.0) / lam_p
-        pmf[j0 - 1 :: -1] = pmf[j0] * np.cumprod(ratios)
+        pmf[j0 - lo + 1 :] = pmf[j0 - lo] * np.cumprod(ratios)
+    if j0 > lo:
+        ratios = np.arange(float(j0), float(lo), -1.0) / lam_p
+        pmf[j0 - lo - 1 :: -1] = pmf[j0 - lo] * np.cumprod(ratios)
     total = float(pmf.sum())
     missing = max(0.0, 1.0 - total)
     # sf[j] = sum_{i > j} pmf[i] within the window (right tail missing mass
     # is covered by the caller's defect bookkeeping)
-    sf = np.zeros(jmax + 1)
+    sf = np.zeros(pmf.size)
     sf[:-1] = np.cumsum(pmf[::-1])[::-1][1:]
-    return pmf, sf, missing
+    return pmf, sf, missing + 4e-16 * lam_p * max(1.0, abs(math.log(lam_p)))
 
 
 def _poisson_window(m: ModelSpec, n: int, t: float) -> tuple[float, float]:
@@ -228,6 +236,7 @@ def _uniformized(
     u: PosSeq,
     n: int,
     want_integral: bool,
+    masses: bool = False,
 ):
     """One truncation level, one stepper pass for several times: V_N(t)u and
     optionally int_0^t V_N(s)u ds at each t in ``times``.
@@ -237,9 +246,10 @@ def _uniformized(
     0 holds the last power of the previous block), and each time then adds
     its weights on the block's rows inside its own window by one matrix
     product.  Returns ([(v_acc, i_acc, v_defect, i_defect) per time],
-    steps): the accumulated vectors plus bounds on the weight mass each
+    steps, mass): the accumulated vectors plus bounds on the weight mass each
     accumulation is missing (relative to the truncated evolution itself, per
-    unit input mass).
+    unit input mass), and with ``masses`` the mass of every power, one row
+    sum per block (else None).
     """
     weights = []  # per time: first index, nonzero pmf slice, sf/c where sf > 0 (with the integral)
     defects = []  # per time: v_defect, i_defect
@@ -249,12 +259,9 @@ def _uniformized(
         lam_p = c * t
         if lam_p == 0.0:
             # Poisson(0) puts all its weight on the identity
-            pmf, sf, missing, scale_err, jmax = np.ones(1), np.zeros(1), 0.0, 0.0, 0
+            pmf, sf, defect, jmax = np.ones(1), np.zeros(1), 0.0, 0
         else:
-            pmf, sf, missing = _poisson_weights(lam_p, jmax)
-            # the mode log-weight is a difference of ~lam_p*log(lam_p)-sized
-            # terms, so all weights share a relative error of that scale
-            scale_err = 4e-16 * lam_p * max(1.0, abs(math.log(lam_p)))
+            pmf, sf, defect = _poisson_weights(lam_p, jmax)
         steps = max(steps, jmax)
         nz = np.nonzero(pmf)[0]
         lo_w = int(nz[0]) if nz.size else 0
@@ -266,7 +273,7 @@ def _uniformized(
         # missed beyond jmax, sum_{j>jmax} sf[j]/c, are bounded by a geometric
         # comparison from sf[jmax].
         tail_sum = float(sf[-1]) * max(2.0, math.sqrt(lam_p)) if jmax >= 2 * lam_p else t
-        defects.append((missing + scale_err, tail_sum / c + (missing + scale_err) * t))
+        defects.append((defect, tail_sum / c + defect * t))
     rows = min(_block_rows(n), max(steps, 1))
     # the window's transients peak before any N-vector of the pass exists
     block, fill = _make_stepper(OperatorWindow(m, 0, n), c, rows)
@@ -275,6 +282,9 @@ def _uniformized(
         block[0, k] = v
     out = [(np.zeros(n), np.zeros(n) if want_integral else None, *d) for d in defects]
     prod = np.empty(n)
+    mass = np.empty(steps + 1) if masses else None
+    if masses:
+        mass[0] = block[0].sum()
 
     def add(acc: np.ndarray, w: np.ndarray, w_lo: int, lo: int, hi: int) -> None:
         """acc += sum_j w[j - w_lo] (row j - j0 of the block) over the powers
@@ -289,6 +299,8 @@ def _uniformized(
         k = min(rows, steps - j0)
         if k:
             fill(k)
+            if masses:
+                mass[j0 + 1 : j0 + k + 1] = block[1 : k + 1].sum(axis=1)
         for (lo_w, pmf, sfc), (v_acc, i_acc, _, _) in zip(weights, out):
             add(v_acc, pmf, lo_w, first, j0 + k + 1)
             if sfc is not None:
@@ -296,7 +308,7 @@ def _uniformized(
         j0 += k
         first = j0 + 1
         if j0 >= steps:
-            return out, steps
+            return out, steps, mass
         block[0] = block[k]
 
 
@@ -391,17 +403,17 @@ def _drift_reach(m: ModelSpec, top: int, n: int, t: float) -> float:
     return best
 
 
-def _truncation(m: ModelSpec, t: float, top: int, tol: float, renewal: bool) -> tuple[int, float, str]:
+def _truncation(m: ModelSpec, t: float, top: int, tol: float, renewal_n: int) -> tuple[int, float, str]:
     """(N, reach, flag reason) for the one pass of an evolution from starts
     at or below ``top``.
 
     N is the least _N_START * 2^j >= 2(top+1) that is certified: on the
-    renewal route at or above _RENEWAL_N, elsewhere with the band bound
-    ``_reach`` or the drift bound ``_drift_reach`` at most tol/2 (reach is 0
-    on the renewal route).  Failing that it is the largest that fits the
-    step budget, the work budget on N times steps and _N_MAX, and the reason
-    says which cap bound.  N is 0 when not even the first level fits the
-    budgets.
+    renewal route at or above ``renewal_n``, elsewhere (``renewal_n`` 0)
+    with the band bound ``_reach`` or the drift bound ``_drift_reach`` at
+    most tol/2 (reach is 0 on the renewal route).  Failing that it is the
+    largest that fits the step budget, the work budget on N times steps and
+    _N_MAX, and the reason says which cap bound.  N is 0 when not even the
+    first level fits the budgets.
     """
     n = _N_START
     while n < 2 * (top + 1):
@@ -413,10 +425,10 @@ def _truncation(m: ModelSpec, t: float, top: int, tol: float, renewal: bool) -> 
             return (*found, "step budget reached")
         if n * steps > _WORK_BUDGET:
             return (*found, "work budget reached")
-        reach = 0.0 if renewal else _reach(m, top, n, t)
+        reach = 0.0 if renewal_n else _reach(m, top, n, t)
         if reach > tol / 2.0:  # the drift bound only where the band bound falls short
             reach = min(reach, _drift_reach(m, top, n, t))
-        if (n >= _RENEWAL_N) if renewal else (reach <= tol / 2.0):
+        if (n >= renewal_n) if renewal_n else (reach <= tol / 2.0):
             return n, reach, ""
         found = n, reach
         if 2 * n > _N_MAX:
@@ -435,39 +447,24 @@ def _renewal_applies(m: ModelSpec) -> bool:
     return m.kernel.kind == "pure_birth" and not m.a.reciprocal_sum_diverges()
 
 
-def _golden_min(f, lo: float, hi: float) -> float:
-    """The least value of f at the points of a golden-section search of the
-    open interval (lo, hi); f is unimodal there, and every value is a valid
-    bound, so the search only has to find a good one."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    best = min(f1, f2)
-    for _ in range(60):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - g * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + g * (hi - lo)
-            f2 = f(x2)
-        best = min(best, f1, f2)
-    return best
+def _renewal_tails(a: RateFn, n: int, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strata r and bounds lo <= F(r[1:]) <= hi on the CDF F(r) = P(R <= r)
+    of the time R = sum_{m >= n} E_m / a_m a cascade spends at or beyond
+    state n (E_m independent standard exponentials).  r = (0, r_lo, ...,
+    r_hi) holds _RENEWAL_STRATA equally spaced strata past 0, with
+    F(r_lo) <= eps and 1 - F(r_hi) <= eps.
 
-
-def _renewal_tails(a: RateFn, n: int, eps: float) -> tuple[float, float]:
-    """(r_lo, r_hi) with P(R < r_lo) <= eps and P(R > r_hi) <= eps for the
-    time R = sum_{m >= n} E_m / a_m a cascade spends at or beyond state n
-    (E_m independent standard exponentials).
-
-    Chernoff: P(R > r) <= E[e^{th R}] e^{-th r} for 0 < th < inf_{m>=n} a_m,
-    and P(R < r) <= E[e^{-th R}] e^{th r} for th > 0.  The log-moments are
-    summed term by term over the head n <= m < M and bounded past M, where
-    the power tail is nondecreasing, by -log(1-x) <= x/(1-th/a_M) and
-    log(1+x) >= x/(1+th/a_M) for x = th/a_m <= th/a_M, with the two integral
-    bounds on sum_{m>=M} 1/a_m.  Every sum is rounded outward: r_hi up and
-    r_lo down.
+    Chernoff: with K(th) = log E[e^{th R}] = -sum_{m >= n} log(1 - th/a_m),
+    P(R > r) <= e^{K(th) - th r} for 0 < th < inf_{m>=n} a_m and P(R <= r)
+    <= e^{K(th) - th r} for th < 0.  Every th of one grid gives a bound, and
+    the least counts.  K is summed term by term over the head n <= m < M and
+    bounded past M, where the power tail is nondecreasing, by -log(1-x) <=
+    x/(1-th/a_M) and log(1+x) >= x/(1+|th|/a_M) for x = |th|/a_m <=
+    |th|/a_M, with the two integral bounds on sum_{m>=M} 1/a_m.  K and each
+    exponent are rounded up; r_lo and r_hi, the grid's best eps-quantiles,
+    move outward by 1e-12 of themselves, past that rounding.  F is
+    nondecreasing, so a lower bound holds at every later stratum and an
+    upper one at every earlier one: both are forced nondecreasing.
     """
     m_hi = max(n + min(16 * n, _RENEWAL_HEAD), len(a.values))
     rates = a.array(n, m_hi)
@@ -476,25 +473,71 @@ def _renewal_tails(a: RateFn, n: int, eps: float) -> tuple[float, float]:
     th_max = min(float(rates.min()), a_hi)
     t_plus = a.reciprocal_tail_bound(m_hi) * (1.0 + 8 * _ULP)
     t_minus = a.reciprocal_tail_lower_bound(m_hi) * (1.0 - 8 * _ULP)
+
+    def log_moments(th: np.ndarray) -> np.ndarray:
+        """K at each th of one sign, rounded up, summed in blocks of
+        _THETA_BLOCK entries of the th-by-head matrix."""
+        k = np.empty(th.size)
+        rows = max(1, _THETA_BLOCK // inv.size)
+        for i in range(0, th.size, rows):
+            c = th[i : i + rows]
+            y = np.abs(c)[:, None] * inv
+            if c[0] > 0.0:
+                s = -np.log1p(-y).sum(axis=1)
+                # a term errs by a few ulps of y/(1-y) >= -log1p(-y), the sum by size ulps of s
+                s += _ULP * (3.0 * (y / (1.0 - y)).sum(axis=1) + inv.size * s)
+                k[i : i + c.size] = (s + c / (1.0 - c / a_hi) * t_plus) * (1.0 + 8 * _ULP)
+            else:
+                s = np.log1p(y).sum(axis=1) * (1.0 - (inv.size + 3) * _ULP)
+                tail = -c / (1.0 - c / a_hi) * t_minus * (1.0 - 4 * _ULP)
+                k[i : i + c.size] = -(s + tail) * (1.0 - 4 * _ULP)
+        return k
+
+    # th < 0 on a geometric grid, 0 < th < th_max dense near both ends
+    th_lo = -th_max * np.geomspace(1e4, 1e-4, 128)
+    th_hi = th_max * np.concatenate((np.geomspace(1e-4, 0.5, 64), 1.0 - np.geomspace(0.5, 1e-6, 65)[1:]))
+    k_lo, k_hi = log_moments(th_lo), log_moments(th_hi)
     log_e = math.log(1.0 / eps)
+    r_hi = max(0.0, float(((k_hi + log_e) / th_hi).min()) * (1.0 + 1e-12))
+    r_lo = min(max(0.0, float(((k_lo + log_e) / th_lo).max()) * (1.0 - 1e-12)), r_hi)
+    r = np.concatenate(([0.0], np.linspace(r_lo, r_hi, _RENEWAL_STRATA)))
 
-    def upper(x: float) -> float:  # th = x * th_max, 0 < x < 1
-        th = x * th_max
-        y = th * inv
-        s = float(-np.log1p(-y).sum())
-        # a term errs by a few ulps of y/(1-y) >= -log1p(-y), the sum by size ulps of s
-        s += _ULP * (3.0 * float((y / (1.0 - y)).sum()) + inv.size * s)
-        return (s + th / (1.0 - th / a_hi) * t_plus + log_e) / th * (1.0 + 8 * _ULP)
+    def least_bound(th: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """min over th of e^{K(th) - th r} at each stratum past 0, rounded up."""
+        e = k[:, None] - th[:, None] * r[1:]
+        e += 4 * _ULP * (np.abs(k)[:, None] + np.abs(th[:, None] * r[1:]))
+        return np.exp(np.minimum(e, 0.0)).min(axis=0) * (1.0 + 2 * _ULP)
 
-    def lower(z: float) -> float:  # th = e^z * th_max
-        th = math.exp(z) * th_max
-        s = float(np.log1p(th * inv).sum()) * (1.0 - (inv.size + 3) * _ULP)
-        tail = th / (1.0 + th / a_hi) * t_minus * (1.0 - 4 * _ULP)
-        return (s + tail - log_e - 4 * _ULP * (s + tail + log_e)) / th * (1.0 - 2 * _ULP)
+    lo = np.maximum.accumulate(np.maximum(0.0, 1.0 - least_bound(th_hi, k_hi) - _ULP))
+    hi = np.minimum.accumulate(np.minimum(1.0, least_bound(th_lo, k_lo))[::-1])[::-1]
+    return r, lo, hi
 
-    r_hi = _golden_min(upper, 0.0, 1.0)
-    r_lo = -_golden_min(lambda z: -lower(z), -20.0, 20.0)
-    return max(0.0, r_lo), max(0.0, r_hi)
+
+def _stratum_sums(mass: np.ndarray, c: float, times: np.ndarray) -> np.ndarray:
+    """Rows (g, i, dg, di) at each s in ``times`` from the masses of a pass's
+    powers: the mass g = sum_j w_j mass[j] of V_N(s)u and its integral
+    i = sum_j w_j M_{j-1} / c over [0, s], for the integral weights sf_j / c
+    = sum_{i > j} w_i / c and M the prefix sums of the masses.
+
+    The Poisson(c s) weights w run over the mode +- 10 standard deviations +
+    40 inside the pass.  dg bounds per unit input mass the weight that the
+    window misses, twice its defect, as the shared error cuts both ways; di
+    bounds the integral's share: a power past the window weighs at most its
+    index times |u| there, and sum_{j > hi} j w_j = c s P(X >= hi).
+    """
+    steps = mass.size - 1
+    prefix = np.concatenate(([0.0], np.cumsum(mass[:-1])))
+    out = np.zeros((4, times.size))
+    for i, s in enumerate(times):
+        lam_p = c * s
+        if lam_p == 0.0:
+            out[0, i] = mass[0]
+            continue
+        half = math.ceil(10.0 * math.sqrt(lam_p)) + 40
+        lo, hi = max(int(lam_p) - half, 0), min(int(lam_p) + half, steps)
+        pmf, _, defect = _poisson_weights(lam_p, hi, lo)
+        out[:, i] = pmf @ mass[lo : hi + 1], pmf @ prefix[lo : hi + 1] / c, 2.0 * defect, s * (2.0 * defect + pmf[-1])
+    return out
 
 
 def evolve(
@@ -515,19 +558,24 @@ def evolve(
 
     and the integral over [0, t] likewise with t reach |u|.
 
-    Renewal route, a pure-birth cascade with sum 1/a_k < inf: from a start
-    k < N the truncated mass |V_N(s)e_k| is the chance of being alive short
-    of N at s; a path that reaches N at S_N spends R_N = sum_{m >= N}
-    E_m / a_m or less beyond N, independent of S_N.  With P(R_N < r_lo) <=
-    eps and P(R_N > r_hi) <= eps, eps = tol/4, and V_N(s) = I for s <= 0,
-    linearly in u >= 0:
+    Renewal route, a pure-birth cascade with sum 1/a_k < inf: a path from a
+    start below N leaves the truncation at D, when it is killed or reaches N,
+    and then spends at most R = sum_{m >= N} E_m / a_m beyond N, independent
+    of D.  With g(r) = |V_N(t - r)u| = P(D > t - r), nondecreasing in r
+    (V_N(s) = I for s <= 0), |V(t)u| <= E[g(R)], with equality when no state
+    at or above the lowest start kills (else |V(t)u| >= g(0) only).  On the
+    strata 0 = r_0 < r_1 = r_lo < ... < r_J = r_hi of ``_renewal_tails``
+    (eps = tol/4 at r_lo and r_hi), with lo_j <= P(R <= r_j) <= hi_j, g at
+    each stratum's right end bounds E[g(R)] above, at its left end below:
 
-        |V(t)u| <= |V_N(t - r_hi)u| + eps |u|,
-        |V(t)u| >= (1 - eps) |V_N(t - r_lo)u|  when no state at or above
-                   the lowest start kills (else >= |V_N(t)u|),
+        E[g(R)] <= |u| - sum_{j=1}^J lo_j (g_{j+1} - g_j),  g_{J+1} = |u|,
+        E[g(R)] >= g_J - sum_{j=1}^J hi_j (g_j - g_{j-1}),
 
-    and the integral likewise, the stretch before each shift adding
-    min(t, r)|u|.  One pass evaluates all three times.
+    the lower one with hi = 1, which leaves g_0, from a start that can die.
+    The integral likewise with G(r) = min(t, r)|u| + int_0^{t-r} |V_N(s)u| ds,
+    also nondecreasing, and G_{J+1} = t|u|.  The pass keeps the mass of
+    each power, and every g_j and G_j is its stratum's Poisson window on
+    those masses (``_stratum_sums``).
 
     A result short of the certified N keeps a certified, wider bracket and
     is flagged; with no level at all it is [0, |u|] around the zero vector.
@@ -541,21 +589,21 @@ def evolve(
     if max(u.entries, default=0) >= _N_MAX:
         raise ValueError(f"evolve requires initial states below {_N_MAX}, the largest truncation")
     u_norm = u.head_sum()
-    n, reach, reason, renewal = 0, 0.0, "", False
-    eps = tol / 4.0
-    r_lo = r_hi = 0.0
+    n, reach, reason, renewal, kills = 0, 0.0, "", False, False
     if t > 0.0 and not u.is_zero:
         top = max(u.support)
         renewal = _renewal_applies(m)
-        n, reach, reason = _truncation(m, t, top, tol, renewal)
+        # the lower edge needs paths that cannot die once past the lowest start
+        kills = renewal and m.kills_from(min(u.support))
+        n, reach, reason = _truncation(m, t, top, tol, (_RENEWAL_N_KILLING if kills else _RENEWAL_N) if renewal else 0)
         if renewal and n:
             try:
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    r_lo, r_hi = _renewal_tails(m.a, n, eps)
+                    r, cdf_lo, cdf_hi = _renewal_tails(m.a, n, tol / 4.0)
             except ArithmeticError:
                 # the tail sums leave floating point (a rate or its reciprocal overflows)
                 renewal = False
-                n, reach, reason = _truncation(m, t, top, tol, False)
+                n, reach, reason = _truncation(m, t, top, tol, 0)
     if n == 0:
         # exact for t = 0 or a zero input; else not even the first level fits the budget
         return EvolveResult(
@@ -568,44 +616,57 @@ def evolve(
             flagged=bool(reason),
             flag_reason=reason,
         )
-    shifts = (0.0, r_lo, r_hi) if renewal else (0.0,)
-    passes, steps = _uniformized(m, tuple(max(t - r, 0.0) for r in shifts), u, n, want_integral)
-    (v_t, i_t, dv_t, _), (v_lo, i_lo, dv_lo, _), (v_hi, i_hi, dv_hi, di_hi) = passes if renewal else passes * 3
-    # the shifted lower edge needs paths that cannot die once past the lowest start
-    keep = 1.0 - eps if renewal and not m.kills_from(min(u.support)) else 0.0
-    extra = eps if renewal else reach
-    # Rounding wobble of the accumulated Poisson sums.  Every summand
-    # w_j v_j[k] is nonnegative and they total at most |u| (t|u| for the
-    # integral), so a sum whose summands each pass through at most D
-    # roundings errs by at most D ulps of that total.  A window of W <=
-    # steps + 1 powers is added block by block: one product per block, a
-    # dot product of at most rows <= max(steps, 1) terms (at most rows
-    # roundings in any order the BLAS picks), then one addition into the
-    # accumulator, for at most W/rows + 2 blocks.  As r + W/r <= 1 + W for
-    # 1 <= r <= W, D <= steps + 4 for every window and block size, inside
-    # the steps + 16 below.
-    fp_slack = (steps + 16) * _ULP * max(u_norm, 1e-300)
+    ((v_t, i_t, dv_t, di_t),), steps, mass = _uniformized(m, (t,), u, n, want_integral, masses=renewal)
+    if renewal:
+        if kills:
+            cdf_hi = np.ones(cdf_hi.size)
+        g, i_g, dg, di = _stratum_sums(mass, _poisson_window(m, n, t)[0], np.maximum(t - r, 0.0))
+        # Rounding wobble of a stratum's sums, whose nonnegative summands
+        # total at most |u| (t|u| for the integral): a mass is a row sum
+        # (at most N roundings), a prefix sum adds at most steps, the window's
+        # dot product at most steps + 1 and the weight and 1/c one each;
+        # each edge then adds a few per stratum.
+        pad = (n + 2 * steps + 3 * r.size + 16) * _ULP * max(u_norm, 1e-300)
 
-    def bracket(at_t, at_lo, at_hi, defect_hi: float, scale: float, before_lo: float, before_hi: float) -> Bracket:
-        """Mass (scale 1) or integral (scale t) bracket from the vectors at t,
-        t - r_lo and t - r_hi; the weight-scale error inside each Poisson
-        defect cuts both ways, so it widens the lower edges too."""
+        def bracket(vals: np.ndarray, defects: np.ndarray, scale: float) -> Bracket:
+            """The two edges from a nondecreasing function's values at the
+            strata, at most ``scale`` |u| everywhere."""
+            top = u_norm * scale
+            below = vals - defects * u_norm - pad * max(scale, 1.0)
+            above = np.append(vals + defects * u_norm + pad * max(scale, 1.0), top)
+            lo = below[-1] - cdf_hi @ np.diff(below)
+            hi = top - cdf_lo @ np.diff(above)[1:]
+            return Bracket(float(max(0.0, lo)), float(min(top, hi)))
 
-        def slack(defect: float) -> float:
-            return (fp_slack + defect * u_norm) * max(scale, 1.0)
+        mass_bracket = bracket(g, dg, 1.0)
+        integral_bracket = bracket(np.minimum(t, r) * u_norm + i_g, di, t) if want_integral else None
+    else:
+        # Rounding wobble of the accumulated Poisson sums.  Every summand
+        # w_j v_j[k] is nonnegative and they total at most |u| (t|u| for the
+        # integral), so a sum whose summands each pass through at most D
+        # roundings errs by at most D ulps of that total.  A window of W <=
+        # steps + 1 powers is added block by block: one product per block, a
+        # dot product of at most rows <= max(steps, 1) terms (at most rows
+        # roundings in any order the BLAS picks), then one addition into the
+        # accumulator, for at most W/rows + 2 blocks.  As r + W/r <= 1 + W for
+        # 1 <= r <= W, D <= steps + 4 for every window and block size, inside
+        # the steps + 16 below.
+        fp_slack = (steps + 16) * _ULP * max(u_norm, 1e-300)
 
-        lo = max(0.0, at_t.sum() - slack(dv_t), keep * (before_lo + at_lo.sum() - slack(dv_lo)))
-        hi = before_hi + at_hi.sum() + defect_hi * u_norm + slack(dv_hi) + extra * u_norm * scale
-        return Bracket(float(lo), float(min(u_norm * scale, hi)))
+        def bracket(acc: np.ndarray, defect: float, scale: float) -> Bracket:
+            """Mass (scale 1) or integral (scale t) bracket from the vector at
+            t; the weight-scale error inside the mass's Poisson defect cuts
+            both ways, so it widens the lower edge too."""
+            slack = (fp_slack + dv_t * u_norm) * max(scale, 1.0)
+            hi = acc.sum() + defect * u_norm + slack + reach * u_norm * scale
+            return Bracket(float(max(0.0, acc.sum() - slack)), float(min(u_norm * scale, hi)))
 
-    integral = integral_bracket = None
-    if want_integral:
-        integral = PosSeq.from_array(i_t)
-        integral_bracket = bracket(i_t, i_lo, i_hi, di_hi, t, min(t, r_lo) * u_norm, min(t, r_hi) * u_norm)
+        mass_bracket = bracket(v_t, dv_t, 1.0)
+        integral_bracket = bracket(i_t, di_t, t) if want_integral else None
     return EvolveResult(
         value=PosSeq.from_array(v_t),
-        mass_bracket=bracket(v_t, v_lo, v_hi, dv_hi, 1.0, 0.0, 0.0),
-        integral=integral,
+        mass_bracket=mass_bracket,
+        integral=PosSeq.from_array(i_t) if want_integral else None,
         integral_bracket=integral_bracket,
         n_used=n,
         steps_used=steps,

@@ -323,6 +323,9 @@ def simulate(
 def explosion_cdf(
     m: ModelSpec, i: int, t_grid: tuple[float, ...] | list[float], n_paths: int, seed: int
 ) -> tuple[SimEstimates, ...]:
-    """Explosion probability estimates over a time grid (common streams, so
-    the estimates are pathwise nondecreasing for upward cascades)."""
+    """Explosion probability estimates over a time grid, one ``simulate``
+    call per t on the same seed.  Each t consumes the streams differently,
+    so the estimates need not be nondecreasing in t even for upward
+    cascades: on quadratic_birth from e0 at 2,000 paths and seed 7 the
+    estimate falls in 18 of 149 steps of 0.002 from t = 0.3."""
     return tuple(simulate(m, PosSeq.basis(i), t, n_paths, seed) for t in t_grid)

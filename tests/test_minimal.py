@@ -184,7 +184,7 @@ class TestSemigroupV:
         # each truncation's pass is called directly
         values = []
         for n in (64, 128, 256, 512, 1024):
-            ((v_arr, _, _, _),), _ = minimal._uniformized(m_quadratic, (1.0,), e0, n, False)
+            ((v_arr, _, _, _),), _, _ = minimal._uniformized(m_quadratic, (1.0,), e0, n, False)
             values.append(PosSeq.from_array(v_arr))
         masses = [v.head_sum() for v in values]
         assert masses[-1] > masses[0]
@@ -207,7 +207,8 @@ class TestSemigroupV:
                 assert v_comp.get(k) == pytest.approx(v_ts.get(k), rel=1e-8, abs=1e-10)
 
     def test_budget_flagging(self, m_quadratic, monkeypatch):
-        monkeypatch.setattr(minimal, "_STEP_BUDGET", 150_000)
+        # N = 256 needs 67,880 steps at t = 1
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 40_000)
         _, br, res = semigroup_V(m_quadratic, 1.0, e0)
         assert res.flagged and res.flag_reason
         assert br.width > 0
@@ -275,8 +276,19 @@ class TestSemigroupV:
 
 def theta_mass(t: float) -> float:
     """|V(t)e0| on quadratic_birth: P(T > t) for the explosion time
-    T = sum_n E_n/n^2, the theta series 2 sum_{n>=1} (-1)^{n+1} e^{-n^2 t}."""
+    T = sum_n E_n/n^2, the theta series 2 sum_{n>=1} (-1)^{n+1} e^{-n^2 t}.
+    Below t = 0.25 the series cancels to a few ulps above 1, and Jacobi's
+    dual form P(T <= t) = 2 sqrt(pi/t) sum_{k>=0} e^{-pi^2 (2k+1)^2 / (4t)}
+    serves instead (the two agree to 1e-16 from t = 0.1 to 4)."""
+    if t < 0.25:
+        return 1.0 - 2.0 * math.sqrt(math.pi / t) * math.fsum(math.exp(-((math.pi * (2 * k + 1)) ** 2) / (4.0 * t)) for k in range(60))
     return 2.0 * math.fsum((-1) ** (n + 1) * math.exp(-n * n * t) for n in range(1, 200))
+
+
+def theta_integral(t: float) -> float:
+    """int_0^t P(T > s) ds = 2 sum (-1)^{n+1} (1 - e^{-n^2 t})/n^2, where
+    2 sum (-1)^{n+1}/n^2 = pi^2/6."""
+    return math.pi**2 / 6.0 - 2.0 * math.fsum((-1) ** (n + 1) * math.exp(-n * n * t) / (n * n) for n in range(1, 200))
 
 
 class TestRenewalRoute:
@@ -286,9 +298,20 @@ class TestRenewalRoute:
     def test_theta_oracle(self, m_quadratic, t):
         res = evolve(m_quadratic, t, e0, want_integral=False)
         assert res.mass_bracket.contains(theta_mass(t))
-        assert res.mass_bracket.width <= 4e-4
+        assert res.mass_bracket.width <= 3e-4
         assert not res.flagged
-        assert res.ladder.levels == (512,) and res.n_used == 512
+        assert res.ladder.levels == (256,) and res.n_used == 256
+
+    def test_theta_oracle_on_a_fine_grid(self, m_quadratic):
+        # the stratified edges at N = 256 hold the exact mass at every t;
+        # the widest, 2.3e-4 near t = 1, is under the 3.7e-4 of the
+        # epsilon-quantile edges at N = 512 they replace
+        for t in np.arange(1, 41) * 0.05:
+            res = evolve(m_quadratic, float(t), e0, want_integral=False)
+            assert res.mass_bracket.contains(theta_mass(float(t))), t
+            assert not res.flagged and res.n_used == 256
+            if t <= 1.0:
+                assert res.mass_bracket.width <= 3e-4, t
 
     def test_zero_death_walk_takes_the_renewal_route(self, m_quadratic):
         walk = ModelSpec.birth_death(RateFn.power(1.0, 2.0), 0.0)
@@ -296,16 +319,22 @@ class TestRenewalRoute:
         assert not res.flagged and res == evolve(m_quadratic, 0.5, e0)
 
     def test_integral_holds_the_theta_integral(self, m_quadratic):
-        # int_0^t P(T > s) ds = 2 sum (-1)^{n+1} (1 - e^{-n^2 t})/n^2, and
-        # 2 sum (-1)^{n+1}/n^2 = pi^2/6
         t = 1.0
-        exact = math.pi**2 / 6.0 - 2.0 * math.fsum((-1) ** (n + 1) * math.exp(-n * n * t) / (n * n) for n in range(1, 200))
+        exact = theta_integral(t)
         assert exact == pytest.approx(0.91830560, abs=1e-8)
         res = evolve(m_quadratic, t, e0)
         assert res.integral_bracket.contains(exact)
         # the truncated integral is a lower bound that the sandwich beats
         assert res.integral.head_sum() < res.integral_bracket.lo
-        assert res.integral_bracket.width <= 4e-4
+        assert res.integral_bracket.width <= 3e-4
+
+    @pytest.mark.parametrize(("t", "width"), [(0.25, 1.178e-6), (0.5, 2.464e-5), (1.0, 1.934e-4), (2.0, 4.680e-4)])
+    def test_integral_is_no_wider_than_the_quantile_edges(self, m_quadratic, t, width):
+        # ``width`` is the integral bracket's width with one edge at each
+        # epsilon-quantile of R_512, the sandwich the strata replace
+        res = evolve(m_quadratic, t, e0)
+        assert res.integral_bracket.contains(theta_integral(t))
+        assert res.integral_bracket.width <= width
 
     @pytest.mark.parametrize("t", [0.1, 0.5])
     def test_start_e3_holds_the_exact_law(self, m_quadratic, t):
@@ -318,7 +347,7 @@ class TestRenewalRoute:
         )
         res = evolve(m_quadratic, t, PosSeq.basis(3), want_integral=False)
         assert res.mass_bracket.contains(exact)
-        assert not res.flagged and res.ladder.levels == (512,)
+        assert not res.flagged and res.ladder.levels == (256,)
 
     def test_several_sources_are_linear(self, m_quadratic):
         u = PosSeq({0: 0.25, 3: 0.5})
@@ -328,9 +357,9 @@ class TestRenewalRoute:
         assert res.mass_bracket.hi <= 0.25 * parts[0].hi + 0.5 * parts[1].hi + 1e-12
 
     def test_budget_halves_the_truncation(self, m_quadratic, monkeypatch):
-        monkeypatch.setattr(minimal, "_STEP_BUDGET", 150_000)
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 40_000)
         res = evolve(m_quadratic, 1.0, e0)
-        assert res.ladder.levels == (256,) and res.steps_used <= 150_000
+        assert res.ladder.levels == (128,) and res.steps_used <= 40_000
         assert res.flagged and res.flag_reason == "step budget reached"
         assert res.mass_bracket.contains(theta_mass(1.0))
 
@@ -362,11 +391,40 @@ class TestRenewalRoute:
         # R_512 = sum_{n > 512} E_n/n^2 has mean sum_{n > 512} 1/n^2, which
         # the two integral bounds hold; the lower tail bound past the summed
         # head tightens r_lo (1.551e-3 without it)
-        r_lo, r_hi = minimal._renewal_tails(m_quadratic.a, 512, 2.5e-9)
+        r, _, _ = minimal._renewal_tails(m_quadratic.a, 512, 2.5e-9)
+        r_lo, r_hi = r[1], r[-1]
         assert r_lo < m_quadratic.a.reciprocal_tail_lower_bound(512)
         assert m_quadratic.a.reciprocal_tail_bound(512) < r_hi
         assert r_lo == pytest.approx(1.666e-3, abs=1e-6)
         assert r_hi == pytest.approx(2.297e-3, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_cdf_bounds_of_the_time_beyond_n(self, m_quadratic, n):
+        eps = 2.5e-9
+        r, lo, hi = minimal._renewal_tails(m_quadratic.a, n, eps)
+        assert r.size == minimal._RENEWAL_STRATA + 1 and r[0] == 0.0 and np.all(np.diff(r) > 0.0)
+        assert np.all(0.0 <= lo) and np.all(lo <= hi) and np.all(hi <= 1.0)
+        assert np.all(np.diff(lo) >= 0.0) and np.all(np.diff(hi) >= 0.0)
+        # lo near 1 is good to the spacing of floats there
+        assert hi[0] <= eps and 1.0 - lo[-1] <= eps + 2 * _ULP
+        # E[R] = int_0^inf P(R > r) dr, which the bounds hold between the
+        # strata, against the integral bounds on sum_{m >= n} 1/a_m; past
+        # r_hi the survival is at most eps
+        mean_lo = m_quadratic.a.reciprocal_tail_lower_bound(n)
+        mean_hi = m_quadratic.a.reciprocal_tail_bound(n)
+        assert math.fsum(np.diff(r) * (1.0 - hi)) <= mean_hi
+        assert math.fsum(np.diff(r) * (1.0 - np.concatenate(([0.0], lo[:-1])))) + eps * r[-1] >= mean_lo
+
+    @pytest.mark.parametrize("t", [0.25, 1.0])
+    def test_start_past_the_killing_head_takes_the_strata(self, t):
+        # head_kill from e_1 never meets its killing state 0: the lower edge
+        # is stratified at N = 256, and the law is the explosion time from
+        # state 1, sum_{n>=2} 2(-1)^n (n^2-1) e^{-n^2 t}
+        exact = math.fsum(2.0 * (-1) ** n * (n * n - 1) * math.exp(-n * n * t) for n in range(2, 400))
+        m = ModelSpec("head_kill", RateFn.table([5.0], tail_c=1.0, tail_p=2.0), Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)), False)
+        res = evolve(m, t, PosSeq.basis(1), want_integral=False)
+        assert res.mass_bracket.contains(exact) and res.mass_bracket.width <= 3e-4
+        assert not res.flagged and res.ladder.levels == (256,)
 
     def test_which_models_take_the_renewal_route(self, zoo):
         for m in zoo:
@@ -544,8 +602,8 @@ class TestBlockedKernel:
         rows = minimal._block_rows(self.N)
         steps = 2 * rows + 1 if edge == "2rows+1" else rows + edge
         t = times_for_steps(m, self.N, steps)
-        times = (t, 0.6 * t, 0.0)  # three windows, as on the renewal route
-        got, got_steps = minimal._uniformized(m, times, self.U, self.N, want_integral)
+        times = (t, 0.6 * t, 0.0)  # a full window, a shorter one and the identity
+        got, got_steps, _ = minimal._uniformized(m, times, self.U, self.N, want_integral)
         assert got_steps == steps
         refs, _ = sequential_pass(m, times, self.U, self.N, want_integral)
         fp_slack = (steps + 16) * _ULP * self.U.head_sum()
@@ -555,6 +613,27 @@ class TestBlockedKernel:
                 assert float(np.abs(i_acc - i_ref).sum()) <= fp_slack * max(s, 1.0)
             else:
                 assert i_acc is None
+
+    @pytest.mark.parametrize("edge", [-1, 0, 1, "2rows+1"])
+    def test_stratum_sums_match_the_sequential_ones(self, m_quadratic, edge):
+        # the masses are row sums of the very powers, so they differ from an
+        # fsum of each by summation order alone; each stratum's window on
+        # them agrees with the sequential full-window sums within the pad
+        # evolve takes and the window's own defects
+        rows = minimal._block_rows(self.N)
+        steps = 2 * rows + 1 if edge == "2rows+1" else rows + edge
+        t = times_for_steps(m_quadratic, self.N, steps)
+        times = (t, 0.6 * t, 0.0)
+        _, _, mass = minimal._uniformized(m_quadratic, (t,), self.U, self.N, False, masses=True)
+        refs, powers = sequential_pass(m_quadratic, times, self.U, self.N, True)
+        u = self.U.head_sum()
+        assert mass.size == steps + 1
+        assert all(abs(mj - math.fsum(p)) <= self.N * _ULP * u for mj, p in zip(mass, powers))
+        c = minimal._poisson_window(m_quadratic, self.N, t)[0]
+        pad = (self.N + 2 * steps + 16) * _ULP * u
+        for (v_ref, i_ref), s, (g, i_g, dg, di) in zip(refs, times, minimal._stratum_sums(mass, c, np.array(times)).T):
+            assert abs(g - math.fsum(v_ref)) <= pad + dg * u
+            assert abs(i_g - math.fsum(i_ref)) <= pad * max(s, 1.0) + di * u
 
     def test_stepper_powers_are_the_sequential_ones_bit_for_bit(self, m_bd_kill):
         steps = 2 * minimal._block_rows(self.N) + 1
@@ -579,7 +658,7 @@ class TestBlockedKernel:
         monkeypatch.setattr(minimal, "OperatorWindow", lambda m, lo, hi: win)
         tracemalloc.start()
         try:
-            _, steps = minimal._uniformized(m_two_state, (0.5,), PosSeq.basis(1 << 19), n, False)
+            _, steps, _ = minimal._uniformized(m_two_state, (0.5,), PosSeq.basis(1 << 19), n, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
