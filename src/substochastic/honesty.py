@@ -19,8 +19,7 @@ Routes implemented and cross-checked:
 * the sub-solution test J u <= u, a sufficient certificate of honesty.
 
 Verdicts are three-valued on purpose: honesty is an exact-zero property,
-and only certified brackets decide; heuristic lower bounds are reported as
-evidence but never flip a verdict to Dishonest.
+and only certified brackets decide.
 """
 
 from __future__ import annotations
@@ -71,9 +70,6 @@ _LAM_SWEEP = (0.5, 1.0, 2.0)
 _XI_MAX_ITERS = 5_000  # J applications in the generic xi route
 _XI_MAX_FACTORS = 2_000_000  # factors per source in the product bracket
 _SUBNORMAL = math.ulp(0.0)  # the spacing of floats below the normal range
-_RATIO_WINDOW = 20  # trailing norm ratios behind the heuristic lower edge
-_RATIO_TOL = 1e-4
-_J_NORM_PREFIX = 40  # J applications recorded as evidence for cascades
 _ABAR_TOL = 1e-9
 _AHAT_N_CAP = 48  # most expansion terms ahat_dp samples
 
@@ -122,32 +118,13 @@ def a0_on_integral(
 
 @dataclass(frozen=True)
 class XiResult:
-    """Certified bracket on lim_n |J^n u| plus the evidence trail."""
+    """Certified bracket on lim_n |J^n u|, with the norms |J^n u| for
+    n = 0, 1, ... that the route computed (n = 0 alone when it applies no J)."""
 
     bracket: Bracket
     certification: str
     j_norms: tuple[float, ...]
-    heuristic_lo: float | None
     iterations: int
-
-
-def _j_iterates(m: ModelSpec, lam: float, u: PosSeq, tol: float, max_iters: int) -> tuple[list[float], PosSeq]:
-    """The norms |J^n u| for n = 0, 1, ... and the last iterate.
-
-    Stops on an empty iterate, after ``max_iters`` applications, or once the
-    norms sit below ``tol`` and have stalled; at tol = 0 only the first two
-    rules can fire.
-    """
-    norms = [u.head_sum()]
-    w = u
-    for n in range(1, max_iters + 1):
-        w = apply_J(m, lam, w)
-        norms.append(w.head_sum())
-        if norms[-1] <= tol * 1e-3 or not w.entries:
-            break
-        if n >= 8 and norms[-1] <= tol and norms[-2] - norms[-1] < tol * 1e-2:
-            break
-    return norms, w
 
 
 def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
@@ -175,12 +152,12 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
     """
     a = m.a
     birth = m.kernel.birth
-    j_norms = tuple(_j_iterates(m, lam, u, 0.0, _J_NORM_PREFIX)[0])
+    j_norms = (u.head_sum(),)
     if a.reciprocal_sum_diverges():
-        return XiResult(Bracket(0.0, 0.0), "divergent-rate-sum", j_norms, None, 0)
+        return XiResult(Bracket(0.0, 0.0), "divergent-rate-sum", j_norms, 0)
     head = m.cascade_head()  # r = a from here on
     if head is None:
-        return XiResult(Bracket(0.0, 0.0), "thinner-birth-tail", j_norms, None, 0)
+        return XiResult(Bracket(0.0, 0.0), "thinner-birth-tail", j_norms, 0)
     # two-sided product bracket per source index
     lo_total = 0.0
     hi_total = 0.0
@@ -222,35 +199,24 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
     n = len(u.entries)
     lo_total = max(0.0, lo_total * (1.0 - 2.0 * n * _ULP) - 2.0 * n * _SUBNORMAL)
     hi_total = min(u.head_sum(), hi_total * (1.0 + 2.0 * n * _ULP) + 2.0 * n * _SUBNORMAL)
-    return XiResult(Bracket(lo_total, hi_total), "product-bracket", j_norms, None, iters)
+    return XiResult(Bracket(lo_total, hi_total), "product-bracket", j_norms, iters)
 
 
 def _xi_generic(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
-    """Iterated upper bounds |J^n u| (nonincreasing on the cone); the lower
-    edge stays 0 unless the ratio trail stabilizes, and even then the
-    extrapolated value is reported as a heuristic, never certified."""
-    norms, w = _j_iterates(m, lam, u, tol, _XI_MAX_ITERS)
-    n = len(norms) - 1
-    upper = mass(w).hi  # flushed entries ride in the tail
-    heuristic = None
-    if len(norms) > _RATIO_WINDOW + 2 and norms[-1] > 0:
-        ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - _RATIO_WINDOW - 1, len(norms) - 1)]
-        if max(ratios) - min(ratios) <= _RATIO_TOL:
-            rho = ratios[-1]
-            # geometric continuation of the log decrements
-            decs = [math.log(norms[i] / norms[i + 1]) for i in range(len(norms) - 4, len(norms) - 1)]
-            if decs[-2] > 0 and decs[-1] > 0 and decs[-1] < decs[-2]:
-                g = decs[-1] / decs[-2]
-                heuristic = norms[-1] * math.exp(-decs[-1] * g / max(1.0 - g, 1e-9))
-            elif rho < 1.0 - _RATIO_TOL:
-                heuristic = 0.0
-    return XiResult(
-        Bracket(0.0, upper),
-        "iterated-upper",
-        tuple(norms[: min(len(norms), 64)]),
-        heuristic,
-        n,
-    )
+    """Iterated upper bounds |J^n u|, nonincreasing on the cone; the lower
+    edge is 0.  Stops on an empty iterate, after ``_XI_MAX_ITERS``
+    applications, or once the norms sit below ``tol`` and have stalled."""
+    norms = [u.head_sum()]
+    w = u
+    for n in range(1, _XI_MAX_ITERS + 1):
+        w = apply_J(m, lam, w)
+        norms.append(w.head_sum())
+        if norms[-1] <= tol * 1e-3 or not w.entries:
+            break
+        if n >= 8 and norms[-1] <= tol and norms[-2] - norms[-1] < tol * 1e-2:
+            break
+    # flushed entries ride in the tail of the upper edge
+    return XiResult(Bracket(0.0, mass(w).hi), "iterated-upper", tuple(norms[:64]), len(norms) - 1)
 
 
 def xi(m: ModelSpec, lam: float, u: PosSeq, tol: float = 1e-7) -> XiResult:
@@ -260,10 +226,10 @@ def xi(m: ModelSpec, lam: float, u: PosSeq, tol: float = 1e-7) -> XiResult:
     if u.tail_bound != 0.0:
         raise ValueError("xi requires finitely supported input")
     if u.is_zero:
-        return XiResult(Bracket(0.0, 0.0), "zero-input", (0.0,), None, 0)
+        return XiResult(Bracket(0.0, 0.0), "zero-input", (0.0,), 0)
     kind = m.kernel.kind
     if kind == "zero":
-        return XiResult(Bracket(0.0, 0.0), "zero-kernel", (u.head_sum(), 0.0), None, 1)
+        return XiResult(Bracket(0.0, 0.0), "zero-kernel", (u.head_sum(), 0.0), 1)
     return (_xi_pure_birth if kind == "pure_birth" else _xi_generic)(m, lam, u, tol)
 
 
@@ -589,8 +555,6 @@ def honesty_verdict(
         "certification": x.certification,
         "iterations": x.iterations,
     }
-    if x.heuristic_lo is not None:
-        evidence["heuristic_lo"] = x.heuristic_lo
     route = "resolvent"
     sweep = {}
     agree = True

@@ -151,8 +151,12 @@ class EvolveResult:
     integral_bracket: Bracket | None
     n_used: int
     steps_used: int
-    flagged: bool
     flag_reason: str
+
+    @property
+    def flagged(self) -> bool:
+        """Whether the result stopped short of the certified truncation."""
+        return bool(self.flag_reason)
 
     @property
     def ladder(self) -> SimpleNamespace:
@@ -269,11 +273,10 @@ def _uniformized(
         # sf[j] > 0 exactly for j < hi_w; copies, so the full arrays are freed
         weights.append((lo_w, pmf[lo_w : hi_w + 1].copy(), sf[: max(hi_w, 0)] / c if want_integral else None))
         # Missing Poisson weight (both tails + underflow) plus the shared
-        # scale error of the weights, per unit input mass.  Integral weights
-        # missed beyond jmax, sum_{j>jmax} sf[j]/c, are bounded by a geometric
-        # comparison from sf[jmax].
-        tail_sum = float(sf[-1]) * max(2.0, math.sqrt(lam_p)) if jmax >= 2 * lam_p else t
-        defects.append((defect, tail_sum / c + defect * t))
+        # scale error of the weights, per unit input mass.  The integral
+        # weights the window misses, sum_j P(X > max(j, jmax))/c, total
+        # E[X; X > jmax]/c = t P(X >= jmax), as in ``_stratum_sums``.
+        defects.append((defect, t * (float(pmf[-1]) + 2.0 * defect)))
     rows = min(_block_rows(n), max(steps, 1))
     # the window's transients peak before any N-vector of the pass exists
     block, fill = _make_stepper(OperatorWindow(m, 0, n), c, rows)
@@ -613,7 +616,6 @@ def evolve(
             integral_bracket=Bracket(0.0, t * u_norm) if want_integral else None,
             n_used=0,
             steps_used=0,
-            flagged=bool(reason),
             flag_reason=reason,
         )
     ((v_t, i_t, dv_t, di_t),), steps, mass = _uniformized(m, (t,), u, n, want_integral, masses=renewal)
@@ -670,7 +672,6 @@ def evolve(
         integral_bracket=integral_bracket,
         n_used=n,
         steps_used=steps,
-        flagged=bool(reason),
         flag_reason=reason,
     )
 

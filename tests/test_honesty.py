@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -140,9 +141,8 @@ class TestXi:
     def test_yule_certified_zero(self, m_yule):
         x = xi(m_yule, 1.0, e0)
         assert x.bracket.hi <= 1e-6 and x.bracket.lo == 0.0
-        # the norm trail follows the telescoping product 1/(n+1)
-        for n, v in enumerate(x.j_norms[:6]):
-            assert v == pytest.approx(1.0 / (n + 1), rel=1e-12)
+        # the divergent rate sum decides without a J application
+        assert x.certification == "divergent-rate-sum" and x.j_norms == (1.0,)
 
     def test_zero_kernel(self, m_pure_loss):
         assert xi(m_pure_loss, 1.0, e0).bracket == type(xi(m_pure_loss, 1.0, e0).bracket)(0.0, 0.0)
@@ -235,6 +235,27 @@ class TestXi:
         # a birth rate of 0 in the head stops every path: xi = 0
         dead = ModelSpec("dead", a, Kernel("pure_birth", birth=RateFn.table([0.0], tail_c=1.0, tail_p=2.0)), False)
         assert xi(dead, 1.0, e0).bracket.lo == 0.0 and xi(dead, 1.0, e0).bracket.hi <= 1e-300
+
+    def test_cascade_routes_apply_no_J(self, m_yule, m_quadratic, monkeypatch):
+        # the cascade certificates are closed forms: xi records |u| alone
+        from substochastic.models import Kernel, ModelSpec, RateFn
+
+        birth = RateFn.table([1.0], tail_c=1.0, tail_p=2.0)
+        table_birth = ModelSpec("table_birth", RateFn.table([2.0], 1.0, 2.0), Kernel("pure_birth", birth=birth), False)
+        head_kill = ModelSpec("head_kill", RateFn.table([5.0], 1.0, 2.0), Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)), False)
+        calls = []
+        apply_J = honesty.apply_J
+
+        def spy(m, lam, u):
+            calls.append(m.name)
+            return apply_J(m, lam, u)
+
+        monkeypatch.setattr(honesty, "apply_J", spy)
+        u = PosSeq({0: 0.5, 3: 0.25})
+        for m in (m_yule, m_quadratic, table_birth, head_kill):
+            for lam in (0.5, 1.0, 2.0):
+                assert xi(m, lam, u).j_norms == (0.75,)
+        assert calls == []
 
     def test_thin_tail_inside_the_brute_force_bracket(self):
         # p = 1.2: the tail's lam^2 S2 / 2 stays above tol for one window, so
@@ -455,6 +476,17 @@ class TestVerdicts:
 
     def test_zero_kernel_honest(self, m_pure_loss):
         assert honesty_verdict(m_pure_loss, e0).verdict == HONEST
+
+    def test_walk_evidence_is_certified_work_only(self, m_bd_conservative, m_bd_kill):
+        # from e_40 the norm ratios of both walks settle, which once fed an
+        # extrapolated lower edge into the evidence; the iterated route
+        # records its own first 64 norms
+        for m in (m_bd_conservative, m_bd_kill):
+            rep = honesty_verdict(m, PosSeq.basis(40))
+            assert rep.verdict == HONEST and rep.evidence["certification"] == "iterated-upper"
+            assert len(rep.evidence["j_norms"]) == min(rep.evidence["iterations"] + 1, 64)
+            assert "heuristic_lo" not in rep.evidence
+        assert "heuristic_lo" not in {f.name for f in dataclasses.fields(honesty.XiResult)}
 
     def test_rejects_zero_input(self, m_yule):
         with pytest.raises(ValueError):

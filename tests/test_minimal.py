@@ -680,6 +680,24 @@ class TestIntegrateV:
         assert iv.get(0) == pytest.approx(1.0 - EXP1, abs=1e-12)
         assert iv.get(1) == pytest.approx(0.5 - EXP1 + 0.5 * EXP2, abs=1e-12)
 
+    @pytest.mark.parametrize("extra", range(12))
+    def test_short_window_keeps_the_integral_tail(self, extra, monkeypatch):
+        # kill 0.001 at every state, so |int_0^t V(s)e0 ds| = (1 - e^{-0.001 t})/0.001;
+        # a window ending at 2ct + extra leaves integral weight t P(X >= jmax)
+        # outside it, which the defect must count
+        m = ModelSpec.birth_death(1.0, 1.0, kill=0.001)
+        window = minimal._poisson_window
+
+        def short(m, n, t):
+            c = window(m, n, t)[0]
+            return c, math.ceil(2.0 * c * t) + extra
+
+        monkeypatch.setattr(minimal, "_poisson_window", short)
+        for t in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+            _, br, res = integrate_V(m, t, e0)
+            assert res.steps_used == math.ceil(2.0 * window(m, res.n_used, t)[0] * t) + extra
+            assert br.contains(-math.expm1(-0.001 * t) / 0.001)
+
 
 class TestLaplaceConsistency:
     def test_resolvent_is_laplace_transform_of_mass(self):
