@@ -1,24 +1,22 @@
 """Dyson-Phillips expansion of the minimal semigroup.
 
 The iterates V_0(t) = U(t), V_{n+1}(t)u = int_0^t V_n(t-s) B U(s) u ds sum
-to V(t)u from below.  Numerically each V_n(.)u is sampled on a dyadic time
-grid over a finite state window; the iteration is evaluated through the
-equivalent convolution V_{n+1}(t)u = int_0^t U(t-s) B V_n(s)u ds, whose
-integrand reuses the stored samples directly (the two forms agree because
-both telescope the same Duhamel formula).  Because A is diagonal, U and B
-are applied exactly; composite Simpson panels keep all quadrature weights
-positive.  The convolution at every node of an M-panel grid is evaluated by
-running sums (the weights depend only on the parity of a node plus two end
-corrections), so a term costs O(M*W) on a window of W states.  Each level
-re-samples on the doubled grid; refinement stops when consecutive levels
-agree below tolerance, and the final difference is reported as the
-quadrature error estimate, never discarded.
+to V(t)u from below.  They are computed by uniformization with counted
+transitions over a finite state window: with c >= max a on the window,
+D = I - diag(a)/c and E = B/c, the coefficient of eps^n in
+exp(t(A + eps B)) = e^{-ct} sum_j (ct)^j/j! (D + eps E)^j is V_n(t).  So one
+pass carries the words w_{j,n} (the products of j factors with n factors E)
+by w_{j+1,n} = D w_{j,n} + E w_{j,n-1}, and every time of a grid reads
 
-One state over [0, t] also serves the earlier grid times s = k*t/2^5 (the
-nodes of its coarsest grid, hence of every finer one): each served node
-reads its term sample and its cumulative Simpson integral over [0, s] from
-the same samples, the refinement runs until every served node agrees below
-tolerance, and each node keeps its own error estimates.
+    V_n(t)u = sum_j P(X = j) w_{j,n},  int_0^t V_n(s)u ds = sum_j P(X > j)/c w_{j,n}
+
+with X ~ Poisson(ct).  The e^{-lam s}-weighted integral over [0, t] takes
+the weights c^j/(c+lam)^{j+1} P(Poisson((c+lam)t) > j) instead, and over
+[0, inf) the geometric c^j/(c+lam)^{j+1} alone.
+
+Every word is nonnegative and sum_n |w_{j,n}| <= |u|, because D + E is
+substochastic.  So the Poisson weight a pass misses, plus a rounding pad,
+certifies the sum over n of every term's l1 error, on both edges.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import PosSeq
-from .models import ModelError, ModelSpec, OperatorWindow, apply_B, apply_U
+from .minimal import _STEP_BUDGET, _poisson_weights
+from .models import _ULP, ModelError, ModelSpec, OperatorWindow, apply_B, apply_U
 
 __all__ = [
     "DPState",
@@ -42,20 +41,12 @@ __all__ = [
     "dp_B_integral",
     "dp_laplace",
     "dp_uniform_tail",
-    "dyadic_node",
 ]
-
-
-# dyadic refinement levels of the time grid: 2^5 to 2^13 panels
-_MIN_LEVEL = 5
-_MAX_LEVEL = 13
-# refinement stops once consecutive levels agree to this l1 distance
-_QUAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class DPTerm:
-    """A computed expansion quantity plus its quadrature error estimate."""
+    """A computed expansion quantity plus a certified bound on its l1 error."""
 
     value: PosSeq
     error: float
@@ -65,114 +56,31 @@ class DPTerm:
         return self.value.head_sum()
 
 
-def _simpson_weights(j: int, h: float) -> np.ndarray:
-    """Positive composite weights for j panels of width h on [0, j*h].
-
-    Even panel counts get plain composite Simpson; odd counts >= 3 end with
-    a 3/8 block; a single panel falls back to the trapezoid (its O(h^3)
-    local error is absorbed by the Richardson loop).
-    """
-    w = np.zeros(j + 1)
-    if j == 0:
-        return w
-    if j == 1:
-        w[0] = w[1] = 0.5 * h
-        return w
-    if j % 2 == 0:
-        w[0] = w[j] = h / 3.0
-        w[1:j:2] = 4.0 * h / 3.0
-        w[2 : j - 1 : 2] = 2.0 * h / 3.0
-        return w
-    if j > 3:
-        w[: j - 2] = _simpson_weights(j - 3, h)
-    w[j - 3] += 3.0 * h / 8.0
-    w[j - 2] += 9.0 * h / 8.0
-    w[j - 1] += 9.0 * h / 8.0
-    w[j] += 3.0 * h / 8.0
-    return w
-
-
-def _simpson_convolution(g: np.ndarray, decay: np.ndarray, h: float) -> np.ndarray:
-    """f[j] = sum_i _simpson_weights(j, h)[i] * g[i] * decay[j - i] at every node.
-
-    ``g`` and ``decay`` have shape (M+1, W), with decay[d] = U(d*h) on the
-    window.  The weights depend only on the parity of i plus two end
-    corrections, so running sums give every node in O(M*W):
-
-    * even j = 2m: f = (h/3)(g_0 D_{2m} + g_{2m}) + T_m, where
-      T_m = D_2 T_{m-1} + (4h/3) g_{2m-1} D_1 + (2h/3) g_{2m-2} D_2
-      (the last addend only for m > 1);
-    * odd j >= 3: the Simpson sum up to j-3 shifted by D_3, plus the 3/8
-      block on [j-3, j] (f[0] = 0 covers j = 3);
-    * j = 1: the trapezoid.
-
-    Every addend is nonnegative and every factor is at most 1, so the cone
-    is kept and stiff rates, where D_1 underflows to 0, are safe.
-    """
-    M = g.shape[0] - 1
-    f = np.zeros_like(g)
-    if M == 0:
-        return f
-    d1 = decay[1]
-    f[1] = 0.5 * h * (g[0] * d1 + g[1])
-    if M == 1:
-        return f
-    d2 = decay[2]
-    K = M // 2
-    run = (4.0 * h / 3.0) * g[1 : 2 * K : 2] * d1
-    run[1:] += (2.0 * h / 3.0) * g[2 : 2 * K - 1 : 2] * d2
-    for m in range(1, K):
-        run[m] += d2 * run[m - 1]
-    f[2::2] = (h / 3.0) * (g[0] * decay[2::2] + g[2::2]) + run
-    if M >= 3:
-        d3 = decay[3]
-        j = np.arange(3, M + 1, 2)
-        block = g[j - 3] * d3 + 3.0 * g[j - 2] * d2 + 3.0 * g[j - 1] * d1 + g[j]
-        f[j] = d3 * f[j - 3] + (3.0 * h / 8.0) * block
-    return f
-
-
-def dyadic_node(s: float, t: float) -> int | None:
-    """k with s = k*t/2^_MIN_LEVEL exactly in floating point (0 <= k <=
-    2^_MIN_LEVEL), so that s is a node of every sampling grid over [0, t];
-    None when s is off that grid."""
-    top = 1 << _MIN_LEVEL
-    if s == t:
-        return top
-    if not 0.0 <= s < t:
-        return None
-    k = s * top / t
-    return int(k) if k.is_integer() and k * t / top == s else None
-
-
 class DPState:
-    """Sampled expansion terms s -> V_n(s)u on a dyadic grid over [0, t].
+    """The terms V_n(t)u and int_0^t e^{-lam s} V_n(s)u ds, n <= ``n_max``,
+    at every time t of ``ts``, from one counted-uniformization pass.
 
-    ``terms[n]`` has shape (M+1, W): sample index by windowed state.  The
-    window is sized so that no transition from an occupied state leaves it
-    for any term up to ``n_max``; a model whose kernel cannot be windowed
-    this way is rejected.  The state serves t and every time in ``nodes``,
-    each of which must be a ``dyadic_node`` of [0, t]; ``integrals``,
-    ``errors`` and ``errors_int`` are keyed by the served time.
+    The window [lo, hi) is sized so that no transition from an occupied
+    state leaves it for any term up to ``n_max``; a model whose kernel
+    cannot be windowed this way is rejected.  The pass runs ``level`` steps,
+    the Poisson window (mean + 9 sd + 40, as for the evolution) of the
+    largest time; a time whose window exceeds ``minimal._STEP_BUDGET``
+    reads zero with the trivial error.  With lam > 0 a time may be inf (the
+    Laplace transform); the terms V_n(t)u themselves are kept for lam = 0.
     """
 
-    def __init__(self, model: ModelSpec, u: PosSeq, t: float, n_max: int, nodes: Iterable[float] = ()):
-        if t < 0:
-            raise ValueError("DPState requires t >= 0")
+    def __init__(self, model: ModelSpec, u: PosSeq, ts: Iterable[float], n_max: int, lam: float = 0.0):
+        ts = tuple(float(t) for t in ts)
+        if not all(t >= 0.0 and (t < math.inf or lam > 0.0) for t in ts) or lam < 0.0:
+            raise ValueError("DPState requires times t >= 0, finite unless lam > 0")
         if u.tail_bound != 0.0:
             raise ValueError("DPState requires finitely supported input")
         if n_max < 0:
             raise ValueError("DPState requires n_max >= 0")
         self.model = model
         self.u = u
-        self.t = float(t)
         self.n_max = n_max
-        self.nodes: dict[float, int] = {}  # served time -> its index on 2^_MIN_LEVEL panels
-        for s in (*nodes, self.t):
-            k = dyadic_node(s, self.t)
-            if k is None:
-                raise ValueError(f"DPState: {s!r} is not a node of the dyadic grid over [0, {t!r}]")
-            self.nodes[float(s)] = k
+        self.lam = lam
         supp = u.support or (0,)
         stride = model.stride
         self.lo = max(0, min(supp) - (n_max + 1) * stride)
@@ -183,96 +91,115 @@ class DPState:
         margin = (n_max + 1) * max(stride, 1)
         if np.any(self.window.leak[margin : self.hi - self.lo - margin] > 0):
             raise ModelError("DPState: kernel leaks outside its stride window")
-        self._sample()
+        self.c = float(self.window.a.max()) or 1.0  # any c >= max a uniformizes
+        self._run(ts)
 
-    def _sample_level(self, mlev: int, u_win: np.ndarray) -> tuple[list[np.ndarray], dict[float, tuple]]:
-        """Every term's samples on 2^mlev panels, and at each served node s
-        (samples at s, Simpson integrals over [0, s]) per term, copied out
-        so that a level can be compared after its samples are dropped."""
-        M = 1 << mlev
-        h = self.t / M
-        times = np.linspace(0.0, self.t, M + 1)
-        decay = np.exp(-np.outer(times, self.window.a))  # D[d] = U(d*h) on the window
-        terms = [decay * u_win[None, :]]
-        for _ in range(self.n_max):
-            if not terms[-1].any():
-                terms.append(terms[-1])  # every later term is exactly 0 too
-                continue
-            terms.append(_simpson_convolution(self.window.apply_B(terms[-1]), decay, h))
-        at_nodes = {}
-        for s, k in self.nodes.items():
-            j = k << (mlev - _MIN_LEVEL)
-            w = _simpson_weights(j, h)
-            at_nodes[s] = ([f[j].copy() for f in terms], [f[: j + 1].T @ w for f in terms])
-        return terms, at_nodes
+    def _window(self, t: float) -> float:
+        """The last step time t's weights need: the Poisson window of
+        (c + lam)t, or for t = inf where the geometric weight drops below
+        an ulp."""
+        if t == math.inf:
+            rate = math.log1p(self.lam / self.c)
+            return -math.log(_ULP) / rate if rate else math.inf
+        x = (self.c + self.lam) * t
+        return x + 9.0 * math.sqrt(x) + 40.0
 
-    def _sample(self) -> None:
-        u_win = np.zeros(self.hi - self.lo)
+    def _weights(self, t: float, steps: int) -> tuple[np.ndarray, np.ndarray, float, float, float, int]:
+        """(value weights, integral weights, value defect, integral defect,
+        integral scale, last weighted step) of time t over the steps
+        0..steps.  The weights stop at t's own window, so a time reads what
+        a pass of its own reads.  The defects are per unit input mass: the
+        weight the pass misses plus twice the shared relative error of the
+        Poisson weights (``_stratum_sums``)."""
+        c, lam = self.c, self.lam
+        vw, iw = np.zeros(steps + 1), np.zeros(steps + 1)
+        win = self._window(t)
+        if t < math.inf and win > steps:  # past the step budget
+            return vw, iw, 1.0, t, t, 0
+        last = min(math.ceil(win), steps)
+        geo = np.full(last + 1, 1.0 / (c + lam))
+        if lam:
+            geo *= (c / (c + lam)) ** np.arange(last + 1.0)
+        if t == math.inf:
+            iw[: last + 1] = geo
+            return vw, iw, 1.0, (c / (c + lam)) ** (last + 1) / lam, 1.0 / lam, last
+        x = (c + lam) * t
+        if x == 0.0:
+            pmf, sf, defect = np.eye(1, last + 1)[0], np.zeros(last + 1), 0.0
+        else:
+            pmf, sf, defect = _poisson_weights(x, last)
+        iw[: last + 1] = sf * geo
+        if not lam:
+            vw[: last + 1] = pmf
+        return vw, iw, 2.0 * defect if not lam else 1.0, t * (float(pmf[-1]) + 2.0 * defect), t, last
+
+    def _run(self, ts: tuple[float, ...]) -> None:
+        steps = math.ceil(max((w for w in map(self._window, ts) if w <= _STEP_BUDGET), default=0.0))
+        self.level = steps
+        u_norm = self.u.head_sum()
+        W = self.hi - self.lo
+        rows, self.errors = [], {}
+        for t in ts:
+            vw, iw, v_def, i_def, scale, last = self._weights(t, steps)
+            rows += [vw, iw]
+            # Rounding pad per unit input mass and scale.  Every entry is a
+            # sum of nonnegative addends: a step passes a word through D (one
+            # rounding, and 1 - a/c is good to two ulps absolute) or through
+            # E (a rounding per band, the division by c and the sum with D's
+            # part), a weight through the Poisson products and sums and the
+            # geometric factor, and the accumulation takes a rounding a step
+            # up to t's last weight (a zero weight adds exactly nothing).
+            pad = (last * (len(self.window.bands) + 8) + 16) * _ULP
+            self.errors[t] = ((v_def + pad) * u_norm, (i_def + pad * scale) * u_norm)
+        weights = np.array(rows)
+        # acc[2i] = V_n(t_i)u, acc[2i+1] its integral, term by window state
+        acc = np.zeros((weights.shape[0], self.n_max + 1, W))
+        w = np.zeros((self.n_max + 1, W))
         for k, v in self.u.entries.items():
-            u_win[k - self.lo] = v
-        amax = float(self.window.a.max(initial=1.0))
-        lev = int(math.ceil(math.log2(max(4.0, amax * self.t))))
-        lev = max(_MIN_LEVEL, min(_MAX_LEVEL - 1, lev))
-        prev = self._sample_level(lev, u_win)[1]
-        errors = {s: [0.0] + [math.inf] * self.n_max for s in self.nodes}  # V_0 sampled exactly
-        errors_int = {s: [math.inf] * (self.n_max + 1) for s in self.nodes}
-        while True:
-            lev += 1
-            terms, cur = self._sample_level(lev, u_win)
-            worst = 0.0
-            for s in self.nodes:
-                (cur_v, cur_int), (prev_v, prev_int) = cur[s], prev[s]
-                for n in range(self.n_max + 1):
-                    diff_int = float(np.abs(cur_int[n] - prev_int[n]).sum())
-                    errors_int[s][n] = diff_int
-                    worst = max(worst, diff_int)
-                    if n >= 1:
-                        diff = float(np.abs(cur_v[n] - prev_v[n]).sum())
-                        errors[s][n] = diff
-                        worst = max(worst, diff)
-            if worst <= _QUAD_TOL or lev == _MAX_LEVEL:
-                break
-            prev = cur
-            del terms  # hold one level's samples at a time
-        self.level = lev
-        self.times = np.linspace(0.0, self.t, (1 << lev) + 1)
-        self.terms = terms
-        self.integrals = {s: cur[s][1] for s in self.nodes}
-        self.errors = errors
-        self.errors_int = errors_int
+            w[0, k - self.lo] = v
+        d = 1.0 - self.window.a / self.c
+        live = 1  # words with n >= live are exactly 0 so far
+        acc[:, :1] += weights[:, 0, None, None] * w[:1]
+        for j in range(1, steps + 1):
+            top = min(live, self.n_max)
+            flow = self.window.apply_B(w[:top]) / self.c if top else None
+            w[:live] *= d
+            if top:
+                w[1 : top + 1] += flow
+            if live <= self.n_max and w[live].any():
+                live += 1
+            acc[:, :live] += weights[:, j, None, None] * w[:live]
+        self.values = {t: acc[2 * i] for i, t in enumerate(ts)}
+        self.integrals = {t: acc[2 * i + 1] for i, t in enumerate(ts)}
 
     # -- extraction -----------------------------------------------------
-    def term_at_t(self, n: int) -> DPTerm:
-        return DPTerm(PosSeq.from_array(self.terms[n][-1], self.lo), self.errors[self.t][n])
+    def term(self, t: float) -> tuple[np.ndarray, float]:
+        """V_n(t)u for every n on the window (rows by n), and a certified
+        bound on the sum over n of their l1 errors (lam = 0 only)."""
+        if self.lam:
+            raise ValueError("DPState keeps V_n(t)u only for lam = 0")
+        return self.values[t], self.errors[t][0]
 
-    def integral(self, n: int, weight_lam: float = 0.0, s: float | None = None) -> tuple[np.ndarray, float]:
-        """int_0^s exp(-weight_lam*r) V_n(r)u dr on the window (array, error),
-        at a served time s (default t)."""
-        s = self.t if s is None else float(s)
-        if s not in self.nodes:
-            raise ValueError(f"DPState over [0, {self.t!r}] does not serve {s!r}")
-        err = self.errors_int[s][n] + _QUAD_TOL * 1e-3
-        if not weight_lam:
-            return self.integrals[s][n], err
-        j = self.nodes[s] << (self.level - _MIN_LEVEL)
-        w = _simpson_weights(j, self.t / (self.times.size - 1)) * np.exp(-weight_lam * self.times[: j + 1])
-        return self.terms[n][: j + 1].T @ w, err
+    def integral(self, t: float) -> tuple[np.ndarray, float]:
+        """int_0^t e^{-lam s} V_n(s)u ds for every n (rows by n), and a
+        certified bound on the sum over n of their l1 errors."""
+        return self.integrals[t], self.errors[t][1]
 
 
 def dp_term(model: ModelSpec, n: int, t: float, u: PosSeq) -> DPTerm:
-    """V_n(t)u: exact U(t)u for n = 0, iterated convolution above."""
+    """V_n(t)u: exact U(t)u for n = 0, the counted pass above."""
     if n == 0:
         return DPTerm(apply_U(model, t, u), 0.0)
-    return DPState(model, u, t, n).term_at_t(n)
+    st = DPState(model, u, (t,), n)
+    rows, err = st.term(t)
+    return DPTerm(PosSeq.from_array(rows[n], st.lo), err)
 
 
 def dp_partial_sum(model: ModelSpec, K: int, t: float, u: PosSeq) -> DPTerm:
     """sum_{k<=K} V_k(t)u; increases to V(t)u from below as K grows."""
-    st = DPState(model, u, t, K)
-    total = np.zeros(st.hi - st.lo)
-    for n in range(K + 1):
-        total += st.terms[n][-1]
-    return DPTerm(PosSeq.from_array(total, st.lo), math.fsum(st.errors[st.t][: K + 1]))
+    st = DPState(model, u, (t,), K)
+    rows, err = st.term(t)
+    return DPTerm(PosSeq.from_array(rows.sum(axis=0), st.lo), err)
 
 
 def dp_convolution_residual(model: ModelSpec, n: int, t: float, s: float, u: PosSeq) -> float:
@@ -292,33 +219,18 @@ def dp_convolution_residual(model: ModelSpec, n: int, t: float, s: float, u: Pos
 
 def dp_B_integral(model: ModelSpec, n: int, t: float, u: PosSeq) -> DPTerm:
     """B int_0^t V_n(s)u ds (equals int_0^t B V_n(s)u ds)."""
-    st = DPState(model, u, t, n)
-    arr, err = st.integral(n)
-    return DPTerm(PosSeq.from_array(st.window.apply_B(arr), st.lo), err * max(1.0, float(st.window.a.max())))
-
-
-def _laplace_horizon(lam: float, u_norm: float) -> float:
-    """Where the substochastic envelope exp(-lam*T)*|u|/lam drops below the tolerance."""
-    return max(4.0 / lam, math.log(max(u_norm, 1.0) / (_QUAD_TOL * lam) + 1.0) / lam)
+    st = DPState(model, u, (t,), n)
+    rows, err = st.integral(t)
+    return DPTerm(PosSeq.from_array(st.window.apply_B(rows[n]), st.lo), err * float(st.window.colsum.max()))
 
 
 def dp_laplace(model: ModelSpec, n: int, lam: float, u: PosSeq) -> DPTerm:
-    """int_0^inf exp(-lam*s) V_n(s)u ds; matches (lam-A)^{-1} J^n u.
-
-    The horizon is truncated where the substochastic envelope
-    exp(-lam*T)*|u|/lam drops below the tolerance; the bound joins the
-    reported error estimate.
-    """
+    """int_0^inf exp(-lam*s) V_n(s)u ds; matches (lam-A)^{-1} J^n u."""
     if lam <= 0:
         raise ValueError("dp_laplace requires lambda > 0")
-    u_norm = u.head_sum()
-    if u_norm == 0.0:
-        return DPTerm(PosSeq.zero(), 0.0)
-    horizon = _laplace_horizon(lam, u_norm)
-    st = DPState(model, u, horizon, n)
-    arr, err = st.integral(n, weight_lam=lam)
-    tail = math.exp(-lam * horizon) * u_norm / lam
-    return DPTerm(PosSeq.from_array(arr, st.lo), err + tail)
+    st = DPState(model, u, (math.inf,), n, lam)
+    rows, err = st.integral(math.inf)
+    return DPTerm(PosSeq.from_array(rows[n], st.lo), err)
 
 
 @dataclass(frozen=True)
@@ -332,8 +244,8 @@ class UniformTailReport:
 
 
 def dp_uniform_tail(model: ModelSpec, n_max: int, lam: float, t: float, u: PosSeq) -> UniformTailReport:
-    """Each tail is the Laplace integral up to the horizon minus its head on
-    [0, t], both read from one state per interval that holds every n <= n_max."""
+    """Each tail is the Laplace integral minus its head on [0, t], both read
+    from one state that holds every n <= n_max."""
     if lam <= 0:
         raise ValueError("dp_uniform_tail requires lambda > 0")
     u_norm = u.head_sum()
@@ -341,13 +253,10 @@ def dp_uniform_tail(model: ModelSpec, n_max: int, lam: float, t: float, u: PosSe
     a = model.a.at(list(u.entries)).tolist()
     u_tail = PosSeq({k: v * math.exp(-(lam + a_k) * t) / (lam + a_k) for (k, v), a_k in zip(u.entries.items(), a)})
     bound = math.exp(-lam * t) * u_norm + apply_B(model, u_tail).head_sum()
-    full = DPState(model, u, _laplace_horizon(lam, u_norm), n_max)
-    head = DPState(model, u, t, n_max)
-    computed = []
-    for n in range(n_max + 1):
-        full_b = full.window.apply_B(full.integral(n, weight_lam=lam)[0])
-        head_b = head.window.apply_B(head.integral(n, weight_lam=lam)[0])
-        computed.append(max(0.0, float(full_b.sum()) - float(head_b.sum())))
-    slack = 10.0 * _QUAD_TOL + 1e-12
+    st = DPState(model, u, (math.inf, t), n_max, lam)
+    (full, full_err), (head, head_err) = st.integral(math.inf), st.integral(t)
+    colsum = st.window.colsum
+    computed = [max(0.0, float(colsum @ (f - h))) for f, h in zip(full, head)]
+    slack = float(colsum.max(initial=0.0)) * (full_err + head_err)
     ok = all(cv <= bound + slack for cv in computed)
     return UniformTailReport(bound=bound, computed=tuple(computed), all_within=ok)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import DPState, dyadic_node
+from .dyson import DPState
 from .l1 import Bracket, PosSeq, SignedSeq, axpy, leq, mass
 from .minimal import EvolveResult, evolve, resolvent_G
 from .models import _ULP, ModelSpec, OperatorWindow, apply_J
@@ -366,6 +366,8 @@ def ahat_dp(
     after them telescopes to at most the computed |B int_0^t V_n u| of the
     last one; the upper edge is additionally capped by the upper edge of
     the mass loss ``a0`` = |u| - |V(t)u| (evolved here when not given).
+    Both edges widen by c times the state's certified l1 error, as every
+    read weighs a state by a_k <= c, and by the reads' own rounding.
     """
     if u.tail_bound != 0.0:
         raise ValueError("ahat_dp requires finitely supported input")
@@ -375,23 +377,23 @@ def ahat_dp(
         return AhatResult(Bracket(0.0, 0.0), (), ())
     n_max = _ahat_terms(m, t, u, tol)
     if st is None:
-        st = DPState(m, u, t, n_max)
+        st = DPState(m, u, (t,), n_max)
+    rows, err = st.integral(t)
     colsums = st.window.colsum
     deficits = st.window.a - colsums
     terms = []
     b_norms = []
-    qerr = 0.0
-    for n in range(min(n_max, st.n_max) + 1):
-        arr, err = st.integral(n, s=t)
-        terms.append(float(deficits @ arr))
-        b_norms.append(float(colsums @ arr))
-        qerr += err * max(1.0, float(deficits.max(initial=0.0)))
+    for arr in rows[: min(n_max, st.n_max) + 1]:
+        terms.append(math.fsum(deficits * arr))
+        b_norms.append(math.fsum(colsums * arr))
     partial = math.fsum(terms)
-    lo = max(0.0, partial - qerr)
-    hi = partial + b_norms[-1] + qerr
+    # each product rounds once and each sum is correctly rounded
+    pad = st.c * err + 3.0 * _ULP * (partial + b_norms[-1])
+    lo = max(0.0, partial - pad)
+    hi = partial + b_norms[-1] + pad
     if a0 is None:
         a0 = a0_on_integral(m, t, u, tol)
-    hi = min(hi, a0.hi + qerr)
+    hi = min(hi, a0.hi)
     return AhatResult(Bracket(min(lo, hi), hi), tuple(terms), tuple(b_norms))
 
 
@@ -433,10 +435,7 @@ def delta_by_routes(
     pair per time, computed independently by the two routes, which share
     one evolution pass per time at tolerance ``tol``.
 
-    Expansion route: one ``DPState`` is built at the largest time not yet
-    served and serves every remaining time that is one of its dyadic nodes;
-    this repeats until the grid is served, so a grid of multiples of
-    t_max/32 costs one state and a one-time grid is the per-time call.
+    Expansion route: one ``DPState`` serves every time of the grid.
 
     Resolvent route: the trajectory integral w satisfies G w = V(t)u - u,
     so w = (lam-G)^{-1}(lam w + u - V(t)u) and abar(w) is evaluated by the
@@ -445,16 +444,11 @@ def delta_by_routes(
     ts = tuple(float(t) for t in ts)
     if not all(0.0 <= t < math.inf for t in ts):
         raise ValueError("delta_by_routes requires finite times t >= 0")
-    needs_state = not (m.conservative or u.is_zero)
-    rows = {}
-    left = sorted(set(ts), reverse=True)
-    while left:
-        top = left[0]
-        served = [s for s in left if dyadic_node(s, top) is not None]
-        st = DPState(m, u, top, _ahat_terms(m, top, u, tol), served) if needs_state and top > 0.0 else None
-        for s in served:
-            rows[s] = _delta_pair(m, s, u, lam, tol, st)
-        left = [s for s in left if s not in rows]
+    grid = sorted(set(ts), reverse=True)
+    st = None
+    if not (m.conservative or u.is_zero) and grid and grid[0] > 0.0:
+        st = DPState(m, u, grid, _ahat_terms(m, grid[0], u, tol))
+    rows = {t: _delta_pair(m, t, u, lam, tol, st) for t in grid}
     return [rows[t] for t in ts]
 
 
@@ -475,9 +469,11 @@ def _delta_pair(
         abar_w = Bracket(0.0, 0.0)
     else:
         z = SignedSeq(axpy(lam, ev.integral, u), ev.value)  # nets out the shared support
-        plus = _abar_cone_series(m, lam, z.plus, tol)
-        minus = _abar_cone_series(m, lam, z.minus, tol)
-        abar_w = plus.bracket - minus.bracket
+        # entries flushed below FLUSH_THRESHOLD ride in a side's tail; on the
+        # cone abar((lam-G)^{-1} v) lies in [0, |v|], so a tail widens its side
+        plus = _abar_cone_series(m, lam, PosSeq(z.plus.entries), tol).bracket
+        minus = _abar_cone_series(m, lam, PosSeq(z.minus.entries), tol).bracket
+        abar_w = Bracket(plus.lo, plus.hi + z.plus.tail_bound) - Bracket(minus.lo, minus.hi + z.minus.tail_bound)
     res = DeltaResult(_clamp_nonpos(abar_w - a0), a0, abar_w, "resolvent")
     return res, dp
 

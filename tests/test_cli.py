@@ -5,9 +5,9 @@ import warnings
 
 import pytest
 
-from substochastic import montecarlo
+from substochastic import honesty, montecarlo
 from substochastic.cli import main, parse_t_grid
-from substochastic.honesty import honesty_verdict
+from substochastic.honesty import delta_by_routes, honesty_verdict
 from substochastic.l1 import PosSeq
 from substochastic.models import dump_model, load_model
 from substochastic.montecarlo import CSV_HEADER
@@ -438,6 +438,88 @@ class TestCompareCommand:
         main(["compare", "--model", model_files["pure_loss"], "--t-grid", "0.5,1", "--out", str(out)])
         doc = json.loads(out.read_text())
         assert doc["pass"] and doc["max_discrepancy"] <= 1e-9
+
+
+LOSS_243 = {
+    "name": "loss243",
+    "space": "l1",
+    "A": {"kind": "table", "values": [243.0], "tail": {"c": 1.0, "p": 0.0}},
+    "B": {"kind": "table", "columns": [[0, []]], "tail": None},
+    "conservative": False,
+}
+CHAIN_9 = {
+    "name": "chain9",
+    "space": "l1",
+    "A": {
+        "kind": "table",
+        "values": [148.74, 73.51, 13.002, 18.082, 361.0, 2.198, 229.104, 20.034, 1.806],
+        "tail": {"c": 1.0, "p": 0.0},
+    },
+    "B": {
+        "kind": "table",
+        "columns": [
+            [0, [[4, 22.346], [5, 5.171], [7, 92.442]]],
+            [1, [[4, 40.255], [2, 8.306], [6, 2.653]]],
+            [2, [[7, 0.113], [6, 8.913], [0, 0.04]]],
+            [3, [[8, 2.093], [5, 2.466], [6, 7.639]]],
+            [4, [[2, 0.246], [8, 5.971], [0, 76.921]]],
+            [5, [[7, 1.439], [4, 0.362], [2, 0.115]]],
+            [6, [[2, 141.565], [5, 18.065], [8, 17.828]]],
+            [7, [[4, 8.382], [0, 0.782], [6, 10.48]]],
+            [8, [[6, 0.125], [7, 0.089], [3, 1.039]]],
+        ],
+        "tail": None,
+    },
+    "conservative": False,
+}
+
+
+class TestStiffRates:
+    """Stiff finite chains, where every route must still certify."""
+
+    @pytest.mark.parametrize("doc, a, t", [(LOSS_243, 243.0, 2.9), ("pure_loss", 1.0, 700.0)])
+    def test_flushed_mass_ends_in_a_certified_row(self, model_files, tmp_path, capsys, doc, a, t):
+        # V(t)u falls below the flush threshold 1e-300: the resolvent route
+        # carries the flushed tail as a pad instead of an error exit
+        if doc == "pure_loss":
+            path = model_files["pure_loss"]
+        else:
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(doc))
+        out = tmp_path / "t.csv"
+        assert main(["trajectory", "--model", str(path), "--t-grid", repr(t), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, mass_lo, mass_hi, abar, ahat, delta_lo, delta_hi = (float(x) for x in out.read_text().split("\n")[1].split(","))
+        assert mass_lo <= math.exp(-a * t) <= mass_hi
+        assert delta_lo <= 0.0 <= delta_hi
+
+    def test_loss_compare_passes_and_ahat_holds_the_closed_form(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(LOSS_243))
+        out = tmp_path / "c.json"
+        assert main(["compare", "--model", str(path), "--t-grid", "0.5,2.8", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pass"] is True
+        rows = delta_by_routes(load_model(str(path)), (0.5, 2.8), PosSeq.basis(0))
+        for t, (_, dp) in zip((0.5, 2.8), rows):
+            assert dp.functional.lo <= -math.expm1(-243.0 * t) <= dp.functional.hi
+
+    def test_chain_compare_passes_with_one_quick_build(self, tmp_path, monkeypatch):
+        builds = []
+
+        class Timed(honesty.DPState):
+            def __init__(self, *args):
+                start = time.perf_counter()
+                super().__init__(*args)
+                builds.append(time.perf_counter() - start)
+
+        monkeypatch.setattr(honesty, "DPState", Timed)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(CHAIN_9))
+        out = tmp_path / "c.json"
+        args = ["compare", "--model", str(path), "--initial", "0", "--t-grid", "2.011,3.216,4.01"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pass"] is True
+        assert len(builds) == 1 and builds[0] < 3.0
 
 
 class TestSimulateCommand:

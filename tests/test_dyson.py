@@ -2,26 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from substochastic import dyson
 from substochastic.dyson import (
     DPState,
-    _simpson_convolution,
-    _simpson_weights,
     dp_B_integral,
     dp_convolution_residual,
     dp_laplace,
     dp_partial_sum,
     dp_term,
     dp_uniform_tail,
-    dyadic_node,
 )
-from substochastic.l1 import PosSeq, mass
+from substochastic.honesty import ahat_dp
+from substochastic.l1 import Bracket, PosSeq
 from substochastic.minimal import semigroup_V
 from substochastic.models import (
     Kernel,
     ModelError,
     ModelSpec,
+    OperatorWindow,
     RateFn,
     apply_J,
     apply_resolvent_A,
@@ -49,53 +50,21 @@ class TestDpTerm:
         assert dp_term(m_two_state, 2, 1.0, e0).value.is_zero
 
     def test_sampling_stops_at_an_exact_zero(self, m_two_state, monkeypatch):
-        # B^2 = 0 on two_state: from e0 the second term is exactly 0, and no
-        # convolution is spent on any term after it
-        calls = {"conv": 0, "level": 0}
-        conv, sample = dyson._simpson_convolution, DPState._sample_level
+        # B^2 = 0 on two_state: from e0 the second term is exactly 0, so B is
+        # applied to no word of it, nor of any term after it
+        seen = []
+        apply_B = OperatorWindow.apply_B
 
-        def counted_conv(*args):
-            calls["conv"] += 1
-            return conv(*args)
+        def spy(self, v):
+            seen.append(v.copy())
+            return apply_B(self, v)
 
-        def counted_level(self, *args):
-            calls["level"] += 1
-            return sample(self, *args)
-
-        monkeypatch.setattr(dyson, "_simpson_convolution", counted_conv)
-        monkeypatch.setattr(DPState, "_sample_level", counted_level)
-        st = DPState(m_two_state, e0, 2.0, 16)
-        assert calls["level"] >= 2 and calls["conv"] == 2 * calls["level"]
-        assert st.terms[1].any() and not any(st.terms[n].any() for n in range(2, 17))
-
-
-def _direct_convolution(g, decay, h):
-    f = np.zeros_like(g)
-    for j in range(1, g.shape[0]):
-        f[j] = np.einsum("i,ik,ik->k", _simpson_weights(j, h), g[: j + 1], decay[j::-1])
-    return f
-
-
-class TestSimpsonConvolution:
-    @pytest.mark.parametrize("M", [1, 2, 4, 32, 1024])
-    @pytest.mark.parametrize("W", [1, 5, 41])
-    @pytest.mark.parametrize("stiff", [False, True])
-    def test_running_sums_match_direct_weights(self, M, W, stiff):
-        rng = np.random.default_rng(1000 * M + 10 * W + stiff)
-        t = 2.0
-        h = t / M
-        a = rng.uniform(0.0, 5.0, W)
-        if stiff:
-            a[::2] = 1e6 * M  # a*h far past exp underflow
-        decay = np.exp(-np.outer(np.linspace(0.0, t, M + 1), a))
-        if stiff:
-            assert decay[1, 0] == 0.0
-        g = rng.uniform(0.0, 1.0, (M + 1, W))
-        f = _simpson_convolution(g, decay, h)
-        ref = _direct_convolution(g, decay, h)
-        assert np.all(f >= 0.0)
-        assert np.all(f[0] == 0.0)
-        np.testing.assert_allclose(f[1:], ref[1:], rtol=1e-13, atol=0.0)
+        monkeypatch.setattr(OperatorWindow, "apply_B", spy)
+        st = DPState(m_two_state, e0, (2.0,), 16)
+        assert len(seen) == st.level
+        assert all(v.shape[0] <= 2 and v.any(axis=1).all() for v in seen)
+        rows, _ = st.term(2.0)
+        assert rows[1].any() and not rows[2:].any()
 
 
 class TestPartialSums:
@@ -222,46 +191,29 @@ class TestUniformTail:
 
 
 class TestGridNodes:
-    def test_dyadic_node(self):
-        assert dyadic_node(2.0, 2.0) == 32 and dyadic_node(0.0, 2.0) == 0
-        assert dyadic_node(0.25, 2.0) == 4 and dyadic_node(1.0, 1.0) == 32
-        for s, t in ((0.1, 1.0), (0.3, 1.0), (2.5, 2.0), (-0.25, 2.0), (1.0 / 64, 1.0)):
-            assert dyadic_node(s, t) is None
-
-    @pytest.mark.parametrize("node", [0.1, 1.0 / 64, 2.5, -0.25])
-    def test_off_grid_node_rejected(self, m_bd_kill, node):
-        with pytest.raises(ValueError):
-            DPState(m_bd_kill, e0, 2.0, 2, (0.5, node))
+    """Every time of a grid stops its weights at its own Poisson window, so
+    its rows are what a state of its own reads, whatever the grid."""
 
     def test_one_node_state_is_the_plain_state(self, m_bd_kill):
-        plain = DPState(m_bd_kill, e0, 1.5, 4)
-        served = DPState(m_bd_kill, e0, 1.5, 4, (1.5,))
-        assert plain.level == served.level and plain.errors == served.errors
-        for n in range(5):
-            assert np.array_equal(plain.terms[n], served.terms[n])
-            for lam in (0.0, 0.7):
-                a, b = plain.integral(n, lam), served.integral(n, lam)
-                assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+        plain = DPState(m_bd_kill, e0, (1.5,), 4)
+        served = DPState(m_bd_kill, e0, (0.4, 1.5), 4)
+        assert plain.level == served.level and plain.errors[1.5] == served.errors[1.5]
+        for read in ("term", "integral"):
+            (a, ea), (b, eb) = getattr(plain, read)(1.5), getattr(served, read)(1.5)
+            assert np.array_equal(a, b) and ea == eb
 
     @pytest.mark.parametrize("name", ["m_bd_kill", "m_two_state", "m_closed_chain"])
     def test_nodes_match_their_own_states(self, name, request):
-        # each served node reads what a state built at that time reads, within
-        # both quadrature error estimates
         m = request.getfixturevalue(name)
-        grid = DPState(m, e0, 2.0, 6, (0.25, 0.5, 1.25))
-        with pytest.raises(ValueError):
-            grid.integral(0, s=0.75)  # a node of the grid, but not served
-        for s in (0.25, 0.5, 1.25, 2.0):
-            own = DPState(m, e0, s, 6)
+        ts = (0.1, 0.25, 1.3, 2.0)  # dyadic or not
+        grid = DPState(m, e0, ts, 6)
+        assert grid.level == max(DPState(m, e0, (t,), 6).level for t in ts)
+        for t in ts:
+            own = DPState(m, e0, (t,), 6)
             assert (own.lo, own.hi) == (grid.lo, grid.hi)
-            assert set(grid.errors) == {0.25, 0.5, 1.25, 2.0}
-            j = grid.nodes[s] << (grid.level - dyson._MIN_LEVEL)
-            for n in range(7):
-                (a, ea), (b, eb) = grid.integral(n, s=s), own.integral(n)
-                assert np.abs(a - b).sum() <= ea + eb
-                assert np.abs(grid.terms[n][j] - own.terms[n][-1]).sum() <= grid.errors[s][n] + own.errors[s][n] + 1e-15
-                for ea_n in (grid.errors[s][n], grid.errors_int[s][n]):
-                    assert ea_n <= dyson._QUAD_TOL
+            for read in ("term", "integral"):
+                (a, ea), (b, eb) = getattr(grid, read)(t), getattr(own, read)(t)
+                assert np.array_equal(a, b) and ea == eb
 
 
 class TestDPStateWindow:
@@ -271,8 +223,105 @@ class TestDPStateWindow:
         kernel = Kernel("table", columns=((3, ((12, 0.5),)),))
         leaky = ModelSpec("leaky", RateFn.power(1.0, 0.0), kernel, conservative=False, stride=1)
         with pytest.raises(ModelError):
-            DPState(leaky, PosSeq.basis(3), 1.0, 1)
+            DPState(leaky, PosSeq.basis(3), (1.0,), 1)
         declared = ModelSpec("declared", RateFn.power(1.0, 0.0), kernel, conservative=False)
-        st = DPState(declared, PosSeq.basis(3), 1.0, 1)
+        st = DPState(declared, PosSeq.basis(3), (1.0,), 1)
         assert not st.window.leak.any()
-        assert st.term_at_t(1).value.get(12) > 0.0
+        assert st.term(1.0)[0][1][12 - st.lo] > 0.0
+
+
+def _loss(a):
+    """One state lost at rate a: ahat(t) = 1 - e^{-at}."""
+    return ModelSpec.table(a_values=(a,), columns={0: []}, tail_c=1.0, tail_p=0.0, name="loss")
+
+
+class TestCountedTerms:
+    @pytest.mark.parametrize("a, ts", [(243.0, (0.5, 2.8)), (243.0, (2.9,)), (1.0, (0.3, 700.0))])
+    def test_loss_brackets_hold_the_closed_form(self, a, ts):
+        # stiff rates: every certified edge holds 1 - e^{-at} < 1, and the
+        # integral row holds (1 - e^{-at})/a within its error
+        m = _loss(a)
+        st = DPState(m, e0, ts, 0)
+        for t in ts:
+            exact = -math.expm1(-a * t)
+            r = ahat_dp(m, t, e0, a0=Bracket(0.0, 1.0), st=st)
+            assert r.bracket.lo <= exact <= r.bracket.hi and r.bracket.hi <= 1.0
+            rows, err = st.integral(t)
+            assert abs(rows[0][0] - exact / a) <= err
+
+    def test_a_window_past_the_step_budget_reads_the_trivial_bound(self, m_pure_loss):
+        # c t = 1e7 steps exceeds minimal._STEP_BUDGET: that time reads 0
+        # with error t|u|, and the pass runs only the other time's steps
+        st = DPState(m_pure_loss, e0, (1e7, 1.0), 0)
+        assert st.level < 100
+        rows, err = st.integral(1e7)
+        assert not rows.any() and err >= 1e7
+        r = ahat_dp(m_pure_loss, 1e7, e0, a0=Bracket(0.0, 1.0), st=st)
+        assert (r.bracket.lo, r.bracket.hi) == (0.0, 1.0)
+
+    def test_rejects_bad_times(self, m_two_state):
+        for ts, lam in (((-1.0,), 0.0), ((math.inf,), 0.0), ((1.0,), -1.0)):
+            with pytest.raises(ValueError):
+                DPState(m_two_state, e0, ts, 2, lam)
+
+
+def _random_table(draw):
+    """A finite table of 2-6 states with log-uniform rates in [1e-2, 5e2];
+    each state sends up to three shares of its rate to other states and
+    kills the rest."""
+    n = draw(st.integers(2, 6))
+    a = [10.0 ** draw(st.floats(-2.0, math.log10(500.0))) for _ in range(n)]
+    columns = {}
+    for k in range(n):
+        targets = draw(st.lists(st.integers(0, n - 1).filter(lambda j, k=k: j != k), max_size=3, unique=True))
+        shares = [draw(st.floats(0.05, 1.0)) for _ in targets]
+        scale = draw(st.floats(0.3, 1.0)) / max(sum(shares), 1.0)
+        columns[k] = [(j, a[k] * s * scale) for j, s in zip(targets, shares)]
+    return ModelSpec.table(a_values=a, columns=columns, tail_c=1.0, tail_p=0.0, name="random")
+
+
+def _generator(m, n):
+    q = -np.diag(m.a.array(0, n))
+    for k, col in m.kernel.columns:
+        for j, r in col:
+            q[j, k] += r
+    return q
+
+
+@st.composite
+def _tables(draw):
+    m = _random_table(draw)
+    n = len(m.a.values)
+    # off the dyadic grid: a 3-digit time
+    return m, n, draw(st.integers(0, n - 1)), draw(st.integers(1, 2500)) / 1000.0 + 0.0007
+
+
+class TestRandomTables:
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(_tables())
+    def test_ahat_bracket_holds_expm(self, case):
+        # a finite chain is honest, so ahat(t) = 1 - |e^{tQ}u|; a0 = [0, 1]
+        # leaves the bracket to the counted terms alone (expm's own
+        # rounding gets 1e-12)
+        m, n, k, t = case
+        u = PosSeq.basis(k)
+        exact = 1.0 - float(expm(t * _generator(m, n))[:, k].sum())
+        r = ahat_dp(m, t, u, a0=Bracket(0.0, 1.0))
+        assert r.bracket.lo - 1e-12 <= exact <= r.bracket.hi + 1e-12
+        assert r.bracket.width <= 1e-7
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(_tables(), st.integers(0, 3))
+    def test_laplace_terms_hold_the_resolvent_iterates(self, case, n):
+        # int_0^inf e^{-lam s} V_n(s)u ds = (lam-A)^{-1} J^n u, at lam = max a
+        m, _, k, _ = case
+        lam = max(m.a.values)
+        u = PosSeq.basis(k)
+        out = dp_laplace(m, n, lam, u)
+        w = u
+        for _ in range(n):
+            w = apply_J(m, lam, w)
+        ref = apply_resolvent_A(m, lam, w)
+        keys = set(out.value.entries) | set(ref.entries)
+        resid = math.fsum(abs(out.value.get(j) - ref.get(j)) for j in keys)
+        assert resid <= out.error + 1e-15 * ref.head_sum()

@@ -420,7 +420,7 @@ class TestGridRoute:
 
         monkeypatch.setattr(honesty, "DPState", Counting)
         rows = delta_by_routes(m_bd_kill, self.GRID, e0)
-        assert builds == [2.0] and len(rows) == len(self.GRID)
+        assert len(builds) == 1 and max(builds[0]) == 2.0 and len(rows) == len(self.GRID)
 
     def test_grid_brackets_hold_the_closed_form(self, m_bd_kill):
         # bd_kill loses mass at rate 1/2 from every state and is honest, so
@@ -435,16 +435,30 @@ class TestGridRoute:
                 assert dp.functional.width <= per_t.bracket.width
 
     @pytest.mark.parametrize("name", ["m_bd_kill", "m_two_state"])
-    def test_off_grid_times_get_their_own_state(self, name, request):
-        # no time of (0.1, 0.3, 1.0) is a node of a later one's grid, so each
-        # row is the one-time call bit for bit
+    def test_any_grid_is_one_state(self, name, request, monkeypatch):
+        # (0.1, 0.3, 1.0) is no dyadic grid: one state serves it, and each
+        # row holds the closed form and is no wider than its one-time call
         m = request.getfixturevalue(name)
+        builds = []
+
+        class Counting(honesty.DPState):
+            def __init__(self, *args):
+                builds.append(args[2])
+                super().__init__(*args)
+
+        monkeypatch.setattr(honesty, "DPState", Counting)
         ts = (0.1, 0.3, 1.0)
         rows = delta_by_routes(m, ts, e0, 1.3)
-        assert rows == [delta_by_routes(m, (t,), e0, 1.3)[0] for t in ts]
+        assert len(builds) == 1
+        for t, (_, dp) in zip(ts, rows):
+            # bd_kill: 1 - e^{-t/2}; two_state: 1 - |V(t)e0| = (1 - e^{-t})^2
+            exact = -math.expm1(-t / 2) if name == "m_bd_kill" else math.expm1(-t) ** 2
+            assert dp.functional.lo <= exact <= dp.functional.hi
+            own = delta_by_routes(m, (t,), e0, 1.3)[0][1]
+            assert dp.functional.width <= own.functional.width and dp.bracket.width <= own.bracket.width
 
     def test_grid_rows_come_back_in_grid_order(self, m_two_state):
-        ts = (0.0, 0.3, 0.5, 1.0)  # 0.5 rides on 1.0's state, 0.3 gets its own
+        ts = (0.0, 0.3, 0.5, 1.0)  # one state serves 0.3, 0.5 and 1.0
         rows = delta_by_routes(m_two_state, ts, e0)
         assert (rows[0][1].functional.lo, rows[0][1].functional.hi) == (0.0, 0.0)
         for t, (res, dp) in zip(ts, rows):
