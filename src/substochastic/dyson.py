@@ -104,34 +104,43 @@ class DPState:
         x = (self.c + self.lam) * t
         return x + 9.0 * math.sqrt(x) + 40.0
 
-    def _weights(self, t: float, steps: int) -> tuple[np.ndarray, np.ndarray, float, float, float, int]:
-        """(value weights, integral weights, value defect, integral defect,
-        integral scale, last weighted step) of time t over the steps
-        0..steps.  The weights stop at t's own window, so a time reads what
-        a pass of its own reads.  The defects are per unit input mass: the
-        weight the pass misses plus twice the shared relative error of the
-        Poisson weights (``_stratum_sums``)."""
+    def _weights(self, t: float, steps: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """(value weights, integral weights, value error, integral error) of
+        time t over the steps 0..steps, the errors per unit input mass.
+
+        The weights stop at t's own window, so a time reads what a pass of
+        its own reads.  An error is the weight the pass misses plus twice
+        the shared relative error of the Poisson weights (``_stratum_sums``)
+        plus a rounding pad.  Every entry is a sum of nonnegative addends: a
+        step passes a word through D (one rounding, and 1 - a/c is good to
+        two ulps absolute) or through E (a rounding per band, the division by
+        c and the sum with D's part), a weight through the Poisson products
+        and sums and the geometric factor, and the accumulation takes a
+        rounding a step up to t's last weight (a zero weight adds exactly
+        nothing)."""
         c, lam = self.c, self.lam
         vw, iw = np.zeros(steps + 1), np.zeros(steps + 1)
         win = self._window(t)
         if t < math.inf and win > steps:  # past the step budget
-            return vw, iw, 1.0, t, t, 0
+            return vw, iw, 1.0, t
         last = min(math.ceil(win), steps)
+        pad = (last * (len(self.window.bands) + 8) + 16) * _ULP
         geo = np.full(last + 1, 1.0 / (c + lam))
         if lam:
             geo *= (c / (c + lam)) ** np.arange(last + 1.0)
         if t == math.inf:
             iw[: last + 1] = geo
-            return vw, iw, 1.0, (c / (c + lam)) ** (last + 1) / lam, 1.0 / lam, last
+            return vw, iw, 1.0, ((c / (c + lam)) ** (last + 1) + pad) / lam
         x = (c + lam) * t
         if x == 0.0:
             pmf, sf, defect = np.eye(1, last + 1)[0], np.zeros(last + 1), 0.0
         else:
             pmf, sf, defect = _poisson_weights(x, last)
         iw[: last + 1] = sf * geo
-        if not lam:
-            vw[: last + 1] = pmf
-        return vw, iw, 2.0 * defect if not lam else 1.0, t * (float(pmf[-1]) + 2.0 * defect), t, last
+        if lam:
+            return vw, iw, 1.0, t * (float(pmf[-1]) + 2.0 * defect + pad)
+        vw[: last + 1] = pmf
+        return vw, iw, 2.0 * defect + pad, t * (float(pmf[-1]) + 2.0 * defect + pad)
 
     def _run(self, ts: tuple[float, ...]) -> None:
         steps = math.ceil(max((w for w in map(self._window, ts) if w <= _STEP_BUDGET), default=0.0))
@@ -140,17 +149,9 @@ class DPState:
         W = self.hi - self.lo
         rows, self.errors = [], {}
         for t in ts:
-            vw, iw, v_def, i_def, scale, last = self._weights(t, steps)
+            vw, iw, v_err, i_err = self._weights(t, steps)
             rows += [vw, iw]
-            # Rounding pad per unit input mass and scale.  Every entry is a
-            # sum of nonnegative addends: a step passes a word through D (one
-            # rounding, and 1 - a/c is good to two ulps absolute) or through
-            # E (a rounding per band, the division by c and the sum with D's
-            # part), a weight through the Poisson products and sums and the
-            # geometric factor, and the accumulation takes a rounding a step
-            # up to t's last weight (a zero weight adds exactly nothing).
-            pad = (last * (len(self.window.bands) + 8) + 16) * _ULP
-            self.errors[t] = ((v_def + pad) * u_norm, (i_def + pad * scale) * u_norm)
+            self.errors[t] = (v_err * u_norm, i_err * u_norm)
         weights = np.array(rows)
         # acc[2i] = V_n(t_i)u, acc[2i+1] its integral, term by window state
         acc = np.zeros((weights.shape[0], self.n_max + 1, W))
