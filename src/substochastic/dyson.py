@@ -14,6 +14,15 @@ with X ~ Poisson(ct).  The e^{-lam s}-weighted integral over [0, t] takes
 the weights c^j/(c+lam)^{j+1} P(Poisson((c+lam)t) > j) instead, and over
 [0, inf) the geometric c^j/(c+lam)^{j+1} alone.
 
+The recurrence is the evolution's uniformized chain on counted states:
+term n of window state lo + k is entry n W + k of one (n_max + 1) W vector,
+W the window's width, with the window's loss rates tiled n_max + 1 times
+and each band d of B as band W + d, from row n to row n + 1.  So the
+evolution's ``minimal._make_stepper`` and ``_blocked_sums`` run it.  The
+window zeroes every rate whose target leaves it, so an edge state sends
+exactly +0 across a row boundary and the rows never mix.  What row n_max
+sends leaves the vector and is dropped: it feeds only terms past n_max.
+
 Every word is nonnegative and sum_n |w_{j,n}| <= |u|, because D + E is
 substochastic.  So the Poisson weight a pass misses, plus a rounding pad,
 certifies the sum over n of every term's l1 error, on both edges.
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import PosSeq
-from .minimal import _STEP_BUDGET, _poisson_weights
+from .minimal import _STEP_BUDGET, _block_rows, _blocked_sums, _make_stepper, _poisson_last, _poisson_weights
 from .models import _ULP, ModelError, ModelSpec, OperatorWindow, apply_B, apply_U
 
 __all__ = [
@@ -100,78 +109,61 @@ class DPState:
         an ulp."""
         if t == math.inf:
             rate = math.log1p(self.lam / self.c)
-            return -math.log(_ULP) / rate if rate else math.inf
-        x = (self.c + self.lam) * t
-        return x + 9.0 * math.sqrt(x) + 40.0
+            return math.ceil(-math.log(_ULP) / rate) if rate else math.inf
+        return _poisson_last((self.c + self.lam) * t)
 
     def _weights(self, t: float, steps: int) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(value weights, integral weights, value error, integral error) of
-        time t over the steps 0..steps, the errors per unit input mass.
-
-        The weights stop at t's own window, so a time reads what a pass of
-        its own reads.  An error is the weight the pass misses plus twice
-        the shared relative error of the Poisson weights (``_stratum_sums``)
-        plus a rounding pad.  Every entry is a sum of nonnegative addends: a
-        step passes a word through D (one rounding, and 1 - a/c is good to
-        two ulps absolute) or through E (a rounding per band, the division by
-        c and the sum with D's part), a weight through the Poisson products
-        and sums and the geometric factor, and the accumulation takes a
-        rounding a step up to t's last weight (a zero weight adds exactly
-        nothing)."""
+        time t from step 0 to t's own window, so a time reads what a pass of
+        its own reads; the errors per unit input mass.  An error is the weight
+        the pass misses plus twice the shared relative error of the Poisson
+        weights (``_stratum_sums``) plus a rounding pad.  Every entry is a sum
+        of nonnegative addends: a step passes a word through D (1 - a/c is
+        good to two ulps absolute) or E (the rate over c), then a product and
+        an addition per band; a weight through the Poisson products and sums
+        and the geometric factor; and a blocked sum of t's window takes at
+        most its length + 3 roundings (``minimal.evolve``)."""
         c, lam = self.c, self.lam
-        vw, iw = np.zeros(steps + 1), np.zeros(steps + 1)
         win = self._window(t)
         if t < math.inf and win > steps:  # past the step budget
-            return vw, iw, 1.0, t
-        last = min(math.ceil(win), steps)
+            return np.zeros(0), np.zeros(0), 1.0, t
+        last = min(win, steps)
         pad = (last * (len(self.window.bands) + 8) + 16) * _ULP
         geo = np.full(last + 1, 1.0 / (c + lam))
         if lam:
             geo *= (c / (c + lam)) ** np.arange(last + 1.0)
         if t == math.inf:
-            iw[: last + 1] = geo
-            return vw, iw, 1.0, ((c / (c + lam)) ** (last + 1) + pad) / lam
+            return np.zeros(0), geo, 1.0, ((c / (c + lam)) ** (last + 1) + pad) / lam
         x = (c + lam) * t
         if x == 0.0:
             pmf, sf, defect = np.eye(1, last + 1)[0], np.zeros(last + 1), 0.0
         else:
             pmf, sf, defect = _poisson_weights(x, last)
-        iw[: last + 1] = sf * geo
+        i_err = t * (float(pmf[-1]) + 2.0 * defect + pad)
         if lam:
-            return vw, iw, 1.0, t * (float(pmf[-1]) + 2.0 * defect + pad)
-        vw[: last + 1] = pmf
-        return vw, iw, 2.0 * defect + pad, t * (float(pmf[-1]) + 2.0 * defect + pad)
+            return np.zeros(0), sf * geo, 1.0, i_err
+        return pmf, sf * geo, 2.0 * defect + pad, i_err
 
     def _run(self, ts: tuple[float, ...]) -> None:
-        steps = math.ceil(max((w for w in map(self._window, ts) if w <= _STEP_BUDGET), default=0.0))
+        steps = max((w for w in map(self._window, ts) if w <= _STEP_BUDGET), default=0)
         self.level = steps
         u_norm = self.u.head_sum()
-        W = self.hi - self.lo
-        rows, self.errors = [], {}
+        weights, self.errors = [], {}
         for t in ts:
             vw, iw, v_err, i_err = self._weights(t, steps)
-            rows += [vw, iw]
+            weights += [(0, vw), (0, iw)]
             self.errors[t] = (v_err * u_norm, i_err * u_norm)
-        weights = np.array(rows)
-        # acc[2i] = V_n(t_i)u, acc[2i+1] its integral, term by window state
-        acc = np.zeros((weights.shape[0], self.n_max + 1, W))
-        w = np.zeros((self.n_max + 1, W))
-        for k, v in self.u.entries.items():
-            w[0, k - self.lo] = v
-        d = 1.0 - self.window.a / self.c
-        live = 1  # words with n >= live are exactly 0 so far
-        acc[:, :1] += weights[:, 0, None, None] * w[:1]
-        for j in range(1, steps + 1):
-            top = min(live, self.n_max)
-            flow = self.window.apply_B(w[:top]) / self.c if top else None
-            w[:live] *= d
-            if top:
-                w[1 : top + 1] += flow
-            if live <= self.n_max and w[live].any():
-                live += 1
-            acc[:, :live] += weights[:, j, None, None] * w[:live]
-        self.values = {t: acc[2 * i] for i, t in enumerate(ts)}
-        self.integrals = {t: acc[2 * i + 1] for i, t in enumerate(ts)}
+        # the counted chain: term n of state lo + k at n W + k, and band d
+        # of B as band W + d, from row n to row n + 1 (none past the last)
+        rows, W = self.n_max + 1, self.hi - self.lo
+        L = rows * W
+        tiled = {W + d: np.tile(r, rows) for d, r in self.window.bands.items() if W + d < L}
+        shifts = [(slice(s, L), slice(0, L - s), r[: L - s]) for s, r in tiled.items()]
+        stepper = _make_stepper((np.tile(self.window.a, rows), shifts), self.c, min(_block_rows(L), max(steps, 1)))
+        start = {k - self.lo: v for k, v in self.u.entries.items()}
+        sums, _ = _blocked_sums(stepper, start, steps, weights)
+        self.values = {t: sums[2 * i].reshape(rows, W) for i, t in enumerate(ts)}
+        self.integrals = {t: sums[2 * i + 1].reshape(rows, W) for i, t in enumerate(ts)}
 
     # -- extraction -----------------------------------------------------
     def term(self, t: float) -> tuple[np.ndarray, float]:

@@ -170,17 +170,19 @@ def _block_rows(n: int) -> int:
     return min(max(_BLOCK_BYTES // (8 * n), 1), _BLOCK_ROWS)
 
 
-def _make_stepper(win: OperatorWindow, c: float, rows: int):
+def _make_stepper(win, c: float, rows: int):
     """Return (block, fill): an uninitialised (rows + 1, N) block, and fill
     with fill(k): block[i+1] <- (I + Q/c) block[i] for i < k, in turn;
     positive and substochastic.
 
-    Columns leaving the window are dropped, i.e. counted as kill.  Every
+    ``win`` is an ``OperatorWindow`` or a pair (a, shifts) of arrays in its
+    form.  Columns leaving the vector are dropped, i.e. counted as kill.  Every
     row's band views and one scratch vector per band are built here, as a
     flat list of (ufunc, in, in, out) calls, so a step allocates nothing.
     """
-    diag = 1.0 - win.a / c
-    bands = [(tgt, src, r / c, np.empty(r.size)) for tgt, src, r in win.shifts()]
+    a, shifts = win if isinstance(win, tuple) else (win.a, win.shifts())
+    diag = 1.0 - a / c
+    bands = [(tgt, src, r / c, np.empty(r.size)) for tgt, src, r in shifts]
     block = np.empty((rows + 1, diag.size))
     calls = []
     for v, out in zip(block[:-1], block[1:]):
@@ -194,6 +196,39 @@ def _make_stepper(win: OperatorWindow, c: float, rows: int):
             f(x, y, z)
 
     return block, fill
+
+
+def _blocked_sums(stepper, start: dict[int, float], steps: int, weights: list, masses: bool = False):
+    """([sum_j w[j - first] power_j for each (first, w) of ``weights``],
+    mass) over the stepper's powers 0..steps from ``start`` (index -> entry).
+    The stepper fills a block of powers (row 0 holds the last power of the
+    previous block), and each sum adds its weights on the block's rows inside
+    its own window by one matrix product.  With ``masses``, mass holds every
+    power's mass, one row sum per block (else None)."""
+    block, fill = stepper
+    rows, n = block.shape[0] - 1, block.shape[1]
+    block[0] = 0.0
+    for k, v in start.items():
+        block[0, k] = v
+    out = [np.zeros(n) for _ in weights]
+    prod = np.empty(n)
+    mass = np.full(steps + 1, block[0].sum()) if masses else None
+    j0 = first = 0  # the power in row 0, and the first power not yet added
+    while True:
+        k = min(rows, steps - j0)
+        if k:
+            fill(k)
+            if masses:
+                mass[j0 + 1 : j0 + k + 1] = block[1 : k + 1].sum(axis=1)
+        for (w_lo, w), acc in zip(weights, out):
+            lo, hi = max(first, w_lo), min(j0 + k + 1, w_lo + w.size)
+            if lo < hi:
+                np.matmul(w[lo - w_lo : hi - w_lo], block[lo - j0 : hi - j0], out=prod)
+                np.add(acc, prod, out=acc)
+        j0, first = j0 + k, j0 + k + 1
+        if j0 >= steps:
+            return out, mass
+        block[0] = block[k]
 
 
 def _poisson_weights(lam_p: float, jmax: int, lo: int = 0):
@@ -225,13 +260,16 @@ def _poisson_weights(lam_p: float, jmax: int, lo: int = 0):
     return pmf, sf, missing + 4e-16 * lam_p * max(1.0, abs(math.log(lam_p)))
 
 
+def _poisson_last(x: float) -> float:
+    """The last Poisson(x) term a pass sums: mean + 9 sd + 40, or inf (no budget fits it)."""
+    last = x + 9.0 * math.sqrt(x) + 40.0
+    return math.ceil(last) if math.isfinite(last) else math.inf
+
+
 def _poisson_window(m: ModelSpec, n: int, t: float) -> tuple[float, float]:
-    """The uniformization constant c of the N-state truncation, and the last
-    Poisson term summed to time t: the mean c*t plus nine standard deviations
-    plus 40, inf when that leaves floating point (no budget fits it)."""
+    """The N-state truncation's uniformization constant c and its last Poisson term at t."""
     c = max(m.a.max_upto(n), 1e-12)
-    last = c * t + 9.0 * math.sqrt(c * t) + 40.0
-    return c, math.ceil(last) if math.isfinite(last) else math.inf
+    return c, _poisson_last(c * t)
 
 
 def _uniformized(
@@ -246,20 +284,19 @@ def _uniformized(
     optionally int_0^t V_N(s)u ds at each t in ``times``.
 
     The powers (I + Q/c)^j u do not depend on t, so the pass runs to the
-    largest time's Poisson window.  The stepper fills a block of powers (row
-    0 holds the last power of the previous block), and each time then adds
-    its weights on the block's rows inside its own window by one matrix
-    product.  Returns ([(v_acc, i_acc, v_defect, i_defect) per time],
-    steps, mass): the accumulated vectors plus bounds on the weight mass each
-    accumulation is missing (relative to the truncated evolution itself, per
-    unit input mass), and with ``masses`` the mass of every power, one row
-    sum per block (else None).
+    largest time's Poisson window, and ``_blocked_sums`` weighs them for
+    every time at once.  Returns ([(v_acc, i_acc, v_defect, i_defect) per
+    time], steps, mass): the accumulated vectors plus bounds on the weight
+    mass each accumulation is missing (relative to the truncated evolution
+    itself, per unit input mass), and with ``masses`` the mass of every
+    power (else None).
     """
-    weights = []  # per time: first index, nonzero pmf slice, sf/c where sf > 0 (with the integral)
+    c = _poisson_window(m, n, 0.0)[0]  # depends on the truncation alone
+    weights = []  # per time: (first index, nonzero pmf slice), then (0, sf/c where sf > 0) with the integral
     defects = []  # per time: v_defect, i_defect
     steps = 0
     for t in times:
-        c, jmax = _poisson_window(m, n, t)
+        jmax = _poisson_window(m, n, t)[1]
         lam_p = c * t
         if lam_p == 0.0:
             # Poisson(0) puts all its weight on the identity
@@ -271,48 +308,19 @@ def _uniformized(
         lo_w = int(nz[0]) if nz.size else 0
         hi_w = int(nz[-1]) if nz.size else -1
         # sf[j] > 0 exactly for j < hi_w; copies, so the full arrays are freed
-        weights.append((lo_w, pmf[lo_w : hi_w + 1].copy(), sf[: max(hi_w, 0)] / c if want_integral else None))
+        weights.append((lo_w, pmf[lo_w : hi_w + 1].copy()))
+        if want_integral:
+            weights.append((0, sf[: max(hi_w, 0)] / c))
         # Missing Poisson weight (both tails + underflow) plus the shared
         # scale error of the weights, per unit input mass.  The integral
         # weights the window misses, sum_j P(X > max(j, jmax))/c, total
         # E[X; X > jmax]/c = t P(X >= jmax), as in ``_stratum_sums``.
         defects.append((defect, t * (float(pmf[-1]) + 2.0 * defect)))
-    rows = min(_block_rows(n), max(steps, 1))
     # the window's transients peak before any N-vector of the pass exists
-    block, fill = _make_stepper(OperatorWindow(m, 0, n), c, rows)
-    block[0] = 0.0
-    for k, v in u.entries.items():
-        block[0, k] = v
-    out = [(np.zeros(n), np.zeros(n) if want_integral else None, *d) for d in defects]
-    prod = np.empty(n)
-    mass = np.empty(steps + 1) if masses else None
-    if masses:
-        mass[0] = block[0].sum()
-
-    def add(acc: np.ndarray, w: np.ndarray, w_lo: int, lo: int, hi: int) -> None:
-        """acc += sum_j w[j - w_lo] (row j - j0 of the block) over the powers
-        j in [lo, hi) that w weighs."""
-        lo, hi = max(lo, w_lo), min(hi, w_lo + w.size)
-        if lo < hi:
-            np.matmul(w[lo - w_lo : hi - w_lo], block[lo - j0 : hi - j0], out=prod)
-            np.add(acc, prod, out=acc)
-
-    j0 = first = 0  # the power in row 0, and the first power not yet added
-    while True:
-        k = min(rows, steps - j0)
-        if k:
-            fill(k)
-            if masses:
-                mass[j0 + 1 : j0 + k + 1] = block[1 : k + 1].sum(axis=1)
-        for (lo_w, pmf, sfc), (v_acc, i_acc, _, _) in zip(weights, out):
-            add(v_acc, pmf, lo_w, first, j0 + k + 1)
-            if sfc is not None:
-                add(i_acc, sfc, 0, first, j0 + k + 1)
-        j0 += k
-        first = j0 + 1
-        if j0 >= steps:
-            return out, steps, mass
-        block[0] = block[k]
+    stepper = _make_stepper(OperatorWindow(m, 0, n), c, min(_block_rows(n), max(steps, 1)))
+    sums, mass = _blocked_sums(stepper, u.entries, steps, weights, masses)
+    sums = iter(sums)
+    return [(next(sums), next(sums) if want_integral else None, *d) for d in defects], steps, mass
 
 
 def _reach(m: ModelSpec, top: int, n: int, t: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,12 @@ from substochastic.dyson import (
 )
 from substochastic.honesty import ahat_dp
 from substochastic.l1 import Bracket, PosSeq
-from substochastic.minimal import semigroup_V
+from substochastic.minimal import _poisson_weights, semigroup_V
 from substochastic.models import (
+    _ULP,
     Kernel,
     ModelError,
     ModelSpec,
-    OperatorWindow,
     RateFn,
     apply_J,
     apply_resolvent_A,
@@ -49,20 +50,10 @@ class TestDpTerm:
     def test_nilpotent_kernel_vanishes(self, m_two_state):
         assert dp_term(m_two_state, 2, 1.0, e0).value.is_zero
 
-    def test_sampling_stops_at_an_exact_zero(self, m_two_state, monkeypatch):
-        # B^2 = 0 on two_state: from e0 the second term is exactly 0, so B is
-        # applied to no word of it, nor of any term after it
-        seen = []
-        apply_B = OperatorWindow.apply_B
-
-        def spy(self, v):
-            seen.append(v.copy())
-            return apply_B(self, v)
-
-        monkeypatch.setattr(OperatorWindow, "apply_B", spy)
+    def test_sampling_stops_at_an_exact_zero(self, m_two_state):
+        # B^2 = 0 on two_state: from e0 the second term is exactly 0, and so
+        # is every term after it
         st = DPState(m_two_state, e0, (2.0,), 16)
-        assert len(seen) == st.level
-        assert all(v.shape[0] <= 2 and v.any(axis=1).all() for v in seen)
         rows, _ = st.term(2.0)
         assert rows[1].any() and not rows[2:].any()
 
@@ -228,6 +219,69 @@ class TestDPStateWindow:
         st = DPState(declared, PosSeq.basis(3), (1.0,), 1)
         assert not st.window.leak.any()
         assert st.term(1.0)[0][1][12 - st.lo] > 0.0
+
+
+class TestCountedRows:
+    """The pass runs the counted chain, term n of a window state at n W plus
+    the state: a word never crosses into another term's row but through B,
+    and what the last row sends is dropped, so a state that tracks more
+    terms reads the same low ones."""
+
+    @pytest.mark.parametrize(
+        "name, ts, lam",
+        [
+            ("m_bd_kill", (0.5, 2.0), 0.0),
+            ("m_closed_chain", (0.5, 2.0), 0.0),
+            ("m_two_state", (0.5, 2.0), 0.0),
+            ("m_bd_kill", (math.inf, 1.0), 0.5),
+        ],
+    )
+    def test_more_terms_leave_the_low_rows(self, name, ts, lam, request):
+        m, K = request.getfixturevalue(name), 3
+        few, more = DPState(m, e0, ts, K, lam), DPState(m, e0, ts, K + 3, lam)
+        at = slice(few.lo - more.lo, few.hi - more.lo)  # few's window in more's
+        for t in ts:
+            for read in ("integral",) if lam else ("term", "integral"):
+                (a, ea), (b, eb) = getattr(few, read)(t), getattr(more, read)(t)
+                aligned = np.zeros((K + 1, more.hi - more.lo))
+                aligned[:, at] = a
+                assert b[K + 1 :].any() or name == "m_two_state"
+                assert float(np.abs(aligned - b[: K + 1]).sum()) <= ea + eb
+
+    @pytest.mark.parametrize("name", ["m_bd_kill", "m_closed_chain"])
+    def test_rows_are_the_plain_recurrence(self, name, request):
+        # w_{j+1,n} = D w_{j,n} + E w_{j,n-1} one term row at a time, B by
+        # the window's bands, each weighted sum by math.fsum: the pass
+        # differs by rounding order alone, inside its pad
+        m, t, K = request.getfixturevalue(name), 1.3, 4
+        st = DPState(m, e0, (t,), K)
+        win, c = st.window, st.c
+        w = np.zeros((K + 1, st.hi - st.lo))
+        w[0, -st.lo] = 1.0  # e0
+        words = [w]
+        for _ in range(st.level):
+            w = (1.0 - win.a / c) * w
+            w[1:] += win.apply_B(words[-1][:-1]) / c
+            words.append(w)
+        pmf, _, _ = _poisson_weights(c * t, st.level)
+        cells = np.ndindex(w.shape)
+        ref = np.array([math.fsum(p * x[cell] for p, x in zip(pmf, words)) for cell in cells]).reshape(w.shape)
+        pad = (st.level * (len(win.bands) + 8) + 16) * _ULP
+        assert float(np.abs(st.term(t)[0] - ref).sum()) <= pad
+
+    def test_a_long_grid_holds_its_sums_and_one_block(self, m_bd_kill):
+        # 1,000 times share one pass of 110 steps; past the 2 T (n_max + 1) W
+        # sums it reads, it holds one block of words and the weights
+        ts = tuple(np.linspace(0.01, 10.0, 1000).tolist())
+        tracemalloc.start()
+        try:
+            st = DPState(m_bd_kill, e0, ts, 48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sums = 2 * len(ts) * (st.n_max + 1) * (st.hi - st.lo) * 8
+        assert st.hi - st.lo == 50
+        assert peak <= 1.5 * sums
 
 
 def _loss(a):
