@@ -24,8 +24,11 @@ exactly +0 across a row boundary and the rows never mix.  What row n_max
 sends leaves the vector and is dropped: it feeds only terms past n_max.
 
 Every word is nonnegative and sum_n |w_{j,n}| <= |u|, because D + E is
-substochastic.  So the Poisson weight a pass misses, plus a rounding pad,
-certifies the sum over n of every term's l1 error, on both edges.
+substochastic.  So the error that ``minimal._poisson_read`` certifies for
+a read of the evolution (the weight the window misses, the weights' shared
+error and a rounding pad) bounds the sum over n of every term's l1 error.
+The state takes each time's window, weights and error from that function
+and has none of its own.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import PosSeq
-from .minimal import _STEP_BUDGET, _block_rows, _blocked_sums, _make_stepper, _poisson_last, _poisson_weights
-from .models import _ULP, ModelError, ModelSpec, OperatorWindow, apply_B, apply_U
+from .minimal import _STEP_BUDGET, _block_rows, _blocked_sums, _make_stepper, _poisson_read
+from .models import ModelError, ModelSpec, OperatorWindow, apply_B, apply_U
 
 __all__ = [
     "DPState",
@@ -71,11 +74,13 @@ class DPState:
 
     The window [lo, hi) is sized so that no transition from an occupied
     state leaves it for any term up to ``n_max``; a model whose kernel
-    cannot be windowed this way is rejected.  The pass runs ``level`` steps,
-    the Poisson window (mean + 9 sd + 40, as for the evolution) of the
-    largest time; a time whose window exceeds ``minimal._STEP_BUDGET``
-    reads zero with the trivial error.  With lam > 0 a time may be inf (the
-    Laplace transform); the terms V_n(t)u themselves are kept for lam = 0.
+    cannot be windowed this way is rejected.  Each time is read by
+    ``minimal._poisson_read``, and the pass runs ``level`` steps, the last
+    power the largest time reads (0 on a grid of t = 0 alone); a time whose
+    window exceeds ``minimal._STEP_BUDGET`` reads zero with the trivial
+    error.  With lam > 0 a time may be inf (the Laplace transform); the
+    terms V_n(t)u themselves are kept for lam = 0.  An error is the read's
+    larger one, per unit |u| times |u|.
     """
 
     def __init__(self, model: ModelSpec, u: PosSeq, ts: Iterable[float], n_max: int, lam: float = 0.0):
@@ -103,61 +108,19 @@ class DPState:
         self.c = float(self.window.a.max()) or 1.0  # any c >= max a uniformizes
         self._run(ts)
 
-    def _window(self, t: float) -> float:
-        """The last step time t's weights need: the Poisson window of
-        (c + lam)t, or for t = inf where the geometric weight drops below
-        an ulp."""
-        if t == math.inf:
-            rate = math.log1p(self.lam / self.c)
-            return math.ceil(-math.log(_ULP) / rate) if rate else math.inf
-        return _poisson_last((self.c + self.lam) * t)
-
-    def _weights(self, t: float, steps: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """(value weights, integral weights, value error, integral error) of
-        time t from step 0 to t's own window, so a time reads what a pass of
-        its own reads; the errors per unit input mass.  An error is the weight
-        the pass misses plus twice the shared relative error of the Poisson
-        weights (``_stratum_sums``) plus a rounding pad.  Every entry is a sum
-        of nonnegative addends: a step passes a word through D (1 - a/c is
-        good to two ulps absolute) or E (the rate over c), then a product and
-        an addition per band; a weight through the Poisson products and sums
-        and the geometric factor; and a blocked sum of t's window takes at
-        most its length + 3 roundings (``minimal.evolve``)."""
-        c, lam = self.c, self.lam
-        win = self._window(t)
-        if t < math.inf and win > steps:  # past the step budget
-            return np.zeros(0), np.zeros(0), 1.0, t
-        last = min(win, steps)
-        pad = (last * (len(self.window.bands) + 8) + 16) * _ULP
-        geo = np.full(last + 1, 1.0 / (c + lam))
-        if lam:
-            geo *= (c / (c + lam)) ** np.arange(last + 1.0)
-        if t == math.inf:
-            return np.zeros(0), geo, 1.0, ((c / (c + lam)) ** (last + 1) + pad) / lam
-        x = (c + lam) * t
-        if x == 0.0:
-            pmf, sf, defect = np.eye(1, last + 1)[0], np.zeros(last + 1), 0.0
-        else:
-            pmf, sf, defect = _poisson_weights(x, last)
-        i_err = t * (float(pmf[-1]) + 2.0 * defect + pad)
-        if lam:
-            return np.zeros(0), sf * geo, 1.0, i_err
-        return pmf, sf * geo, 2.0 * defect + pad, i_err
-
     def _run(self, ts: tuple[float, ...]) -> None:
-        steps = max((w for w in map(self._window, ts) if w <= _STEP_BUDGET), default=0)
-        self.level = steps
-        u_norm = self.u.head_sum()
-        weights, self.errors = [], {}
-        for t in ts:
-            vw, iw, v_err, i_err = self._weights(t, steps)
-            weights += [(0, vw), (0, iw)]
-            self.errors[t] = (v_err * u_norm, i_err * u_norm)
         # the counted chain: term n of state lo + k at n W + k, and band d
         # of B as band W + d, from row n to row n + 1 (none past the last)
         rows, W = self.n_max + 1, self.hi - self.lo
         L = rows * W
         tiled = {W + d: np.tile(r, rows) for d, r in self.window.bands.items() if W + d < L}
+        reads = [_poisson_read(self.c, self.lam, t, _STEP_BUDGET, len(tiled) + 2) for t in ts]
+        steps = self.level = max((rd[1] for rd in reads if rd[1] <= _STEP_BUDGET), default=0)
+        u_norm = self.u.head_sum()
+        weights, self.errors = [], {}
+        for t, (first, _, vw, iw, v_err, i_err) in zip(ts, reads):
+            weights += [(first, vw), (0, iw)]
+            self.errors[t] = (v_err[1] * u_norm, i_err[1] * u_norm)
         shifts = [(slice(s, L), slice(0, L - s), r[: L - s]) for s, r in tiled.items()]
         stepper = _make_stepper((np.tile(self.window.a, rows), shifts), self.c, min(_block_rows(L), max(steps, 1)))
         start = {k - self.lo: v for k, v in self.u.entries.items()}

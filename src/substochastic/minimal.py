@@ -24,9 +24,13 @@ The same Poisson pass also yields ``int_0^t V(s) u ds`` exactly (the time
 integral of the Poisson weights has a closed form), which downstream
 functionals consume.  The pass is blocked: the stepper writes the powers
 into a preallocated block of rows, and each time adds its weights on the
-block by one matrix product.  Its size is capped twice, by the Poisson
-steps and by the work, N times the steps; a truncation short of the
-certified one is flagged with the cap that bound.
+block by one matrix product.  One function, ``_poisson_read``, decides for
+every reader of a pass (the evolution at its time, the renewal strata and
+the Dyson-Phillips state at each time of its grid) which powers a time
+reads, with which weights, and how far the read may be off.  The pass's
+size is capped twice, by the Poisson steps and by the work, N times the
+steps; a truncation short of the certified one is flagged with the cap
+that bound.
 """
 
 from __future__ import annotations
@@ -253,15 +257,18 @@ def _poisson_weights(lam_p: float, jmax: int, lo: int = 0):
         pmf[j0 - lo - 1 :: -1] = pmf[j0 - lo] * np.cumprod(ratios)
     total = float(pmf.sum())
     missing = max(0.0, 1.0 - total)
-    # sf[j] = sum_{i > j} pmf[i] within the window (right tail missing mass
-    # is covered by the caller's defect bookkeeping)
+    # sf[j] = sum_{i > j} pmf[i] within the window (the weight outside it
+    # is the caller's to count)
     sf = np.zeros(pmf.size)
     sf[:-1] = np.cumsum(pmf[::-1])[::-1][1:]
     return pmf, sf, missing + 4e-16 * lam_p * max(1.0, abs(math.log(lam_p)))
 
 
 def _poisson_last(x: float) -> float:
-    """The last Poisson(x) term a pass sums: mean + 9 sd + 40, or inf (no budget fits it)."""
+    """The last Poisson(x) term a pass sums: 0 at x = 0, where all the weight
+    sits, else mean + 9 sd + 40, or inf (no budget fits it)."""
+    if x == 0.0:
+        return 0
     last = x + 9.0 * math.sqrt(x) + 40.0
     return math.ceil(last) if math.isfinite(last) else math.inf
 
@@ -272,55 +279,119 @@ def _poisson_window(m: ModelSpec, n: int, t: float) -> tuple[float, float]:
     return c, _poisson_last(c * t)
 
 
+def _poisson_read(c: float, lam: float, t: float, steps: float, per_step: int):
+    """How time t reads a pass of ``steps`` powers p_j = (I + Q/c)^j u of a
+    stepper that rounds ``per_step`` times a step: (first, last, values,
+    integrals, value errors, integral errors).
+
+    With X ~ Poisson(ct) and Y ~ Poisson((c + lam)t),
+
+        V(t)u = sum_j P(X = j) p_j,
+        int_0^t e^{-lam s} V(s)u ds = sum_j c^j/(c + lam)^{j+1} P(Y > j) p_j,
+
+    and for t = inf (lam > 0) the geometric c^j/(c + lam)^{j+1} alone.  The
+    pass must run to ``last``: ``_poisson_last((c + lam)t)``, or for t = inf
+    where the geometric weight falls below an ulp.  Y's weights are read on
+    [first, last], mirrored about its mode; ``values`` (lam = 0 only, else
+    empty) holds the value weights from ``first``, ``integrals`` the integral
+    weights from power 0, both ending at the last nonzero weight.  A window
+    past ``steps`` reads nothing, with the trivial errors.
+
+    Each error is a pair (lower, upper), per unit |u|: how far the read may
+    lie above and below the exact value of the exact powers.  Both take the
+    defect of ``_poisson_weights`` (the weights' shared scale error and the
+    weight outside the window) and the pad below.  The upper one takes the
+    defect once more, and the integral's also t P(Y = last): the weight it
+    misses past the window, sum_j P(Y > max(j, last))/(c + lam) <= E[Y; Y >
+    last]/(c + lam) = t P(Y >= last), and before it, E[Y; Y < first]/(c +
+    lam) <= t P(Y < first).  For t = inf it misses the geometric tail.
+
+    The pad is in ulps (``_ULP``, over twice the unit roundoff u) of the
+    read's total weight S (1 for the value, the integral's min(t, 1/lam))
+    times |u|.  Every entry the read adds is a sum of nonnegative addends,
+    so addends that pass through at most D roundings err by D u of their
+    total.  The pad counts:
+
+    * the stepper: power j errs by at most j per_step ulps of |u|, as a step
+      rounds an addend by r/c, its product and at most ``per_step`` - 2
+      additions, and 1 - a/c errs by 2u of 1.  Weighted, this is per_step
+      c S, as the weights' mean index is at most c S: sum_j P(X = j) j = ct,
+      and c int_0^t e^{-lam s} s ds <= c S^2 for the integral;
+    * the weights: value weight j takes a ratio and a product per index
+      from the mode j0 = floor((c + lam)t), the exponential and one more
+      product, |j - j0| + 1 ulps past the shared error, whose mean is at
+      most E|X - j0| + 1 <= sqrt(ct + 1) + 1 and at most the window's
+      width w + 1.  An integral weight takes at most w ulps of those, (w +
+      1)/2 for the tail sum over the window and 3 for the division and
+      c^j/(c + lam)^j, which with lam > 0 also carries j ulps from c/(c +
+      lam): c S more, weighted;
+    * the blocked sum of a window of W powers (``_blocked_sums``): one
+      matrix product of at most r rows per block and one addition into the
+      accumulator, for at most W/r + 2 blocks, so as r + W/r <= 1 + W at
+      most W + 3 roundings;
+
+    and 4 ulps for the reader's own rounding (a correctly rounded sum).
+    """
+    x = (c + lam) * t
+    scale = min(t, 1.0 / lam) if lam else t
+    q = c / (c + lam)
+    if t == math.inf:
+        rate = math.log1p(lam / c)
+        last = math.ceil(-math.log(_ULP) / rate) if rate else math.inf
+    else:
+        last = _poisson_last(x)
+    if last > steps:
+        return 0, last, np.zeros(0), np.zeros(0), (0.0, 1.0), (0.0, scale)
+    if t == math.inf:
+        pad = (per_step + 1) * c * scale + last + 13
+        i_err = (scale * pad * _ULP, q ** (last + 1) / lam + scale * pad * _ULP)
+        return 0, last, np.zeros(0), q ** np.arange(last + 1.0) / (c + lam), (0.0, 1.0), i_err
+    first = max(0, 2 * int(x) - last)
+    pmf, sf, defect = _poisson_weights(x, last, first) if x else (np.ones(1), np.zeros(1), 0.0)
+    w = int(np.flatnonzero(pmf)[-1]) + 1  # the weights past it underflowed
+    integrals = np.empty(first + w - 1)
+    integrals[:first] = sf[0] + pmf[0]
+    integrals[first:] = sf[: w - 1]
+    if lam:
+        integrals *= q ** np.arange(integrals.size + 0.0)
+    integrals /= c + lam
+    pad_i = (per_step + (lam > 0)) * c * scale + 2 * w + integrals.size + 15
+    i_err = (scale * (defect + pad_i * _ULP), t * (float(pmf[-1]) + 2.0 * defect) + scale * pad_i * _ULP)
+    if lam:
+        return first, last, np.zeros(0), integrals, (0.0, 1.0), i_err
+    pad_v = per_step * c * t + min(math.sqrt(c * t + 1.0), w) + w + 9
+    return first, last, pmf[:w], integrals, (defect + pad_v * _ULP, 2.0 * defect + pad_v * _ULP), i_err
+
+
 def _uniformized(
     m: ModelSpec,
-    times: tuple[float, ...],
+    t: float,
     u: PosSeq,
     n: int,
     want_integral: bool,
-    masses: bool = False,
+    strata: np.ndarray | None = None,
 ):
-    """One truncation level, one stepper pass for several times: V_N(t)u and
-    optionally int_0^t V_N(s)u ds at each t in ``times``.
+    """One truncation level, one stepper pass: V_N(t)u and optionally
+    int_0^t V_N(s)u ds, read by ``_poisson_read``.
 
-    The powers (I + Q/c)^j u do not depend on t, so the pass runs to the
-    largest time's Poisson window, and ``_blocked_sums`` weighs them for
-    every time at once.  Returns ([(v_acc, i_acc, v_defect, i_defect) per
-    time], steps, mass): the accumulated vectors plus bounds on the weight
-    mass each accumulation is missing (relative to the truncated evolution
-    itself, per unit input mass), and with ``masses`` the mass of every
-    power (else None).
+    Returns (v, i, (v_err, i_err), steps, rows): the accumulated vectors (i
+    None without the integral), t's (lower, upper) errors per unit input
+    mass relative to the truncated evolution itself, the pass's steps, and
+    with ``strata`` the ``_stratum_sums`` rows of the pass's power masses at
+    those times (else None).
     """
     c = _poisson_window(m, n, 0.0)[0]  # depends on the truncation alone
-    weights = []  # per time: (first index, nonzero pmf slice), then (0, sf/c where sf > 0) with the integral
-    defects = []  # per time: v_defect, i_defect
-    steps = 0
-    for t in times:
-        jmax = _poisson_window(m, n, t)[1]
-        lam_p = c * t
-        if lam_p == 0.0:
-            # Poisson(0) puts all its weight on the identity
-            pmf, sf, defect, jmax = np.ones(1), np.zeros(1), 0.0, 0
-        else:
-            pmf, sf, defect = _poisson_weights(lam_p, jmax)
-        steps = max(steps, jmax)
-        nz = np.nonzero(pmf)[0]
-        lo_w = int(nz[0]) if nz.size else 0
-        hi_w = int(nz[-1]) if nz.size else -1
-        # sf[j] > 0 exactly for j < hi_w; copies, so the full arrays are freed
-        weights.append((lo_w, pmf[lo_w : hi_w + 1].copy()))
-        if want_integral:
-            weights.append((0, sf[: max(hi_w, 0)] / c))
-        # Missing Poisson weight (both tails + underflow) plus the shared
-        # scale error of the weights, per unit input mass.  The integral
-        # weights the window misses, sum_j P(X > max(j, jmax))/c, total
-        # E[X; X > jmax]/c = t P(X >= jmax), as in ``_stratum_sums``.
-        defects.append((defect, t * (float(pmf[-1]) + 2.0 * defect)))
-    # the window's transients peak before any N-vector of the pass exists
-    stepper = _make_stepper(OperatorWindow(m, 0, n), c, min(_block_rows(n), max(steps, 1)))
-    sums, mass = _blocked_sums(stepper, u.entries, steps, weights, masses)
-    sums = iter(sums)
-    return [(next(sums), next(sums) if want_integral else None, *d) for d in defects], steps, mass
+    win = OperatorWindow(m, 0, n)
+    per_step = len(win.bands) + 2
+    first, steps, v_w, i_w, v_err, i_err = _poisson_read(c, 0.0, t, math.inf, per_step)
+    # the window's transients peak before any N-vector of the pass exists,
+    # and the stepper keeps what it needs of it
+    stepper = _make_stepper(win, c, min(_block_rows(n), max(steps, 1)))
+    del win
+    weights = [(first, v_w), (0, i_w)] if want_integral else [(first, v_w)]
+    sums, mass = _blocked_sums(stepper, u.entries, steps, weights, strata is not None)
+    rows = None if strata is None else _stratum_sums(mass, c, strata, per_step)
+    return sums[0], sums[1] if want_integral else None, (v_err, i_err), steps, rows
 
 
 def _reach(m: ModelSpec, top: int, n: int, t: float) -> float:
@@ -524,30 +595,15 @@ def _renewal_tails(a: RateFn, n: int, eps: float) -> tuple[np.ndarray, np.ndarra
     return r, lo, hi
 
 
-def _stratum_sums(mass: np.ndarray, c: float, times: np.ndarray) -> np.ndarray:
-    """Rows (g, i, dg, di) at each s in ``times`` from the masses of a pass's
-    powers: the mass g = sum_j w_j mass[j] of V_N(s)u and its integral
-    i = sum_j w_j M_{j-1} / c over [0, s], for the integral weights sf_j / c
-    = sum_{i > j} w_i / c and M the prefix sums of the masses.
-
-    The Poisson(c s) weights w run over the mode +- 10 standard deviations +
-    40 inside the pass.  dg bounds per unit input mass the weight that the
-    window misses, twice its defect, as the shared error cuts both ways; di
-    bounds the integral's share: a power past the window weighs at most its
-    index times |u| there, and sum_{j > hi} j w_j = c s P(X >= hi).
-    """
-    steps = mass.size - 1
-    prefix = np.concatenate(([0.0], np.cumsum(mass[:-1])))
-    out = np.zeros((4, times.size))
-    for i, s in enumerate(times):
-        lam_p = c * s
-        if lam_p == 0.0:
-            out[0, i] = mass[0]
-            continue
-        half = math.ceil(10.0 * math.sqrt(lam_p)) + 40
-        lo, hi = max(int(lam_p) - half, 0), min(int(lam_p) + half, steps)
-        pmf, _, defect = _poisson_weights(lam_p, hi, lo)
-        out[:, i] = pmf @ mass[lo : hi + 1], pmf @ prefix[lo : hi + 1] / c, 2.0 * defect, s * (2.0 * defect + pmf[-1])
+def _stratum_sums(mass: np.ndarray, c: float, times: np.ndarray, per_step: int) -> np.ndarray:
+    """Rows (g, i, g_lo, g_hi, i_lo, i_hi) at each s in ``times`` from the
+    masses of a pass's powers: the mass g of V_N(s)u and its integral i over
+    [0, s], each ``_poisson_read`` of s on the masses, with its (lower,
+    upper) errors per unit input mass."""
+    out = np.zeros((6, times.size))
+    for k, s in enumerate(times.tolist()):
+        first, _, v_w, i_w, v_err, i_err = _poisson_read(c, 0.0, s, mass.size - 1, per_step)
+        out[:, k] = v_w @ mass[first : first + v_w.size], i_w @ mass[: i_w.size], *v_err, *i_err
     return out
 
 
@@ -585,8 +641,8 @@ def evolve(
     the lower one with hi = 1, which leaves g_0, from a start that can die.
     The integral likewise with G(r) = min(t, r)|u| + int_0^{t-r} |V_N(s)u| ds,
     also nondecreasing, and G_{J+1} = t|u|.  The pass keeps the mass of
-    each power, and every g_j and G_j is its stratum's Poisson window on
-    those masses (``_stratum_sums``).
+    each power, and every g_j and G_j is its stratum's read of those masses
+    (``_stratum_sums``).
 
     A result short of the certified N keeps a certified, wider bracket and
     is flagged; with no level at all it is [0, |u|] around the zero vector.
@@ -626,53 +682,39 @@ def evolve(
             steps_used=0,
             flag_reason=reason,
         )
-    ((v_t, i_t, dv_t, di_t),), steps, mass = _uniformized(m, (t,), u, n, want_integral, masses=renewal)
+    strata = np.maximum(t - r, 0.0) if renewal else None
+    v_t, i_t, (v_err, i_err), steps, sums = _uniformized(m, t, u, n, want_integral, strata)
     if renewal:
         if kills:
             cdf_hi = np.ones(cdf_hi.size)
-        g, i_g, dg, di = _stratum_sums(mass, _poisson_window(m, n, t)[0], np.maximum(t - r, 0.0))
-        # Rounding wobble of a stratum's sums, whose nonnegative summands
-        # total at most |u| (t|u| for the integral): a mass is a row sum
-        # (at most N roundings), a prefix sum adds at most steps, the window's
-        # dot product at most steps + 1 and the weight and 1/c one each;
-        # each edge then adds a few per stratum.
-        pad = (n + 2 * steps + 3 * r.size + 16) * _ULP * max(u_norm, 1e-300)
+        g, i_g, g_lo, g_hi, i_lo, i_hi = sums
+        # what the strata's reads leave out: a mass is a row sum of N
+        # entries, and an edge adds at most three roundings per stratum
+        pad = (n + 3 * r.size) * _ULP
 
-        def bracket(vals: np.ndarray, defects: np.ndarray, scale: float) -> Bracket:
+        def bracket(vals: np.ndarray, lo_err: np.ndarray, hi_err: np.ndarray, scale: float) -> Bracket:
             """The two edges from a nondecreasing function's values at the
             strata, at most ``scale`` |u| everywhere."""
             top = u_norm * scale
-            below = vals - defects * u_norm - pad * max(scale, 1.0)
-            above = np.append(vals + defects * u_norm + pad * max(scale, 1.0), top)
+            below = vals - (lo_err + pad * scale) * u_norm
+            above = np.append(vals + (hi_err + pad * scale) * u_norm, top)
             lo = below[-1] - cdf_hi @ np.diff(below)
             hi = top - cdf_lo @ np.diff(above)[1:]
             return Bracket(float(max(0.0, lo)), float(min(top, hi)))
 
-        mass_bracket = bracket(g, dg, 1.0)
-        integral_bracket = bracket(np.minimum(t, r) * u_norm + i_g, di, t) if want_integral else None
+        mass_bracket = bracket(g, g_lo, g_hi, 1.0)
+        integral_bracket = bracket(np.minimum(t, r) * u_norm + i_g, i_lo, i_hi, t) if want_integral else None
     else:
-        # Rounding wobble of the accumulated Poisson sums.  Every summand
-        # w_j v_j[k] is nonnegative and they total at most |u| (t|u| for the
-        # integral), so a sum whose summands each pass through at most D
-        # roundings errs by at most D ulps of that total.  A window of W <=
-        # steps + 1 powers is added block by block: one product per block, a
-        # dot product of at most rows <= max(steps, 1) terms (at most rows
-        # roundings in any order the BLAS picks), then one addition into the
-        # accumulator, for at most W/rows + 2 blocks.  As r + W/r <= 1 + W for
-        # 1 <= r <= W, D <= steps + 4 for every window and block size, inside
-        # the steps + 16 below.
-        fp_slack = (steps + 16) * _ULP * max(u_norm, 1e-300)
 
-        def bracket(acc: np.ndarray, defect: float, scale: float) -> Bracket:
+        def bracket(acc: np.ndarray, err: tuple[float, float], scale: float) -> Bracket:
             """Mass (scale 1) or integral (scale t) bracket from the vector at
-            t; the weight-scale error inside the mass's Poisson defect cuts
-            both ways, so it widens the lower edge too."""
-            slack = (fp_slack + dv_t * u_norm) * max(scale, 1.0)
-            hi = acc.sum() + defect * u_norm + slack + reach * u_norm * scale
-            return Bracket(float(max(0.0, acc.sum() - slack)), float(min(u_norm * scale, hi)))
+            t, whose correctly rounded sum ``_poisson_read`` pads for."""
+            total = math.fsum(acc)
+            hi = total + (err[1] + reach * scale) * u_norm
+            return Bracket(max(0.0, total - err[0] * u_norm), min(u_norm * scale, hi))
 
-        mass_bracket = bracket(v_t, dv_t, 1.0)
-        integral_bracket = bracket(i_t, di_t, t) if want_integral else None
+        mass_bracket = bracket(v_t, v_err, 1.0)
+        integral_bracket = bracket(i_t, i_err, t) if want_integral else None
     return EvolveResult(
         value=PosSeq.from_array(v_t),
         mass_bracket=mass_bracket,

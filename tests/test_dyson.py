@@ -207,6 +207,19 @@ class TestGridNodes:
                 assert np.array_equal(a, b) and ea == eb
 
 
+class TestTimeZero:
+    def test_a_time_zero_grid_runs_no_step(self, m_bd_kill):
+        # Poisson(0) sits on power 0: the rows are u and zeros, exact up to
+        # the read's rounding pad, and the integral rows are 0
+        st = DPState(m_bd_kill, e0, (0.0,), 3)
+        assert st.level == 0
+        rows, err = st.term(0.0)
+        assert rows[0][-st.lo] == 1.0 and rows.sum() == 1.0
+        assert 0.0 < err <= 16 * _ULP
+        rows, err = st.integral(0.0)
+        assert not rows.any() and err == 0.0
+
+
 class TestDPStateWindow:
     def test_under_declared_stride_is_rejected(self):
         # state 3 feeds state 12, but the declared stride of 1 sizes the

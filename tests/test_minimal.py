@@ -184,14 +184,14 @@ class TestSemigroupV:
         # each truncation's pass is called directly
         values = []
         for n in (64, 128, 256, 512, 1024):
-            ((v_arr, _, _, _),), _, _ = minimal._uniformized(m_quadratic, (1.0,), e0, n, False)
+            v_arr, *_ = minimal._uniformized(m_quadratic, 1.0, e0, n, False)
             values.append(PosSeq.from_array(v_arr))
         masses = [v.head_sum() for v in values]
         assert masses[-1] > masses[0]
         assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
         # entrywise monotone up to the rounding wobble of ~1e6-step sums, up
         # to N = 512; at N = 1024 the Poisson weights share a certified
-        # relative scale error of 6e-9 (the pass's v_defect), which the
+        # relative scale error of 6e-9 (inside the pass's value error), which the
         # converged low entries show
         for lo_v, hi_v in zip(values[:4], values[1:4]):
             for k, val in lo_v.entries.items():
@@ -549,7 +549,8 @@ def test_evolve_rejects_bad_t_and_tol(m_bd_kill, t, tol, message):
 
 def sequential_pass(m: ModelSpec, times, u: PosSeq, n: int, want_integral: bool):
     """The uniformized pass as a plain loop: the stepper's operations in its
-    order, one power at a time, and every weighted sum by math.fsum."""
+    order, one power at a time, and every weighted sum of each time's
+    ``_poisson_read`` weights by math.fsum."""
     c, steps = minimal._poisson_window(m, n, max(times))
     win = OperatorWindow(m, 0, n)
     diag = 1.0 - win.a / c
@@ -564,12 +565,9 @@ def sequential_pass(m: ModelSpec, times, u: PosSeq, n: int, want_integral: bool)
         powers.append(out)
     refs = []
     for t in times:
-        if t == 0.0:
-            pmf, sf = np.ones(1), np.zeros(1)
-        else:
-            pmf, sf, _ = minimal._poisson_weights(c * t, minimal._poisson_window(m, n, t)[1])
-        v_ref = np.array([math.fsum(pmf[j] * powers[j][k] for j in range(pmf.size)) for k in range(n)])
-        i_ref = np.array([math.fsum(sf[j] / c * powers[j][k] for j in range(sf.size)) for k in range(n)])
+        first, _, vw, iw, _, _ = minimal._poisson_read(c, 0.0, t, steps, len(win.bands) + 2)
+        v_ref = np.array([math.fsum(w * powers[first + j][k] for j, w in enumerate(vw)) for k in range(n)])
+        i_ref = np.array([math.fsum(w * powers[j][k] for j, w in enumerate(iw)) for k in range(n)])
         refs.append((v_ref, i_ref if want_integral else None))
     return refs, powers
 
@@ -587,9 +585,9 @@ def times_for_steps(m: ModelSpec, n: int, steps: int) -> float:
 
 
 class TestBlockedKernel:
-    """_uniformized adds each time's weights to a block of powers by one
-    matrix product; the sums agree with sequential fsum ones within the
-    rounding slack that evolve pads its brackets with."""
+    """_uniformized adds t's weights to a block of powers by one matrix
+    product; the sums agree with sequential fsum ones within the errors
+    that evolve takes off its lower edges."""
 
     N = 64
     U = PosSeq({0: 0.5, 3: 0.25})
@@ -603,14 +601,14 @@ class TestBlockedKernel:
         steps = 2 * rows + 1 if edge == "2rows+1" else rows + edge
         t = times_for_steps(m, self.N, steps)
         times = (t, 0.6 * t, 0.0)  # a full window, a shorter one and the identity
-        got, got_steps, _ = minimal._uniformized(m, times, self.U, self.N, want_integral)
-        assert got_steps == steps
         refs, _ = sequential_pass(m, times, self.U, self.N, want_integral)
-        fp_slack = (steps + 16) * _ULP * self.U.head_sum()
-        for (v_acc, i_acc, _, _), (v_ref, i_ref), s in zip(got, refs, times):
-            assert float(np.abs(v_acc - v_ref).sum()) <= fp_slack
+        u = self.U.head_sum()
+        for s, (v_ref, i_ref) in zip(times, refs):
+            v_acc, i_acc, (v_err, i_err), got_steps, _ = minimal._uniformized(m, s, self.U, self.N, want_integral)
+            assert got_steps == (steps if s == t else minimal._poisson_window(m, self.N, s)[1])
+            assert float(np.abs(v_acc - v_ref).sum()) <= v_err[0] * u
             if want_integral:
-                assert float(np.abs(i_acc - i_ref).sum()) <= fp_slack * max(s, 1.0)
+                assert float(np.abs(i_acc - i_ref).sum()) <= i_err[0] * u
             else:
                 assert i_acc is None
 
@@ -624,16 +622,19 @@ class TestBlockedKernel:
         steps = 2 * rows + 1 if edge == "2rows+1" else rows + edge
         t = times_for_steps(m_quadratic, self.N, steps)
         times = (t, 0.6 * t, 0.0)
-        _, _, mass = minimal._uniformized(m_quadratic, (t,), self.U, self.N, False, masses=True)
+        *_, sums = minimal._uniformized(m_quadratic, t, self.U, self.N, False, np.array(times))
         refs, powers = sequential_pass(m_quadratic, times, self.U, self.N, True)
         u = self.U.head_sum()
+        c = minimal._poisson_window(m_quadratic, self.N, t)[0]
+        stepper = minimal._make_stepper(OperatorWindow(m_quadratic, 0, self.N), c, rows)
+        _, mass = minimal._blocked_sums(stepper, self.U.entries, steps, [], masses=True)
         assert mass.size == steps + 1
         assert all(abs(mj - math.fsum(p)) <= self.N * _ULP * u for mj, p in zip(mass, powers))
-        c = minimal._poisson_window(m_quadratic, self.N, t)[0]
-        pad = (self.N + 2 * steps + 16) * _ULP * u
-        for (v_ref, i_ref), s, (g, i_g, dg, di) in zip(refs, times, minimal._stratum_sums(mass, c, np.array(times)).T):
-            assert abs(g - math.fsum(v_ref)) <= pad + dg * u
-            assert abs(i_g - math.fsum(i_ref)) <= pad * max(s, 1.0) + di * u
+        # evolve adds the N roundings of a mass to each stratum's errors
+        pad = self.N * _ULP * u
+        for (v_ref, i_ref), s, (g, i_g, g_lo, _, i_lo, _) in zip(refs, times, sums.T):
+            assert abs(g - math.fsum(v_ref)) <= pad + g_lo * u
+            assert abs(i_g - math.fsum(i_ref)) <= pad * s + i_lo * u
 
     def test_stepper_powers_are_the_sequential_ones_bit_for_bit(self, m_bd_kill):
         steps = 2 * minimal._block_rows(self.N) + 1
@@ -658,12 +659,105 @@ class TestBlockedKernel:
         monkeypatch.setattr(minimal, "OperatorWindow", lambda m, lo, hi: win)
         tracemalloc.start()
         try:
-            _, steps, _ = minimal._uniformized(m_two_state, (0.5,), PosSeq.basis(1 << 19), n, False)
+            _, _, _, steps, _ = minimal._uniformized(m_two_state, 0.5, PosSeq.basis(1 << 19), n, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert steps == 50 and minimal._block_rows(n) == 1
         assert peak <= 8 * 8 * n
+
+
+class TestPoissonRead:
+    """The one read rule: each time's weights, summed exactly (40 digits),
+    meet their closed forms within the errors the read returns."""
+
+    @staticmethod
+    def check(total, exact, err):
+        # the read may lie err[0] above and err[1] below the exact value
+        assert exact - err[1] <= total <= exact + err[0]
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("t", [0.0, 0.25, 2.8])
+    @pytest.mark.parametrize("c", [1.0, 243.0, 65536.0])
+    def test_weights_meet_their_closed_forms(self, c, t, lam):
+        mp = pytest.importorskip("mpmath")
+        first, last, values, integrals, v_err, i_err = minimal._poisson_read(c, lam, t, math.inf, 4)
+        assert first + values.size - 1 <= last and integrals.size <= last
+        with mp.workdps(40):
+            if lam:
+                assert values.size == 0
+                exact = -mp.expm1(-lam * mp.mpf(t)) / lam
+            else:
+                self.check(mp.fsum(values.tolist()), 1, v_err)
+                exact = mp.mpf(t)
+            self.check(mp.fsum(integrals.tolist()), exact, i_err)
+
+    @pytest.mark.parametrize("c", [1.0, 243.0])  # at c = 65536 the window holds 2.4e6 weights
+    def test_the_laplace_weights_sum_to_one_over_lam(self, c):
+        mp = pytest.importorskip("mpmath")
+        _, last, values, integrals, _, i_err = minimal._poisson_read(c, 1.0, math.inf, math.inf, 4)
+        assert values.size == 0 and integrals.size == last + 1
+        with mp.workdps(40):
+            self.check(mp.fsum(integrals.tolist()), 1, i_err)
+
+    def test_a_window_past_the_steps_reads_the_trivial_bound(self):
+        _, last, values, integrals, v_err, i_err = minimal._poisson_read(243.0, 0.0, 2.8, 100, 4)
+        assert last > 100 and values.size == integrals.size == 0
+        self.check(0.0, 1.0, v_err)
+        self.check(0.0, 2.8, i_err)
+
+
+def exact_truncated_mass(m: ModelSpec, n: int, t: float):
+    """|V_N(t)e0| of the N-state truncation at 50 digits: exp(Qt)e0 for the
+    truncated generator Q, by its Taylor series after the shift Q = c(P - I)
+    with c = max a, so that every term is nonnegative and nothing cancels,
+    summed until the Poisson weight left is below 1e-45."""
+    mp = pytest.importorskip("mpmath")
+    win = OperatorWindow(m, 0, n)
+    c = float(win.a.max())
+    with mp.workdps(50):
+        ct = mp.mpf(c) * t
+        diag = [1 - mp.mpf(a) / c for a in win.a.tolist()]
+        bands = [(d, [mp.mpf(x) / c for x in r.tolist()]) for d, r in win.bands.items()]
+        v = {0: mp.mpf(1)}  # the nonzero entries of P^k e0
+        weight = mp.exp(-ct)
+        total, left, k = weight, 1 - weight, 0
+        while left > mp.mpf(10) ** -45:
+            step = {i: diag[i] * x for i, x in v.items()}
+            for d, r in bands:
+                for i, x in v.items():
+                    if r[i]:
+                        step[i + d] = step.get(i + d, 0) + r[i] * x
+            v, k = step, k + 1
+            weight *= ct / k
+            left -= weight
+            total += weight * mp.fsum(v.values())
+        return total
+
+
+class TestLongPassOracle:
+    """evolve's mass bracket against the exact truncated mass: a pass of
+    thousands of steps rounds thousands of times, which the read's pad
+    counts."""
+
+    @pytest.mark.parametrize(("name", "t"), [("m_closed_chain", 50.0), ("m_closed_chain", 1e4), ("m_bd_kill", 2.0)])
+    def test_the_bracket_holds_the_truncated_mass(self, name, t, request):
+        # no path of closed_chain reaches N (reach 0), so the truncated mass
+        # is the mass; bd_kill's lies at most reach below it
+        m = request.getfixturevalue(name)
+        res = evolve(m, t, e0, want_integral=False)
+        assert not res.flagged
+        exact = exact_truncated_mass(m, res.n_used, t)
+        assert res.mass_bracket.lo <= exact <= res.mass_bracket.hi
+
+    def test_a_conservative_walk(self):
+        # b = k+1, d = 2(k+1): the truncation at N = 64 keeps all but about
+        # 1e-20 of the unit mass by t = 3
+        m = ModelSpec.birth_death(RateFn.power(1.0, 1.0), RateFn.power(2.0, 1.0))
+        res = evolve(m, 3.0, e0, want_integral=False)
+        assert res.n_used == 64 and not res.flagged
+        assert res.mass_bracket.lo <= exact_truncated_mass(m, 64, 3.0)
+        assert res.mass_bracket.contains(1.0)
 
 
 class TestIntegrateV:
@@ -684,18 +778,12 @@ class TestIntegrateV:
     def test_short_window_keeps_the_integral_tail(self, extra, monkeypatch):
         # kill 0.001 at every state, so |int_0^t V(s)e0 ds| = (1 - e^{-0.001 t})/0.001;
         # a window ending at 2ct + extra leaves integral weight t P(X >= jmax)
-        # outside it, which the defect must count
+        # outside it, which the read's upper error must count
         m = ModelSpec.birth_death(1.0, 1.0, kill=0.001)
-        window = minimal._poisson_window
-
-        def short(m, n, t):
-            c = window(m, n, t)[0]
-            return c, math.ceil(2.0 * c * t) + extra
-
-        monkeypatch.setattr(minimal, "_poisson_window", short)
+        monkeypatch.setattr(minimal, "_poisson_last", lambda x: math.ceil(2.0 * x) + extra)
         for t in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
             _, br, res = integrate_V(m, t, e0)
-            assert res.steps_used == math.ceil(2.0 * window(m, res.n_used, t)[0] * t) + extra
+            assert res.steps_used == math.ceil(2.0 * minimal._poisson_window(m, res.n_used, t)[0] * t) + extra
             assert br.contains(-math.expm1(-0.001 * t) / 0.001)
 
 
