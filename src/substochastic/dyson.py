@@ -25,10 +25,8 @@ sends leaves the vector and is dropped: it feeds only terms past n_max.
 
 Every word is nonnegative and sum_n |w_{j,n}| <= |u|, because D + E is
 substochastic.  So the error that ``minimal._poisson_read`` certifies for
-a read of the evolution (the weight the window misses, the weights' shared
-error and a rounding pad) bounds the sum over n of every term's l1 error.
-The state takes each time's window, weights and error from that function
-and has none of its own.
+a read of the evolution bounds the sum over n of every term's l1 error; the
+state takes each time's window, weights and error from that read alone.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import PosSeq
-from .minimal import _STEP_BUDGET, _block_rows, _blocked_sums, _make_stepper, _poisson_read
+from .minimal import _STEP_BUDGET, _block_rows, _blocked_sums, _from_power_0, _make_stepper, _poisson_read
 from .models import ModelError, ModelSpec, OperatorWindow, apply_B, apply_U
 
 __all__ = [
@@ -75,12 +73,10 @@ class DPState:
     The window [lo, hi) is sized so that no transition from an occupied
     state leaves it for any term up to ``n_max``; a model whose kernel
     cannot be windowed this way is rejected.  Each time is read by
-    ``minimal._poisson_read``, and the pass runs ``level`` steps, the last
-    power the largest time reads (0 on a grid of t = 0 alone); a time whose
-    window exceeds ``minimal._STEP_BUDGET`` reads zero with the trivial
-    error.  With lam > 0 a time may be inf (the Laplace transform); the
-    terms V_n(t)u themselves are kept for lam = 0.  An error is the read's
-    larger one, per unit |u| times |u|.
+    ``minimal._poisson_read``, whose larger error times |u| it keeps; the
+    pass runs ``level`` steps, to the last power a time reads within
+    ``minimal._STEP_BUDGET`` (0 on a grid of t = 0 alone).  With lam > 0 a
+    time may be inf (the Laplace transform); V_n(t)u is kept for lam = 0.
     """
 
     def __init__(self, model: ModelSpec, u: PosSeq, ts: Iterable[float], n_max: int, lam: float = 0.0):
@@ -118,8 +114,8 @@ class DPState:
         steps = self.level = max((rd[1] for rd in reads if rd[1] <= _STEP_BUDGET), default=0)
         u_norm = self.u.head_sum()
         weights, self.errors = [], {}
-        for t, (first, _, vw, iw, v_err, i_err) in zip(ts, reads):
-            weights += [(first, vw), (0, iw)]
+        for t, (first, _, vw, head, iw, v_err, i_err) in zip(ts, reads):
+            weights += [(first, vw), (0, _from_power_0(self.c, self.lam, first, head, iw))]
             self.errors[t] = (v_err[1] * u_norm, i_err[1] * u_norm)
         shifts = [(slice(s, L), slice(0, L - s), r[: L - s]) for s, r in tiled.items()]
         stepper = _make_stepper((np.tile(self.window.a, rows), shifts), self.c, min(_block_rows(L), max(steps, 1)))

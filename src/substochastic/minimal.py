@@ -24,13 +24,11 @@ The same Poisson pass also yields ``int_0^t V(s) u ds`` exactly (the time
 integral of the Poisson weights has a closed form), which downstream
 functionals consume.  The pass is blocked: the stepper writes the powers
 into a preallocated block of rows, and each time adds its weights on the
-block by one matrix product.  One function, ``_poisson_read``, decides for
-every reader of a pass (the evolution at its time, the renewal strata and
-the Dyson-Phillips state at each time of its grid) which powers a time
-reads, with which weights, and how far the read may be off.  The pass's
-size is capped twice, by the Poisson steps and by the work, N times the
-steps; a truncation short of the certified one is flagged with the cap
-that bound.
+block by one matrix product.  ``_poisson_read`` decides for every reader of
+a pass (evolve, its renewal strata, the Dyson-Phillips state) which powers a
+time reads, with which weights, and how far the read may be off.  The pass
+is capped by the Poisson steps and by the work, N times the steps; a
+truncation short of the certified one is flagged with the cap that bound.
 """
 
 from __future__ import annotations
@@ -282,20 +280,20 @@ def _poisson_window(m: ModelSpec, n: int, t: float) -> tuple[float, float]:
 def _poisson_read(c: float, lam: float, t: float, steps: float, per_step: int):
     """How time t reads a pass of ``steps`` powers p_j = (I + Q/c)^j u of a
     stepper that rounds ``per_step`` times a step: (first, last, values,
-    integrals, value errors, integral errors).
-
-    With X ~ Poisson(ct) and Y ~ Poisson((c + lam)t),
+    head, integrals, value errors, integral errors).  With X ~ Poisson(ct)
+    and Y ~ Poisson((c + lam)t),
 
         V(t)u = sum_j P(X = j) p_j,
         int_0^t e^{-lam s} V(s)u ds = sum_j c^j/(c + lam)^{j+1} P(Y > j) p_j,
 
     and for t = inf (lam > 0) the geometric c^j/(c + lam)^{j+1} alone.  The
-    pass must run to ``last``: ``_poisson_last((c + lam)t)``, or for t = inf
+    pass runs to ``last``, ``_poisson_last((c + lam)t)`` or for t = inf
     where the geometric weight falls below an ulp.  Y's weights are read on
-    [first, last], mirrored about its mode; ``values`` (lam = 0 only, else
-    empty) holds the value weights from ``first``, ``integrals`` the integral
-    weights from power 0, both ending at the last nonzero weight.  A window
-    past ``steps`` reads nothing, with the trivial errors.
+    [first, last], mirrored about its mode: ``values`` (lam = 0 only) and
+    ``integrals`` from ``first`` to the last nonzero one, and power j <
+    first weighs head (c/(c + lam))^j in the integral (``_from_power_0``).
+    A window past ``steps`` (only DPState's budget sets one) reads nothing,
+    with the trivial errors.
 
     Each error is a pair (lower, upper), per unit |u|: how far the read may
     lie above and below the exact value of the exact powers.  Both take the
@@ -325,10 +323,11 @@ def _poisson_read(c: float, lam: float, t: float, steps: float, per_step: int):
       1)/2 for the tail sum over the window and 3 for the division and
       c^j/(c + lam)^j, which with lam > 0 also carries j ulps from c/(c +
       lam): c S more, weighted;
-    * the blocked sum of a window of W powers (``_blocked_sums``): one
-      matrix product of at most r rows per block and one addition into the
-      accumulator, for at most W/r + 2 blocks, so as r + W/r <= 1 + W at
-      most W + 3 roundings;
+    * the sum of the W powers up to the window's end: at most W + 3
+      roundings, as ``_blocked_sums`` adds one matrix product of at most r
+      rows per block into the accumulator, for at most W/r + 2 blocks, and
+      r + W/r <= 1 + W (the strata's prefix sum of the masses before
+      ``first`` takes first + 1);
 
     and 4 ulps for the reader's own rounding (a correctly rounded sum).
     """
@@ -341,26 +340,27 @@ def _poisson_read(c: float, lam: float, t: float, steps: float, per_step: int):
     else:
         last = _poisson_last(x)
     if last > steps:
-        return 0, last, np.zeros(0), np.zeros(0), (0.0, 1.0), (0.0, scale)
+        return 0, last, np.zeros(0), 0.0, np.zeros(0), (0.0, 1.0), (0.0, scale)
     if t == math.inf:
         pad = (per_step + 1) * c * scale + last + 13
         i_err = (scale * pad * _ULP, q ** (last + 1) / lam + scale * pad * _ULP)
-        return 0, last, np.zeros(0), q ** np.arange(last + 1.0) / (c + lam), (0.0, 1.0), i_err
+        return 0, last, np.zeros(0), 0.0, q ** np.arange(last + 1.0) / (c + lam), (0.0, 1.0), i_err
     first = max(0, 2 * int(x) - last)
     pmf, sf, defect = _poisson_weights(x, last, first) if x else (np.ones(1), np.zeros(1), 0.0)
-    w = int(np.flatnonzero(pmf)[-1]) + 1  # the weights past it underflowed
-    integrals = np.empty(first + w - 1)
-    integrals[:first] = sf[0] + pmf[0]
-    integrals[first:] = sf[: w - 1]
-    if lam:
-        integrals *= q ** np.arange(integrals.size + 0.0)
-    integrals /= c + lam
-    pad_i = (per_step + (lam > 0)) * c * scale + 2 * w + integrals.size + 15
+    w = pmf.size - int((pmf[::-1] != 0).argmax())  # the weights past it underflowed
+    integrals = sf[: w - 1] * q ** np.arange(first, first + w - 1.0) if lam else sf[: w - 1]
+    head, integrals = float(sf[0] + pmf[0]) / (c + lam), integrals / (c + lam)
+    pad_i = (per_step + (lam > 0)) * c * scale + 3 * w + first + 14
     i_err = (scale * (defect + pad_i * _ULP), t * (float(pmf[-1]) + 2.0 * defect) + scale * pad_i * _ULP)
     if lam:
-        return first, last, np.zeros(0), integrals, (0.0, 1.0), i_err
+        return first, last, np.zeros(0), head, integrals, (0.0, 1.0), i_err
     pad_v = per_step * c * t + min(math.sqrt(c * t + 1.0), w) + w + 9
-    return first, last, pmf[:w], integrals, (defect + pad_v * _ULP, 2.0 * defect + pad_v * _ULP), i_err
+    return first, last, pmf[:w], head, integrals, (defect + pad_v * _ULP, 2.0 * defect + pad_v * _ULP), i_err
+
+
+def _from_power_0(c: float, lam: float, first: int, head: float, integrals: np.ndarray) -> np.ndarray:
+    """A ``_poisson_read``'s integral weights from power 0."""
+    return np.concatenate((head * (c / (c + lam)) ** np.arange(first + 0.0), integrals))
 
 
 def _uniformized(
@@ -371,24 +371,19 @@ def _uniformized(
     want_integral: bool,
     strata: np.ndarray | None = None,
 ):
-    """One truncation level, one stepper pass: V_N(t)u and optionally
-    int_0^t V_N(s)u ds, read by ``_poisson_read``.
-
-    Returns (v, i, (v_err, i_err), steps, rows): the accumulated vectors (i
-    None without the integral), t's (lower, upper) errors per unit input
-    mass relative to the truncated evolution itself, the pass's steps, and
-    with ``strata`` the ``_stratum_sums`` rows of the pass's power masses at
-    those times (else None).
-    """
+    """One truncation level, one stepper pass: (v, i, (v_err, i_err), steps,
+    rows), V_N(t)u and int_0^t V_N(s)u ds (None without the integral) read
+    by ``_poisson_read`` with its errors, the pass's steps, and with
+    ``strata`` the ``_stratum_sums`` rows at those times (else None)."""
     c = _poisson_window(m, n, 0.0)[0]  # depends on the truncation alone
     win = OperatorWindow(m, 0, n)
     per_step = len(win.bands) + 2
-    first, steps, v_w, i_w, v_err, i_err = _poisson_read(c, 0.0, t, math.inf, per_step)
+    first, steps, v_w, head, i_w, v_err, i_err = _poisson_read(c, 0.0, t, math.inf, per_step)
     # the window's transients peak before any N-vector of the pass exists,
     # and the stepper keeps what it needs of it
     stepper = _make_stepper(win, c, min(_block_rows(n), max(steps, 1)))
     del win
-    weights = [(first, v_w), (0, i_w)] if want_integral else [(first, v_w)]
+    weights = [(first, v_w), (0, _from_power_0(c, 0.0, first, head, i_w))] if want_integral else [(first, v_w)]
     sums, mass = _blocked_sums(stepper, u.entries, steps, weights, strata is not None)
     rows = None if strata is None else _stratum_sums(mass, c, strata, per_step)
     return sums[0], sums[1] if want_integral else None, (v_err, i_err), steps, rows
@@ -596,14 +591,17 @@ def _renewal_tails(a: RateFn, n: int, eps: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _stratum_sums(mass: np.ndarray, c: float, times: np.ndarray, per_step: int) -> np.ndarray:
-    """Rows (g, i, g_lo, g_hi, i_lo, i_hi) at each s in ``times`` from the
-    masses of a pass's powers: the mass g of V_N(s)u and its integral i over
-    [0, s], each ``_poisson_read`` of s on the masses, with its (lower,
-    upper) errors per unit input mass."""
+    """Rows (g, i, g_lo, g_hi, i_lo, i_hi) at each s in ``times``: the mass
+    g of V_N(s)u and its integral i over [0, s], each a ``_poisson_read`` of
+    s on the masses of a pass's powers, with its (lower, upper) errors per
+    unit input mass.  The masses before s's window enter the integral as one
+    prefix sum times head, so a stratum costs its window alone."""
+    prefix = np.concatenate(([0.0], np.cumsum(mass)))
     out = np.zeros((6, times.size))
     for k, s in enumerate(times.tolist()):
-        first, _, v_w, i_w, v_err, i_err = _poisson_read(c, 0.0, s, mass.size - 1, per_step)
-        out[:, k] = v_w @ mass[first : first + v_w.size], i_w @ mass[: i_w.size], *v_err, *i_err
+        first, _, v_w, head, i_w, v_err, i_err = _poisson_read(c, 0.0, s, math.inf, per_step)
+        window = mass[first : first + v_w.size]
+        out[:, k] = v_w @ window, head * prefix[first] + i_w @ window[: i_w.size], *v_err, *i_err
     return out
 
 
