@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .l1 import PosSeq
-from .minimal import _STEP_BUDGET, _block_rows, _blocked_sums, _from_power_0, _make_stepper, _poisson_read
+from . import minimal
+from .minimal import _block_rows, _blocked_sums, _from_power_0, _make_stepper, _poisson_read
 from .models import ModelError, ModelSpec, OperatorWindow, apply_B, apply_U
 
 __all__ = [
@@ -110,8 +111,9 @@ class DPState:
         rows, W = self.n_max + 1, self.hi - self.lo
         L = rows * W
         tiled = {W + d: np.tile(r, rows) for d, r in self.window.bands.items() if W + d < L}
-        reads = [_poisson_read(self.c, self.lam, t, _STEP_BUDGET, len(tiled) + 2) for t in ts]
-        steps = self.level = max((rd[1] for rd in reads if rd[1] <= _STEP_BUDGET), default=0)
+        budget = minimal._STEP_BUDGET  # read at call time, so a patched budget holds
+        reads = [_poisson_read(self.c, self.lam, t, budget, len(tiled) + 2) for t in ts]
+        steps = self.level = max((rd[1] for rd in reads if rd[1] <= budget), default=0)
         u_norm = self.u.head_sum()
         weights, self.errors = [], {}
         for t, (first, _, vw, head, iw, v_err, i_err) in zip(ts, reads):

@@ -137,18 +137,19 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
     * birth tail strictly thinner than the diagonal tail  =>  the per-factor
       penalty log(a_m/r_m) does not vanish, same conclusion;
     * otherwise r = a from ``ModelSpec.cascade_head`` on, and the product
-      is bracketed two-sided: the partial product over a window of factors
-      times the closed-form tail bracket ``RateFn.log1p_tail_bracket`` on
-      the rest, sum_{m>=F} log1p(lam/a_m), which holds once the frontier F
-      is past that head.  The first window (1,024 factors, or through
-      the head) meets ``tol`` unless the tail is thin (p near 1); then the
-      window grows fourfold, up to ``_XI_MAX_FACTORS``.  A frontier stopped
-      inside the head certifies only the lower edge 0.
+      is exp(K_k(-lam) - P_k): K_k the log-moment of the time the cascade
+      spends at or above k (``RateFn.log_moment``), P_k the penalty
+      sum_{k <= m < head} log(a_m/r_m) of a separate birth rate (inf for a
+      birth rate of 0: a factor of 0).  K's head is summed over a window of
+      factors and its tail past the window bracketed in closed form.  The
+      first window (1,024 factors, or through the head) meets ``tol``
+      unless the tail is thin (p near 1); then the window grows fourfold, up
+      to ``_XI_MAX_FACTORS``.  A window stopped inside the head certifies
+      only the lower edge 0.
 
-    The head's log-sum is rounded outward (each term good to a few ulps,
-    the sum to its length in ulps), and so is every closed form: the lower
-    edge is a certificate and the upper edge never falls below xi, not
-    even when the factors underflow.
+    K comes rounded outward, and so are P and the exponential: the lower
+    edge is a certificate and the upper edge never falls below xi, not even
+    when the factors underflow.
     """
     a = m.a
     birth = m.kernel.birth
@@ -164,32 +165,23 @@ def _xi_pure_birth(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> XiResult:
     iters = 0
     for k0, w in sorted(u.entries.items()):
         K = max(1024, 2 * (k0 + 1), head - k0)
-        log_lo = log_hi = 0.0  # the head's -log of the partial product, rounded outward
-        frontier = k0
+        pen_lo = pen_hi = 0.0
+        if birth is not None and k0 < head:
+            ks = np.arange(k0, min(head, k0 + _XI_MAX_FACTORS))
+            with np.errstate(divide="ignore"):
+                la, lr = np.log(a.at(ks)), np.log(birth.at(ks))
+            pen = float((la - lr).sum())
+            err = (ks.size + 2) * _ULP * float((np.abs(la) + np.abs(lr)).sum())
+            pen_lo, pen_hi = (max(0.0, pen - err), pen + err) if math.isfinite(pen) else (pen, pen)
         while True:
-            hi_idx = min(k0 + K, k0 + _XI_MAX_FACTORS)
-            a_arr = a.array(frontier, hi_idx)
-            r_arr = a_arr if birth is None else birth.array(frontier, hi_idx)
-            # -log(r/(lam+a)) = log1p((lam + (a-r))/r), and a - r = 0 past the head;
-            # a quotient that overflows, or a table birth rate of 0, reads inf, a
-            # factor of 0 (xi's upper edge stays positive below)
-            x = a_arr - r_arr
-            x += lam
-            with np.errstate(over="ignore", divide="ignore"):
-                x /= r_arr
-            s = float(np.log1p(x, out=x).sum())
-            slack = (hi_idx - frontier + 16) * _ULP
-            log_lo += s * (1.0 - slack)
-            log_hi += s * (1.0 + slack)
-            frontier = hi_idx
-            iters = max(iters, frontier - k0)
-            if frontier >= head:
-                tail_lo, tail_hi = a.log1p_tail_bracket(frontier, lam)
-            else:
-                tail_lo, tail_hi = 0.0, math.inf
-            lo = math.exp(-(log_hi + tail_hi) * (1.0 + _ULP)) * (1.0 - 2.0 * _ULP)
-            hi = math.exp(-(log_lo + tail_lo) * (1.0 - _ULP)) * (1.0 + 2.0 * _ULP)
-            if hi - lo <= tol or frontier - k0 >= _XI_MAX_FACTORS:
+            top = k0 + min(K, _XI_MAX_FACTORS)
+            # lam/a_m overflowing reads a factor of 0 (xi's upper edge stays positive below)
+            with np.errstate(over="ignore"):
+                k_lo, k_hi = (float(k[0]) for k in a.log_moment(k0, (-lam,), top))
+            iters = max(iters, top - k0)
+            lo = math.exp((k_lo - pen_hi) * (1.0 + _ULP)) * (1.0 - 2.0 * _ULP) if top >= head else 0.0
+            hi = math.exp((k_hi - pen_lo) * (1.0 - _ULP)) * (1.0 + 2.0 * _ULP)
+            if hi - lo <= tol or top - k0 >= _XI_MAX_FACTORS:
                 break
             K *= 4
         lo_total += w * lo

@@ -60,7 +60,6 @@ _RENEWAL_N = 256  # least truncation of the renewal route (explosive cascades)
 _RENEWAL_N_KILLING = 512
 _RENEWAL_HEAD = 1 << 16  # most states of R_N's head summed term by term
 _RENEWAL_STRATA = 64  # strata r_1 = r_lo < ... < r_J = r_hi of the renewal sandwich
-_THETA_BLOCK = 1 << 17  # most entries of one block of the th-by-head matrix of R_N's log-moments
 _N_MAX = 1 << 20  # largest truncation that the search for a certified one doubles to
 # Poisson terms allowed in the one uniformized pass of an evolution; rate
 # growth like (k+1)^p makes the uniformization constant on an N-state
@@ -106,7 +105,9 @@ def resolvent_G(
     After K terms the omitted mass is at most ``r^K |J^K u| / lam`` (the
     remainder telescopes on the cone); at r = 1 and nonzero honesty defect
     this bound stalls at the defect over lam, which is reported rather than
-    hidden.
+    hidden.  Mass that ``PosSeq`` flushes below its threshold, from an
+    iterate r^n J^n u (whose terms from there on weigh at most its mass over
+    lam) or from the value, is not summed and counts in the defect.
     """
     if lam <= 0:
         raise ValueError("resolvent_G requires lambda > 0")
@@ -121,6 +122,7 @@ def resolvent_G(
     w = u
     rn = 1.0
     terms = 0
+    flushed = 0.0  # the weight of the iterates' flushed mass
     defect = u_norm / lam
     for _ in range(_SERIES_MAX_TERMS):
         step = resolvent_A_entries(m, lam, w.entries)
@@ -129,12 +131,13 @@ def resolvent_G(
         terms += 1
         w = PosSeq(apply_B_entries(m, step), 0.0)
         rn *= r
-        defect = rn * w.head_sum() / lam
+        flushed += rn * w.tail_bound / lam
+        defect = rn * w.head_sum() / lam + flushed
         if defect <= tol or w.is_zero:
             break
     value = PosSeq(acc, 0.0)
     # keep the certified chain lam*(|value| + defect) <= |u| despite rounding
-    defect = max(0.0, min(defect, u_norm / lam - value.head_sum()))
+    defect = max(0.0, min(defect + value.tail_bound, u_norm / lam - value.head_sum()))
     return SeriesResult(value, defect, terms, converged=defect <= tol)
 
 
@@ -534,46 +537,19 @@ def _renewal_tails(a: RateFn, n: int, eps: float) -> tuple[np.ndarray, np.ndarra
     Chernoff: with K(th) = log E[e^{th R}] = -sum_{m >= n} log(1 - th/a_m),
     P(R > r) <= e^{K(th) - th r} for 0 < th < inf_{m>=n} a_m and P(R <= r)
     <= e^{K(th) - th r} for th < 0.  Every th of one grid gives a bound, and
-    the least counts.  K is summed term by term over the head n <= m < M and
-    bounded past M, where the power tail is nondecreasing, by -log(1-x) <=
-    x/(1-th/a_M) and log(1+x) >= x/(1+|th|/a_M) for x = |th|/a_m <=
-    |th|/a_M, with the two integral bounds on sum_{m>=M} 1/a_m.  K and each
-    exponent are rounded up; r_lo and r_hi, the grid's best eps-quantiles,
+    the least counts.  K comes rounded up from ``RateFn.log_moment``,
+    summed term by term over the head n <= m < M and bounded past M.  Each
+    exponent is rounded up; r_lo and r_hi, the grid's best eps-quantiles,
     move outward by 1e-12 of themselves, past that rounding.  F is
     nondecreasing, so a lower bound holds at every later stratum and an
     upper one at every earlier one: both are forced nondecreasing.
     """
     m_hi = max(n + min(16 * n, _RENEWAL_HEAD), len(a.values))
-    rates = a.array(n, m_hi)
-    inv = 1.0 / rates
-    a_hi = a(m_hi)
-    th_max = min(float(rates.min()), a_hi)
-    t_plus = a.reciprocal_tail_bound(m_hi) * (1.0 + 8 * _ULP)
-    t_minus = a.reciprocal_tail_lower_bound(m_hi) * (1.0 - 8 * _ULP)
-
-    def log_moments(th: np.ndarray) -> np.ndarray:
-        """K at each th of one sign, rounded up, summed in blocks of
-        _THETA_BLOCK entries of the th-by-head matrix."""
-        k = np.empty(th.size)
-        rows = max(1, _THETA_BLOCK // inv.size)
-        for i in range(0, th.size, rows):
-            c = th[i : i + rows]
-            y = np.abs(c)[:, None] * inv
-            if c[0] > 0.0:
-                s = -np.log1p(-y).sum(axis=1)
-                # a term errs by a few ulps of y/(1-y) >= -log1p(-y), the sum by size ulps of s
-                s += _ULP * (3.0 * (y / (1.0 - y)).sum(axis=1) + inv.size * s)
-                k[i : i + c.size] = (s + c / (1.0 - c / a_hi) * t_plus) * (1.0 + 8 * _ULP)
-            else:
-                s = np.log1p(y).sum(axis=1) * (1.0 - (inv.size + 3) * _ULP)
-                tail = -c / (1.0 - c / a_hi) * t_minus * (1.0 - 4 * _ULP)
-                k[i : i + c.size] = -(s + tail) * (1.0 - 4 * _ULP)
-        return k
-
+    th_max = min(float(a.array(n, m_hi).min()), a(m_hi))
     # th < 0 on a geometric grid, 0 < th < th_max dense near both ends
     th_lo = -th_max * np.geomspace(1e4, 1e-4, 128)
     th_hi = th_max * np.concatenate((np.geomspace(1e-4, 0.5, 64), 1.0 - np.geomspace(0.5, 1e-6, 65)[1:]))
-    k_lo, k_hi = log_moments(th_lo), log_moments(th_hi)
+    k_lo, k_hi = np.split(a.log_moment(n, np.concatenate((th_lo, th_hi)), m_hi)[1], [th_lo.size])
     log_e = math.log(1.0 / eps)
     r_hi = max(0.0, float(((k_hi + log_e) / th_hi).min()) * (1.0 + 1e-12))
     r_lo = min(max(0.0, float(((k_lo + log_e) / th_lo).max()) * (1.0 - 1e-12)), r_hi)

@@ -53,6 +53,9 @@ STATE_LIMIT = 1 << 21  # every state a file or a start names lies below it
 _RATE_LIMIT = 2 * STATE_LIMIT  # audited too, on the rising power tails: past what any route reads below STATE_LIMIT
 _RATE_RTOL = 1e-12
 _ULP = 2.3e-16  # a little over the unit roundoff: the error of one rounded operation
+# most entries of one block of the th-by-head matrix of a log-moment's head
+# sum: the cascade's peak memory follows it
+_THETA_BLOCK = 1 << 17
 
 
 class ModelError(ValueError):
@@ -169,41 +172,65 @@ class RateFn:
         except (OverflowError, ZeroDivisionError):
             return math.inf
 
-    def log1p_tail_bracket(self, k0: int, lam: float) -> tuple[float, float]:
-        """Certified (lo, hi) on sum_{m >= k0} log1p(lam / a_m) for k0 past
-        every table head and tail exponent p > 1.
+    def log_moment(self, k0: int, th, head: int) -> tuple[np.ndarray, np.ndarray]:
+        """Certified (lo, hi) arrays on the log-moment K(th) = log E[e^{th R}]
+        = -sum_{m >= k0} log(1 - th/a_m) of the time R = sum_{m >= k0} E_m/a_m
+        a pure-birth cascade spends at or above k0 (E_m independent standard
+        exponentials), at each th of an array, every th below a_m for m >= k0.
+        exp K(-lam) is the cascade's product of factors a_m/(lam + a_m).
 
-        There f(x) = 1/(c (x+1)^p) and f^2 are convex and decreasing, so
-        S1 = sum_{m>=k0} f(m) and S2 = sum_{m>=k0} f(m)^2 obey
-        int_{k0} f + f(k0)/2 <= S1 <= int_{k0-1/2} f (trapezoid and
-        midpoint rules) and S2 <= int_{k0-1/2} f^2; with
-        x - x^2/2 <= log1p(x) <= x term by term, the sum lies in
-        [max(0, lam S1_lo - lam^2 S2_hi / 2), lam S1_hi].  Each closed form
-        is evaluated in log form and rounded outward, so rates whose
-        reciprocals overflow give a wider bracket (inf at most), never an
-        arithmetic error.
+        The terms k0 <= m < ``head`` are summed in blocks of at most
+        _THETA_BLOCK entries of the th-by-head matrix; with y = th/a_m a term
+        errs by a few ulps of |y|/(1 - y), at most |log(1 - y)| for y < 0, and
+        a sum by its length in ulps of itself.  Past a ``head`` at or beyond
+        the table, f(x) = 1/(c (x+1)^p) and f^2 are convex and decreasing
+        (p > 1): S1 = sum_{m >= head} f(m) lies between the trapezoid and
+        midpoint rules int_head f + f(head)/2 and int_{head-1/2} f, and S2 =
+        sum_{m >= head} f(m)^2 below int_{head-1/2} f^2, each evaluated in log
+        form and rounded outward.  With x = |th|/a_m <= |th|/a_head, x <=
+        -log(1 - x) <= x/(1 - th/a_head) puts the tail of a th > 0 in
+        [th S1_lo, th S1_hi/(1 - th/a_head)], and max(x - x^2/2, x/(1 +
+        |th|/a_head)) <= log1p(x) <= x that of a th < 0 in [-|th| S1_hi,
+        -max(|th| S1_lo - th^2 S2_hi/2, |th| S1_lo/(1 + |th|/a_head))]: the
+        first form is the tighter at small |th|, the second at large.  A
+        ``head`` inside the table, or a tail with no finite sum, leaves the
+        tail (-inf, 0] or [0, inf].
         """
-        if k0 < len(self.values) or self.c <= 0 or self.reciprocal_sum_diverges():
-            raise ValueError("log1p_tail_bracket needs a convergent power tail past the table head")
-        log_lam, log_c = math.log(lam), math.log(self.c)
-        q1, q2 = self.p - 1.0, 2.0 * self.p - 1.0
-        mid, edge = math.log(k0 + 0.5), math.log(k0 + 1.0)
-        s1_hi = _exp_bounds(log_lam, -q1 * mid, -log_c, -math.log(q1))[1]
-        trap = _exp_bounds(log_lam, -q1 * edge, -log_c, -math.log(q1))[0]
-        half = _exp_bounds(log_lam, -self.p * edge, -log_c, -math.log(2.0))[0]
-        s2_hi = _exp_bounds(2.0 * log_lam, -q2 * mid, -2.0 * log_c, -math.log(2.0 * q2))[1]
-        s1_lo = (trap + half) * (1.0 - _ULP)
-        lo = max(0.0, (s1_lo - s2_hi) * (1.0 - _ULP)) if s2_hi < math.inf else 0.0
-        return lo, s1_hi
-
-    def reciprocal_tail_lower_bound(self, k0: int) -> float:
-        """Lower companion of ``reciprocal_tail_bound``: sum_{m >= k0} 1/a_m is
-        at least the integral of the (nonincreasing) power-law reciprocal
-        past every table head; inf if divergent."""
-        if self.c <= 0 or self.reciprocal_sum_diverges():
-            return math.inf
-        k = max(k0, len(self.values))
-        return float(k + 1) ** (1.0 - self.p) / (self.c * (self.p - 1.0))
+        th = np.asarray(th, dtype=float)
+        neg, x = th < 0.0, np.abs(th)
+        inv = 1.0 / self.array(k0, head)
+        lo, hi = np.empty(th.size), np.empty(th.size)
+        rows = max(1, _THETA_BLOCK // max(inv.size, 1))
+        for part in (np.flatnonzero(neg), np.flatnonzero(~neg)):  # blocks of one sign
+            for i in range(0, part.size, rows):
+                at = part[i : i + rows]
+                z = -th[at, None] * inv  # -y
+                s = -np.log1p(z).sum(axis=1)
+                if neg[at[0]]:
+                    lo[at], hi[at] = s * (1.0 + (inv.size + 3) * _ULP), s * (1.0 - (inv.size + 3) * _ULP)
+                else:
+                    err = _ULP * (3.0 * -(z / (1.0 + z)).sum(axis=1) + inv.size * s)
+                    lo[at], hi[at] = s - err, s + err
+        if head < len(self.values) or self.c <= 0 or self.reciprocal_sum_diverges():
+            t_lo, t_hi = np.where(neg, -math.inf, 0.0), np.where(neg, 0.0, math.inf)
+        else:
+            log_c, q1, q2 = math.log(self.c), self.p - 1.0, 2.0 * self.p - 1.0
+            mid, edge = math.log(head + 0.5), math.log(head + 1.0)
+            s1_hi = _exp_bounds(-q1 * mid, -log_c, -math.log(q1))[1]
+            trap = _exp_bounds(-q1 * edge, -log_c, -math.log(q1))[0]
+            half = _exp_bounds(-self.p * edge, -log_c, -math.log(2.0))[0]
+            half_s2 = _exp_bounds(-q2 * mid, -2.0 * log_c, -math.log(2.0 * q2))[1]  # S2_hi / 2
+            near = x / self(head)  # |th| / a_head, good to 3 ulps
+            up = x * (trap + half) * (1.0 - 3.0 * _ULP)  # |th| S1_lo
+            over = x * s1_hi * (1.0 + 2.0 * _ULP)  # |th| S1_hi
+            soft = up / (1.0 + near) * (1.0 - 4.0 * _ULP)
+            if half_s2 < math.inf:
+                soft = np.maximum(soft, (up - x * (x * half_s2) * (1.0 + 3.0 * _ULP)) * (1.0 - _ULP))
+            gap = 1.0 - near - 2.0 * _ULP  # 1 - th/a_head, rounded down
+            beyond = np.divide(over, gap, out=np.full(th.size, math.inf), where=gap > 0.0) * (1.0 + 2.0 * _ULP)
+            t_lo, t_hi = np.where(neg, -over, up), np.where(neg, -soft, beyond)
+        # a head and a tail of one sign: their sum rounds by one ulp of itself
+        return (lo + t_lo) * np.where(neg, 1.0 + _ULP, 1.0 - _ULP), (hi + t_hi) * np.where(neg, 1.0 - _ULP, 1.0 + _ULP)
 
 
 @dataclass(frozen=True)

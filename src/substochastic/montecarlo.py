@@ -54,6 +54,7 @@ CHUNK = 1024  # paths per Philox substream; part of the pinned algorithm
 STATE_CAP = STATE_LIMIT
 _FIRST_BLOCK = 16  # holding times drawn per undecided cascade path at first; doubles to 1 << 16
 _JUMP_CHECK = 10_000  # simulate_path tests for explosion every this many jumps
+_STEPPER_MAX_STEPS = 1_000_000  # steps of the bounded-kernel runner; paths live past them are aborted
 BERNSTEIN_LOG = 30.0  # ln(1/mislabel) budget for the concentration rule
 
 CSV_HEADER = "t,survival,survival_ci,exploded,exploded_ci,killed,killed_ci"
@@ -243,7 +244,7 @@ def _run_stepper_chunk(
     steps = 0
     while states.size:
         steps += 1
-        if steps > 1_000_000:
+        if steps > _STEPPER_MAX_STEPS:
             aborted += states.size
             break
         table.cover(m, int(states.min()), int(states.max()))

@@ -16,6 +16,7 @@ from substochastic.dyson import (
     dp_term,
     dp_uniform_tail,
 )
+from substochastic import minimal
 from substochastic.honesty import ahat_dp
 from substochastic.l1 import Bracket, PosSeq
 from substochastic.minimal import _poisson_weights, semigroup_V
@@ -325,6 +326,15 @@ class TestCountedTerms:
         assert not rows.any() and err >= 1e7
         r = ahat_dp(m_pure_loss, 1e7, e0, a0=Bracket(0.0, 1.0), st=st)
         assert (r.bracket.lo, r.bracket.hi) == (0.0, 1.0)
+
+    def test_a_patched_step_budget_holds(self, m_bd_kill, monkeypatch):
+        # the pass reads minimal._STEP_BUDGET when it runs: 10 steps fit no
+        # window at t = 2, which reads 0 with the trivial errors |u| and t|u|
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 10)
+        st = DPState(m_bd_kill, e0, (2.0,), 3)
+        assert st.level == 0 and st.errors[2.0] == (1.0, 2.0)
+        rows, err = st.integral(2.0)
+        assert not rows.any() and err == 2.0
 
     def test_rejects_bad_times(self, m_two_state):
         for ts, lam in (((-1.0,), 0.0), ((math.inf,), 0.0), ((1.0,), -1.0)):

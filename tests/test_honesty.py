@@ -378,6 +378,8 @@ class TestMassLossDelta:
             assert d.bracket.lo >= -1e-6 and d.bracket.hi <= 0.0
 
     def test_quadratic_strictly_negative(self, m_quadratic, monkeypatch):
+        # the budget bounds the one evolution pass (N = 256, 67,880 steps);
+        # a conservative model builds no Dyson-Phillips state
         monkeypatch.setattr(minimal, "_STEP_BUDGET", 400_000)
         d = mass_loss_delta(m_quadratic, 1.0, e0)
         assert d.bracket.hi < -0.25

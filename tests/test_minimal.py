@@ -75,6 +75,14 @@ class TestResolventG:
             res = resolvent_G(m, lam, e0, tol=1e-10)
             assert lam * (res.value.head_sum() + res.defect) <= 1.0 + 1e-9
 
+    def test_flushed_mass_counts_in_the_defect(self):
+        # 1e-299/21 at state 0 and its image 1e-299/21 at state 1 both fall
+        # below PosSeq's flush threshold; the exact mass is 1e-299/21 * 1.5
+        m = ModelSpec.table([20.0, 1.0], {0: [(1, 1.0)]})
+        res = resolvent_G(m, 1.0, PosSeq({0: 1e-299}))
+        assert res.mass_bracket.contains(1e-299 / 21.0 * 1.5)
+        assert res.mass_bracket.hi <= 1e-299
+
     def test_dishonest_defect_reported_not_hidden(self, m_quadratic, monkeypatch):
         monkeypatch.setattr(minimal, "_SERIES_MAX_TERMS", 200)
         res = resolvent_G(m_quadratic, 1.0, e0, tol=1e-9)
@@ -389,11 +397,11 @@ class TestRenewalRoute:
 
     def test_tails_of_the_time_beyond_n(self, m_quadratic):
         # R_512 = sum_{n > 512} E_n/n^2 has mean sum_{n > 512} 1/n^2, which
-        # the two integral bounds hold; the lower tail bound past the summed
-        # head tightens r_lo (1.551e-3 without it)
+        # a partial sum and the integral bound hold; the lower tail bound
+        # past the summed head tightens r_lo (1.551e-3 without it)
         r, _, _ = minimal._renewal_tails(m_quadratic.a, 512, 2.5e-9)
         r_lo, r_hi = r[1], r[-1]
-        assert r_lo < m_quadratic.a.reciprocal_tail_lower_bound(512)
+        assert r_lo < math.fsum(1.0 / m_quadratic.a.array(512, 200_000))
         assert m_quadratic.a.reciprocal_tail_bound(512) < r_hi
         assert r_lo == pytest.approx(1.666e-3, abs=1e-6)
         assert r_hi == pytest.approx(2.297e-3, abs=1e-6)
@@ -408,9 +416,9 @@ class TestRenewalRoute:
         # lo near 1 is good to the spacing of floats there
         assert hi[0] <= eps and 1.0 - lo[-1] <= eps + 2 * _ULP
         # E[R] = int_0^inf P(R > r) dr, which the bounds hold between the
-        # strata, against the integral bounds on sum_{m >= n} 1/a_m; past
-        # r_hi the survival is at most eps
-        mean_lo = m_quadratic.a.reciprocal_tail_lower_bound(n)
+        # strata, against a partial sum and the integral bound on
+        # sum_{m >= n} 1/a_m; past r_hi the survival is at most eps
+        mean_lo = math.fsum(1.0 / m_quadratic.a.array(n, 200_000))
         mean_hi = m_quadratic.a.reciprocal_tail_bound(n)
         assert math.fsum(np.diff(r) * (1.0 - hi)) <= mean_hi
         assert math.fsum(np.diff(r) * (1.0 - np.concatenate(([0.0], lo[:-1])))) + eps * r[-1] >= mean_lo

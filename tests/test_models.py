@@ -63,37 +63,58 @@ class TestRateFn:
             assert r.reciprocal_tail_bound(k0) >= exact
         assert math.isinf(RateFn.power(1.0, 1.0).reciprocal_tail_bound(0))
 
-    def test_reciprocal_tail_lower_bound_brackets_the_sum(self):
-        # the sums run far enough that their own cut (< 1/200_000) stays
-        # below the gap between the two bounds
+    def test_log_moment_holds_the_partial_sums(self):
+        # K(th) = -sum_{m >= k0} log(1 - th/a_m) lies between a partial sum
+        # over [k0, 200_000) and that sum plus th/(1 - th/a) times the
+        # integral bound on the sum of 1/a_m past the cut
         for r in (RateFn.power(1.0, 2.0), RateFn.power(0.5, 3.0), RateFn.table([0.1, 9.0, 4.0], tail_c=2.0, tail_p=2.0)):
+            cut = 2.0 * 0.05 * r.reciprocal_tail_bound(200_000)
             for k0 in (0, 1, 2, 7, 50):
-                exact = math.fsum(1.0 / r.array(k0, 200_000))
-                assert r.reciprocal_tail_lower_bound(k0) <= exact <= r.reciprocal_tail_bound(k0)
-        assert math.isinf(RateFn.power(1.0, 1.0).reciprocal_tail_lower_bound(0))
+                head = max(k0, len(r.values))
+                lo, hi = r.log_moment(k0, [-0.05, 0.05], head)
+                assert np.all(lo <= hi)
+                below = -math.fsum(np.log1p(0.05 / r.array(k0, 200_000)))
+                above = -math.fsum(np.log1p(-0.05 / r.array(k0, 200_000)))
+                assert lo[0] <= below and below - cut <= hi[0] <= 0.0
+                assert 0.0 <= lo[1] <= above + cut and above <= hi[1]
+        # no finite tail when p <= 1, nor past a head inside the table
+        for r, head in ((RateFn.power(1.0, 1.0), 0), (RateFn.table([1.0, 2.0], tail_c=1.0, tail_p=2.0), 1)):
+            lo, hi = r.log_moment(head, [-1.0, 0.5], head)
+            assert lo.tolist() == [-math.inf, 0.0] and hi.tolist() == [0.0, math.inf]
 
-    def test_log1p_tail_bracket_holds_the_sinh_product(self):
+    def test_log_moment_holds_the_sinh_product(self):
         # a_m = (m+1)^2: sum_{m>=k0} log1p(lam/a_m) is log(sinh(s)/s), s = pi sqrt(lam),
-        # less the first k0 terms
+        # less the first k0 terms; K(-lam) is its negative
         r = RateFn.power(1.0, 2.0)
         for lam in (0.5, 1.0, 2.0):
             s = math.pi * math.sqrt(lam)
             for k0 in (0, 1, 7, 1024):
                 exact = math.log(math.sinh(s) / s) - math.fsum(math.log1p(lam / (n * n)) for n in range(1, k0 + 1))
-                lo, hi = r.log1p_tail_bracket(k0, lam)
-                assert lo <= exact <= hi
-                if k0 == 1024:
-                    assert hi - lo <= 2e-9  # lam^2 S2/2 + lam (midpoint - trapezoid)
-        # past the head of a table only; no finite sum when p <= 1
-        with pytest.raises(ValueError):
-            RateFn.table([1.0, 2.0], tail_c=1.0, tail_p=2.0).log1p_tail_bracket(1, 1.0)
-        with pytest.raises(ValueError):
-            RateFn.power(1.0, 1.0).log1p_tail_bracket(0, 1.0)
+                for head in (k0, k0 + 100):
+                    lo, hi = (float(x[0]) for x in r.log_moment(k0, [-lam], head))
+                    assert lo <= -exact <= hi
+                    if k0 == 1024:
+                        assert hi - lo <= 2e-9  # lam^2 S2/2 + lam (midpoint - trapezoid)
 
-    def test_log1p_tail_bracket_widens_instead_of_overflowing(self):
-        # 1/c^2 overflows: the lower edge falls back to 0, never to an error
-        lo, hi = RateFn.power(5.6e-309, 1.5).log1p_tail_bracket(1024, 2.0)
-        assert lo == 0.0 and 0.0 < hi
+    def test_log_moment_holds_the_sine_product(self):
+        # a_m = (m+1)^2 and 0 < th < 1: prod_{n>=1} (1 - th/n^2) = sin(s)/s,
+        # s = pi sqrt(th), so K_0(th) = log(s/sin(s)), less the first k0 terms
+        r = RateFn.power(1.0, 2.0)
+        for th in (0.25, 0.5, 0.9):
+            s = math.pi * math.sqrt(th)
+            for k0 in (0, 7):
+                exact = math.log(s / math.sin(s)) + math.fsum(math.log1p(-th / (n * n)) for n in range(1, k0 + 1))
+                for head in (k0, 1024):
+                    lo, hi = (float(x[0]) for x in r.log_moment(k0, [th], head))
+                    assert 0.0 <= lo <= exact <= hi
+                    if head == 1024:
+                        assert hi - lo <= 1e-9
+
+    def test_log_moment_widens_instead_of_overflowing(self):
+        # 1/c^2 overflows: the bracket drops the S2 form, never raises
+        with np.errstate(all="raise"):
+            lo, hi = RateFn.power(5.6e-309, 1.5).log_moment(1024, [-2.0], 1024)
+        assert -math.inf < lo[0] <= hi[0] < 0.0
         assert RateFn.power(5.6e-309, 1.5).reciprocal_tail_bound(0, power=2.0) == math.inf
 
     def test_rejects_bad_parameters(self):

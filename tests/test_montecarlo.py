@@ -116,6 +116,14 @@ class TestAgainstClosedForms:
         est = simulate(m_yule, e0, 1.0, 50_000, seed=5)
         assert est.survival == 1.0 and est.exploded == 0.0 and est.aborted == 0
 
+    def test_stepper_step_cap_aborts_live_paths(self, m_closed_chain, monkeypatch):
+        # the closed chain jumps until t: past the patched step cap of the
+        # bounded-kernel runner its live paths are aborted
+        assert simulate(m_closed_chain, e0, 5.0, 2_000, seed=5).aborted == 0
+        monkeypatch.setattr(montecarlo, "_STEPPER_MAX_STEPS", 3)
+        est = simulate(m_closed_chain, e0, 5.0, 2_000, seed=5)
+        assert 0 < est.aborted <= 2_000
+
     def test_mixed_initial_distribution(self, m_pure_loss):
         init = PosSeq({0: 0.5, 1: 0.5})
         est = simulate(m_pure_loss, init, 1.0, 50_000, seed=5)
