@@ -205,11 +205,13 @@ class RateFn:
             for i in range(0, part.size, rows):
                 at = part[i : i + rows]
                 z = -th[at, None] * inv  # -y
-                s = -np.log1p(z).sum(axis=1)
+                t = np.log1p(z)
+                s = -t.sum(axis=1)
                 if neg[at[0]]:
                     lo[at], hi[at] = s * (1.0 + (inv.size + 3) * _ULP), s * (1.0 - (inv.size + 3) * _ULP)
                 else:
-                    err = _ULP * (3.0 * -(z / (1.0 + z)).sum(axis=1) + inv.size * s)
+                    np.divide(z, np.add(z, 1.0, out=t), out=t)  # -y/(1 - y), in place: two blocks at most
+                    err = _ULP * (3.0 * -t.sum(axis=1) + inv.size * s)
                     lo[at], hi[at] = s - err, s + err
         if head < len(self.values) or self.c <= 0 or self.reciprocal_sum_diverges():
             t_lo, t_hi = np.where(neg, -math.inf, 0.0), np.where(neg, 0.0, math.inf)
