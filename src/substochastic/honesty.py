@@ -33,7 +33,7 @@ import numpy as np
 
 from .dyson import DPState
 from .l1 import Bracket, PosSeq, SignedSeq, axpy, leq, mass
-from .minimal import EvolveResult, evolve, resolvent_G
+from .minimal import EvolveResult, _series_block, evolve
 from .models import _ULP, ModelSpec, OperatorWindow, apply_J
 
 __all__ = [
@@ -285,22 +285,30 @@ class AbarResult:
     converged: bool
 
 
-def _abar_cone_series(m: ModelSpec, lam: float, u: PosSeq, tol: float) -> AbarResult:
-    """sum_n a_frak((lam-A)^{-1} J^n u) on the cone with telescoped remainder.
+def _abar_cone_series(m: ModelSpec, lam: float, inputs: Sequence[PosSeq], tol: float) -> list[AbarResult]:
+    """sum_n a_frak((lam-A)^{-1} J^n u) on the cone with telescoped remainder,
+    for every input u of one ``_series_block``.
 
-    The partial sum is a_frak of ``resolvent_G``'s value.  Each term equals
-    |J^n u| - |J^{n+1} u| - lam |(lam-A)^{-1} J^n u|, so the remainder after
-    K terms is |J^K u| - xi(u), that is lam * defect - xi(u), bounded using
-    the certified lower edge of xi.
+    The partial sum is a_frak of the block's value of u, whose relative
+    error err (and a subnormal ulp per entry for the products by the
+    deficits) pads both edges.  Each term equals |J^n u| - |J^{n+1} u| -
+    lam |(lam-A)^{-1} J^n u|, so the remainder after K terms is |J^K u| -
+    xi(u), at most lam times the block's rem; when that exceeds tol, the
+    certified lower edge of xi(u) is credited, input by input.
     """
     if m.conservative:
-        return AbarResult(Bracket(0.0, 0.0), 0, True)
-    res = resolvent_G(m, lam, u, tol=tol / lam)
-    total = a_frak(m, res.value)
-    rem_hi = lam * res.defect
-    if rem_hi > tol:
-        rem_hi = max(0.0, rem_hi - xi(m, lam, u, tol).bracket.lo)
-    return AbarResult(Bracket(total, total + rem_hi), res.terms_used, rem_hi <= tol)
+        return [AbarResult(Bracket(0.0, 0.0), 0, True) for _ in inputs]
+    rows, out = _series_block(m, lam, [u.entries for u in inputs], tol / lam), []
+    lo = min((first for acc, first, *_ in rows if acc.size), default=0)
+    deficits = m.deficits(np.arange(lo, max(first + acc.size for acc, first, *_ in rows)))  # one read for the block
+    for u, (acc, first, rem, terms, err) in zip(inputs, rows):
+        total = math.fsum(deficits[first - lo : first - lo + acc.size] * acc)
+        pad = err * total + int(np.count_nonzero(acc)) * _SUBNORMAL
+        rem_hi = lam * rem
+        if rem_hi > tol:
+            rem_hi = max(0.0, rem_hi - xi(m, lam, u, tol).bracket.lo)
+        out.append(AbarResult(Bracket(max(0.0, total - pad), total + pad + rem_hi), terms, rem_hi <= tol))
+    return out
 
 
 def abar_resolvent(m: ModelSpec, lam: float, u: PosSeq) -> AbarResult:
@@ -309,7 +317,7 @@ def abar_resolvent(m: ModelSpec, lam: float, u: PosSeq) -> AbarResult:
         raise ValueError("abar_resolvent requires lambda > 0")
     if u.tail_bound != 0.0:
         raise ValueError("abar_resolvent requires finitely supported input")
-    return _abar_cone_series(m, lam, u, _ABAR_TOL)
+    return _abar_cone_series(m, lam, [u], _ABAR_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +433,14 @@ def delta_by_routes(
 ) -> list[tuple[DeltaResult, DeltaResult]]:
     """Delta at every time of the grid ``ts``, as one (resolvent, expansion)
     pair per time, computed independently by the two routes, which share
-    one evolution pass per time at tolerance ``tol``.
+    the evolutions at tolerance ``tol``: one pass per time, all run first.
 
     Expansion route: one ``DPState`` serves every time of the grid.
 
     Resolvent route: the trajectory integral w satisfies G w = V(t)u - u,
-    so w = (lam-G)^{-1}(lam w + u - V(t)u) and abar(w) is evaluated by the
-    resolvent series at the signed preimage.
+    so w = (lam-G)^{-1}(lam w + u - V(t)u) and abar(w) is the resolvent
+    series at the signed preimage: its two cone sides of every time, 2|grid|
+    inputs, run as one ``_series_block``.
     """
     ts = tuple(float(t) for t in ts)
     if not all(0.0 <= t < math.inf for t in ts):
@@ -440,34 +449,25 @@ def delta_by_routes(
     st = None
     if not (m.conservative or u.is_zero) and grid and grid[0] > 0.0:
         st = DPState(m, u, grid, _ahat_terms(m, grid[0], u, tol))
-    rows = {t: _delta_pair(m, t, u, lam, tol, st) for t in grid}
+    rows, sides = {}, []
+    for t in grid:
+        # the integral feeds only the resolvent route, which is 0 on conservative models
+        ev = evolve(m, t, u, tol, want_integral=not m.conservative)
+        a0 = a0_on_integral(m, t, u, ev=ev)
+        ahat = ahat_dp(m, t, u, tol=tol, a0=a0, st=st)
+        rows[t] = (a0, DeltaResult(_clamp_nonpos(ahat.bracket - a0), a0, ahat.bracket, "dyson_phillips"))
+        if not m.conservative:
+            z = SignedSeq(axpy(lam, ev.integral, u), ev.value)  # nets out the shared support
+            sides += [z.plus, z.minus]
+    # entries flushed below FLUSH_THRESHOLD ride in a side's tail; on the cone
+    # abar((lam-G)^{-1} v) lies in [0, |v|], so a tail widens its side
+    sums = _abar_cone_series(m, lam, [PosSeq(v.entries) for v in sides], tol)
+    abar = [Bracket(s.bracket.lo, s.bracket.hi + v.tail_bound) for s, v in zip(sums, sides)]
+    for i, t in enumerate(grid):
+        a0, dp = rows[t]
+        abar_w = Bracket(0.0, 0.0) if m.conservative else abar[2 * i] - abar[2 * i + 1]
+        rows[t] = (DeltaResult(_clamp_nonpos(abar_w - a0), a0, abar_w, "resolvent"), dp)
     return [rows[t] for t in ts]
-
-
-def _delta_pair(
-    m: ModelSpec, t: float, u: PosSeq, lam: float, tol: float, st: DPState | None
-) -> tuple[DeltaResult, DeltaResult]:
-    """One time of ``delta_by_routes``; the expansion route reads ``st``."""
-    # the integral feeds only the resolvent route, which is 0 on conservative models
-    ev = evolve(m, t, u, tol, want_integral=not m.conservative)
-    a0 = a0_on_integral(m, t, u, ev=ev)
-
-    # expansion route
-    ahat = ahat_dp(m, t, u, tol=tol, a0=a0, st=st)
-    dp = DeltaResult(_clamp_nonpos(ahat.bracket - a0), a0, ahat.bracket, "dyson_phillips")
-
-    # resolvent route
-    if m.conservative:
-        abar_w = Bracket(0.0, 0.0)
-    else:
-        z = SignedSeq(axpy(lam, ev.integral, u), ev.value)  # nets out the shared support
-        # entries flushed below FLUSH_THRESHOLD ride in a side's tail; on the
-        # cone abar((lam-G)^{-1} v) lies in [0, |v|], so a tail widens its side
-        plus = _abar_cone_series(m, lam, PosSeq(z.plus.entries), tol).bracket
-        minus = _abar_cone_series(m, lam, PosSeq(z.minus.entries), tol).bracket
-        abar_w = Bracket(plus.lo, plus.hi + z.plus.tail_bound) - Bracket(minus.lo, minus.hi + z.minus.tail_bound)
-    res = DeltaResult(_clamp_nonpos(abar_w - a0), a0, abar_w, "resolvent")
-    return res, dp
 
 
 # ---------------------------------------------------------------------------

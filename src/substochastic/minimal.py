@@ -7,8 +7,11 @@ closure-extension of A + B:
   with ``J = B (lam - A)^{-1}``, whose partial sums increase to the limit
   and whose remainder is certified by the telescoping identity
   ``lam * |(lam-A)^{-1} w| = |w| - |J w| - <deficit, (lam-A)^{-1} w>``.
-  The same loop weights term n by r^n (0 <= r <= 1) for Kato's generator
-  A + r*B, and one bound ``r^K |J^K u| / lam`` certifies every truncation;
+  One loop, ``_series_block``, runs it for many cone inputs at once, as a
+  block of rows on an operator window that slides with their support; each
+  row stops at its own term.  It weights term n by r^n (0 <= r <= 1) for
+  Kato's generator A + r*B, and one bound ``r^K |J^K u| / lam`` certifies
+  every truncation;
 
 * the evolution ``V(t) u`` on one N-state truncation, evaluated by
   uniformization (Poisson-weighted powers of ``I + Q/c``), which preserves
@@ -39,8 +42,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .l1 import Bracket, PosSeq
-from .models import _ULP, ModelSpec, OperatorWindow, RateFn, _exp_bounds, apply_B_entries, resolvent_A_entries
+from .l1 import FLUSH_THRESHOLD, Bracket, PosSeq
+from .models import _ULP, ModelSpec, OperatorWindow, RateFn, _exp_bounds
 
 __all__ = [
     "SeriesResult",
@@ -53,6 +56,8 @@ __all__ = [
 
 
 _SERIES_MAX_TERMS = 50_000
+_SERIES_BYTES = 16 << 20  # most bytes of one (rows x window) array of the block series
+_SERIES_SLACK = 32  # states a series window keeps past the targets it was refit to
 _N_START = 64  # least truncation of the evolution
 _RENEWAL_N = 256  # least truncation of the renewal route (explosive cascades)
 # least truncation of the renewal route from a start with a killing state at
@@ -98,16 +103,12 @@ def resolvent_G(
     tol: float = 1e-8,
     r: float = 1.0,
 ) -> SeriesResult:
-    """Resolvent of the generator A + r*B applied to ``u`` (cone input).
-
-    Iterates ``w <- J w`` and accumulates ``r^n (lam - A)^{-1} w``; r = 1
-    gives the minimal generator, 0 <= r < 1 Kato's interpolating generators.
-    After K terms the omitted mass is at most ``r^K |J^K u| / lam`` (the
-    remainder telescopes on the cone); at r = 1 and nonzero honesty defect
-    this bound stalls at the defect over lam, which is reported rather than
-    hidden.  Mass that ``PosSeq`` flushes below its threshold, from an
-    iterate r^n J^n u (whose terms from there on weigh at most its mass over
-    lam) or from the value, is not summed and counts in the defect.
+    """Resolvent of the generator A + r*B applied to ``u`` (cone input): the
+    one-row ``_series_block``.  r = 1 gives the minimal generator, 0 <= r < 1
+    Kato's interpolating generators.  At r = 1 and nonzero honesty defect the
+    remainder bound r^K |J^K u| / lam stalls at the defect over lam, which is
+    reported rather than hidden.  Mass flushed below ``FLUSH_THRESHOLD``,
+    from an iterate or from the value, is not summed and counts in the defect.
     """
     if lam <= 0:
         raise ValueError("resolvent_G requires lambda > 0")
@@ -117,28 +118,102 @@ def resolvent_G(
         raise ValueError("resolvent_G requires 0 <= r <= 1")
     if u.tail_bound != 0.0:
         raise ValueError("resolvent_G requires finitely supported input")
-    u_norm = u.head_sum()
-    acc: dict[int, float] = {}
-    w = u
-    rn = 1.0
-    terms = 0
-    flushed = 0.0  # the weight of the iterates' flushed mass
-    defect = u_norm / lam
-    for _ in range(_SERIES_MAX_TERMS):
-        step = resolvent_A_entries(m, lam, w.entries)
-        for k, v in step.items():
-            acc[k] = acc.get(k, 0.0) + rn * v
-        terms += 1
-        w = PosSeq(apply_B_entries(m, step), 0.0)
-        rn *= r
-        flushed += rn * w.tail_bound / lam
-        defect = rn * w.head_sum() / lam + flushed
-        if defect <= tol or w.is_zero:
-            break
-    value = PosSeq(acc, 0.0)
+    ((acc, first, rem, terms, _),) = _series_block(m, lam, [u.entries], tol, r)
+    value = PosSeq.from_array(acc, first)
     # keep the certified chain lam*(|value| + defect) <= |u| despite rounding
-    defect = max(0.0, min(defect + value.tail_bound, u_norm / lam - value.head_sum()))
+    defect = max(0.0, min(rem + value.tail_bound, u.head_sum() / lam - value.head_sum()))
     return SeriesResult(value, defect, terms, converged=defect <= tol)
+
+
+def _series_block(m: ModelSpec, lam: float, inputs: list[dict[int, float]], tol: float, r: float = 1.0) -> list:
+    """sum_n r^n (lam - A)^{-1} J^n u_i, J = B (lam - A)^{-1}, for cone inputs
+    u_i (index -> entry) as one block: a term divides the rows' iterates, a
+    (rows x W) array on an ``OperatorWindow``, by lam + a and takes one
+    banded B step, bands by offset.  Per input (value, first, rem, terms,
+    err): the sum of the first K = terms terms on states first, first + 1,
+    ..., a bound rem on the mass of the rest, and the value's relative error.
+
+    A row counts until its rem is at most tol, its iterate is zero, or K =
+    _SERIES_MAX_TERMS.  rem bounds r^K |J^K u_i| / lam, plus r^n m / lam
+    for each iterate mass m dropped at term n where its step is under
+    FLUSH_THRESHOLD (so every step summed is normal).  The window holds the
+    support and its targets, _SERIES_SLACK states past targets beyond it,
+    and is refit once mass reaches a state that feeds outside: a cascade's
+    window slides with its one state.  The values grow in their own array,
+    doubled when full, and a stopped row leaves the block.  A row reads
+    neither the other rows nor the window (zeros add exactly, its stop
+    reads fsum), so it is its own run bit for bit; a block whose window
+    would pass _SERIES_BYTES runs row by row.
+
+    Rounding, as in ``_poisson_read``: addends that pass D roundings err by
+    D _ULP of their total.  With b offsets in the kernel a term passes b +
+    2 (lam + a, the division, a rate's product and b - 1 additions, the
+    first onto 0 being exact), r^n one (and 2^-1075 under the normal
+    range), fsum one, a dropped mass K for its sum, and the value K for its
+    sum over the terms: rem and err take K(b + 4) + 8 ulps, 8 for their own
+    arithmetic and a reader's product by the deficits.  A product under the
+    normal range (a rate under 2.2e-8) errs by 2^-1075 < 2.5e-24 of its
+    step, the steps sum to at most 2|u_i| / lam and a lost mass weighs
+    1/lam: rem starts at b ulp(0) |u_i| / (FLUSH_THRESHOLD lam^2).
+    """
+    ks = m.kernel._keys[1:]  # every listed column of a table; the other kernels need no state
+    b, tiny = len(m.kernel.bands(ks, m.a.at(ks))), math.ulp(0.0)
+    out = [(np.zeros(0), 0, 0.0, 1, 0.0)] * len(inputs)  # an empty input sums nothing in one term
+    idx = np.flatnonzero([bool(u) for u in inputs])
+    lo = min((min(inputs[i]) for i in idx), default=0)
+    w = np.zeros((idx.size, max((max(inputs[i]) + 1 - lo for i in idx), default=0)))
+    for row, i in zip(w, idx):
+        row[np.fromiter(inputs[i], np.int64) - lo] = list(inputs[i].values())
+    lost = np.array([b * tiny / FLUSH_THRESHOLD * math.fsum(inputs[i].values()) / lam / lam for i in idx])
+    acc, first, rn, leaky = np.zeros((idx.size, 0)), lo, 1.0, None
+    for terms in range(1, _SERIES_MAX_TERMS + 1 if idx.size else 1):
+        if leaky is None or leaky.size and w[:, leaky].any():  # fit the window to the support and its targets
+            ks = lo + np.flatnonzero(w.any(axis=0))
+            hit = np.concatenate([ks, *(ks[c > 0] + d for d, c in m.kernel.bands(ks, m.a.at(ks)).items())])
+            s_lo, s_hi, grow = int(ks[0]), int(ks[-1]) + 1, max(_SERIES_SLACK, int(ks[-1] - ks[0]) + 1)
+            n_lo = max(0, int(hit.min()) - grow) if hit.min() < s_lo else s_lo
+            n_hi = int(hit.max()) + 1 + grow if hit.max() >= s_hi else s_hi
+            if idx.size > 1 and 8 * idx.size * (n_hi - n_lo) > _SERIES_BYTES:
+                return [_series_block(m, lam, [u], tol, r)[0] for u in inputs]
+            fit = np.zeros((idx.size, n_hi - n_lo))
+            fit[:, s_lo - n_lo : s_hi - n_lo] = w[:, s_lo - lo : s_hi - lo]
+            w, lo, win = fit, n_lo, OperatorWindow(m, n_lo, n_hi)
+            den, leaky, step, tmp = lam + win.a, np.flatnonzero(win.leak), np.empty_like(w), np.empty_like(w)
+            shifts = sorted(win.shifts(), key=lambda x: x[0].start - x[1].start)
+            bands = [(w[:, t], step[:, s], c, tmp[:, : c.size]) for t, s, c in shifts]
+            # low bounds the least positive step; the next one is at least shrink times it
+            least = min((float(c[c > 0].min()) for c in win.bands.values()), default=0.0)
+            low, shrink = 0.0, least / float(den.max()) * (1.0 - (b + 4) * _ULP)
+            if lo < first or n_hi > first + acc.shape[1]:  # the values' array doubles to hold the window
+                below = max(0, first - lo)
+                size = max(2 * acc.shape[1], max(n_hi, first + acc.shape[1]) - first + below)
+                acc, first = np.pad(acc, ((0, 0), (below, size - below - acc.shape[1]))), first - below
+            val = acc[:, lo - first : n_hi - first]
+        np.divide(w, den, out=step)
+        if low < FLUSH_THRESHOLD:
+            cut = (step < FLUSH_THRESHOLD) & (w > 0.0)
+            for i in np.flatnonzero(cut.any(axis=1)):
+                lost[i] += math.fsum(w[i, cut[i]]) * ((rn + terms * tiny) / lam + tiny)
+            w[cut] = step[cut] = 0.0
+            low = np.min(step, where=step > 0.0, initial=1.0)
+        val += step if rn == 1.0 else rn * step
+        w.fill(0.0)
+        for t, s, c, o in bands:
+            np.add(t, np.multiply(s, c, out=o), out=t)
+        rn, low, pad = rn * r, low * shrink, 1.0 + (terms * (b + 4) + 8) * _ULP
+        weight = (rn + terms * tiny) / lam + tiny  # r^K / lam, rounded up past its rounding and underflow
+        # pairwise sums lie far within 1e-9 of fsum: a row's stop reads its fsum alone
+        limit = tol / (weight * pad) * (1.0 + 1e-9) if terms < _SERIES_MAX_TERMS else math.inf
+        keep = np.ones(idx.size, bool)
+        for i in [i for i, x in enumerate(np.add.reduce(w, axis=1).tolist()) if x <= limit]:
+            rem = (math.fsum(w[i]) * weight + float(lost[i])) * pad
+            if rem <= tol or not w[i].any() or terms == _SERIES_MAX_TERMS:
+                out[idx[i]], keep[i] = (acc[i].copy(), first, rem, terms, pad - 1.0), False
+        if not keep.all():
+            w, acc, idx, lost, leaky = w[keep], acc[keep], idx[keep], lost[keep], None
+            if not idx.size:
+                break
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from substochastic.dyson import (
     dp_uniform_tail,
 )
 from substochastic import minimal
-from substochastic.honesty import ahat_dp
+from substochastic.honesty import ahat_dp, delta_by_routes
 from substochastic.l1 import Bracket, PosSeq
 from substochastic.minimal import _poisson_weights, semigroup_V
 from substochastic.models import (
@@ -386,6 +386,19 @@ class TestRandomTables:
         r = ahat_dp(m, t, u, a0=Bracket(0.0, 1.0))
         assert r.bracket.lo - 1e-12 <= exact <= r.bracket.hi + 1e-12
         assert r.bracket.width <= 1e-7
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(_tables(), st.floats(0.5, 2.0))
+    def test_resolvent_route_holds_expm(self, case, lam):
+        # a finite chain is honest, so the resolvent route's abar of the
+        # trajectory integral is 1 - |e^{tQ}u| (expm's own rounding gets
+        # 1e-12), and its Delta bracket meets the expansion route's
+        m, n, k, t = case
+        ts = (0.0, t / 3.0, t)
+        for s, (res, dp) in zip(ts, delta_by_routes(m, ts, PosSeq.basis(k), lam)):
+            exact = 1.0 - float(expm(s * _generator(m, n))[:, k].sum())
+            assert res.functional.lo - 1e-12 <= exact <= res.functional.hi + 1e-12
+            assert res.bracket.overlaps(dp.bracket)
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(_tables(), st.integers(0, 3))

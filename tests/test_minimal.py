@@ -12,7 +12,7 @@ from substochastic.minimal import (
     resolvent_G,
     semigroup_V,
 )
-from substochastic.models import _ULP, Kernel, ModelSpec, OperatorWindow, RateFn
+from substochastic.models import _ULP, Kernel, ModelSpec, OperatorWindow, RateFn, apply_J, apply_resolvent_A
 
 e0 = PosSeq.basis(0)
 
@@ -136,6 +136,102 @@ class TestResolventGr:
             lo = res.value.head_sum()
             assert lo * (1.0 - 1e-12) <= exact.sum() <= (lo + res.defect) * (1.0 + 1e-12)
             assert lam * (lo + res.defect) <= u.head_sum() * (1.0 + 1e-12)
+
+
+def _block_models():
+    rng = np.random.default_rng(17)
+    tables = [random_closed_model(rng, 12) for _ in range(3)]
+    # state 4 takes three addends (from 2, 3 and 5); a row from 2 alone has a
+    # window from 2, whose bands come in another order than the block's from 0
+    fed = {0: [(3, 0.5)], 1: [(0, 0.5)], 2: [(4, 0.7), (5, 0.2)], 3: [(4, 0.6)], 4: [(2, 0.3), (3, 0.4)], 5: [(4, 0.9)]}
+    tables.append(ModelSpec.table((1.1, 1.3, 1.7, 1.9, 2.3, 2.9), fed, name="three_addends"))
+    walks = [ModelSpec.birth_death(1.0, 1.0, kill=0.5, name="bd_kill"), ModelSpec.pure_birth(RateFn.power(1.0, 1.0))]
+    return tables + walks
+
+
+class TestSeriesBlock:
+    """The block series against the dict primitives apply_J and
+    apply_resolvent_A, which it never calls (the oracle stays independent)."""
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-12])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
+    def test_rows_are_their_own_runs_and_hold_the_dict_series(self, r, tol, monkeypatch):
+        # the cap stops yule's rows at r = 1, tol = 1e-12, past their first window
+        monkeypatch.setattr(minimal, "_SERIES_MAX_TERMS", 300)
+        rng = np.random.default_rng(int(10 * r) + 3)
+        for m in _block_models():
+            lam = float(0.5 + 1.5 * rng.random())
+            spread = {k: float(v) for k, v in enumerate(rng.random(4))}
+            inputs = [{0: 1.0}, spread, {1: 1e-6}, {}, {2: 0.5, 3: 0.25}]
+            block = minimal._series_block(m, lam, inputs, tol, r)
+            for u, (acc, first, rem, terms, err) in zip(inputs, block):
+                (acc1, first1, rem1, terms1, err1) = minimal._series_block(m, lam, [u], tol, r)[0]
+                # bit for bit: the same terms, remainder, error and entries
+                assert (rem, terms, err) == (rem1, terms1, err1)
+                assert PosSeq.from_array(acc, first).entries == PosSeq.from_array(acc1, first1).entries
+                # the first K terms of sum_n r^n (lam - A)^{-1} J^n u by the dict primitives
+                w, want = PosSeq(u), {}
+                for n in range(terms):
+                    for k, v in apply_resolvent_A(m, lam, w).entries.items():
+                        want[k] = want.get(k, 0.0) + r**n * v
+                    w = apply_J(m, lam, w)
+                got = PosSeq.from_array(acc, first)
+                for k in set(want) | set(got.entries):
+                    assert abs(got.get(k) - want.get(k, 0.0)) <= 2.0 * err * want.get(k, 0.0) + 1e-300 * terms
+                assert rem >= r**terms * w.head_sum() / lam * (1.0 - 1e-13)
+                if u and r == 0.0:
+                    assert terms == 1 and rem <= 1e-20  # r^1 = 0, up to the underflow allowance
+            live = [terms for u, (_, _, _, terms, _) in zip(inputs, block) if u]
+            if r > 0.0 and min(live) < 300:
+                assert len(set(live)) > 1  # the rows stop at terms of their own
+            if m.name == "pure_birth" and r == 1.0:
+                # each iterate is one state a step further up: the row from e0
+                # left its first window, the inputs and _SERIES_SLACK more
+                acc, first, _, terms, _ = block[0]
+                assert terms > 4 + minimal._SERIES_SLACK and PosSeq.from_array(acc, first).support[-1] == terms - 1
+
+    def test_a_block_of_empty_inputs_counts_one_term_each(self, m_bd_kill):
+        rows = minimal._series_block(m_bd_kill, 1.0, [{}, {}], 1e-8)
+        assert all(acc.size == 0 and rem == 0.0 and k == 1 for acc, _, rem, k, _ in rows)
+
+
+class TestSlidingWindow:
+    """A cascade's iterate is one state moving a state up a term: its series
+    window slides with it, a few states wide, however long the series."""
+
+    @staticmethod
+    def _widths(monkeypatch) -> list[int]:
+        widths = []
+
+        class Recording(OperatorWindow):
+            def __init__(self, m, lo, hi):
+                widths.append(hi - lo)
+                super().__init__(m, lo, hi)
+
+        monkeypatch.setattr(minimal, "OperatorWindow", Recording)
+        return widths
+
+    def test_a_dishonest_cascade_of_50000_terms(self, monkeypatch):
+        from substochastic.honesty import abar_resolvent
+
+        m = ModelSpec(
+            "head_deficit",
+            RateFn.table([3.0], tail_c=1.0, tail_p=2.0),
+            Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)),
+            conservative=False,
+        )
+        widths = self._widths(monkeypatch)
+        r = abar_resolvent(m, 1.0, e0)
+        assert r.terms_used == minimal._SERIES_MAX_TERMS
+        assert max(widths) <= 2 + minimal._SERIES_SLACK
+        assert len(widths) >= minimal._SERIES_MAX_TERMS // (1 + minimal._SERIES_SLACK)
+
+    def test_yule_to_20000_terms(self, m_yule, monkeypatch):
+        monkeypatch.setattr(minimal, "_SERIES_MAX_TERMS", 20_000)
+        widths = self._widths(monkeypatch)
+        res = resolvent_G(m_yule, 1.0, e0, tol=1e-4)
+        assert res.terms_used > 9_000 and res.value.support == tuple(range(res.terms_used))
+        assert max(widths) <= 2 + minimal._SERIES_SLACK
 
 
 class TestFiniteDimensionalExactness:
