@@ -300,7 +300,7 @@ def _abar_cone_series(m: ModelSpec, lam: float, inputs: Sequence[PosSeq], tol: f
         return [AbarResult(Bracket(0.0, 0.0), 0, True) for _ in inputs]
     rows, out = _series_block(m, lam, [u.entries for u in inputs], tol / lam), []
     lo = min((first for acc, first, *_ in rows if acc.size), default=0)
-    deficits = m.deficits(np.arange(lo, max(first + acc.size for acc, first, *_ in rows)))  # one read for the block
+    deficits = m.deficits(np.arange(lo, max((first + acc.size for acc, first, *_ in rows), default=lo)))  # one read for the block
     for u, (acc, first, rem, terms, err) in zip(inputs, rows):
         total = math.fsum(deficits[first - lo : first - lo + acc.size] * acc)
         pad = err * total + int(np.count_nonzero(acc)) * _SUBNORMAL

@@ -56,8 +56,10 @@ __all__ = [
 
 
 _SERIES_MAX_TERMS = 50_000
-_SERIES_BYTES = 16 << 20  # most bytes of one (rows x window) array of the block series
-_SERIES_SLACK = 32  # states a series window keeps past the targets it was refit to
+# states a series window keeps past the targets it was refit to: each refit
+# builds an OperatorWindow, so a cascade's 50,000 terms take twice as long at
+# a slack of 2 (its stride + 1) as at 32, and under 10% less at 128
+_SERIES_SLACK = 32
 _N_START = 64  # least truncation of the evolution
 _RENEWAL_N = 256  # least truncation of the renewal route (explosive cascades)
 # least truncation of the renewal route from a start with a killing state at
@@ -142,8 +144,7 @@ def _series_block(m: ModelSpec, lam: float, inputs: list[dict[int, float]], tol:
     window slides with its one state.  The values grow in their own array,
     doubled when full, and a stopped row leaves the block.  A row reads
     neither the other rows nor the window (zeros add exactly, its stop
-    reads fsum), so it is its own run bit for bit; a block whose window
-    would pass _SERIES_BYTES runs row by row.
+    reads fsum), so it is its own run bit for bit.
 
     Rounding, as in ``_poisson_read``: addends that pass D roundings err by
     D _ULP of their total.  With b offsets in the kernel a term passes b +
@@ -173,34 +174,28 @@ def _series_block(m: ModelSpec, lam: float, inputs: list[dict[int, float]], tol:
             s_lo, s_hi, grow = int(ks[0]), int(ks[-1]) + 1, max(_SERIES_SLACK, int(ks[-1] - ks[0]) + 1)
             n_lo = max(0, int(hit.min()) - grow) if hit.min() < s_lo else s_lo
             n_hi = int(hit.max()) + 1 + grow if hit.max() >= s_hi else s_hi
-            if idx.size > 1 and 8 * idx.size * (n_hi - n_lo) > _SERIES_BYTES:
-                return [_series_block(m, lam, [u], tol, r)[0] for u in inputs]
             fit = np.zeros((idx.size, n_hi - n_lo))
             fit[:, s_lo - n_lo : s_hi - n_lo] = w[:, s_lo - lo : s_hi - lo]
             w, lo, win = fit, n_lo, OperatorWindow(m, n_lo, n_hi)
             den, leaky, step, tmp = lam + win.a, np.flatnonzero(win.leak), np.empty_like(w), np.empty_like(w)
             shifts = sorted(win.shifts(), key=lambda x: x[0].start - x[1].start)
             bands = [(w[:, t], step[:, s], c, tmp[:, : c.size]) for t, s, c in shifts]
-            # low bounds the least positive step; the next one is at least shrink times it
-            least = min((float(c[c > 0].min()) for c in win.bands.values()), default=0.0)
-            low, shrink = 0.0, least / float(den.max()) * (1.0 - (b + 4) * _ULP)
             if lo < first or n_hi > first + acc.shape[1]:  # the values' array doubles to hold the window
                 below = max(0, first - lo)
                 size = max(2 * acc.shape[1], max(n_hi, first + acc.shape[1]) - first + below)
                 acc, first = np.pad(acc, ((0, 0), (below, size - below - acc.shape[1]))), first - below
             val = acc[:, lo - first : n_hi - first]
         np.divide(w, den, out=step)
-        if low < FLUSH_THRESHOLD:
-            cut = (step < FLUSH_THRESHOLD) & (w > 0.0)
+        cut = (step < FLUSH_THRESHOLD) & (w > 0.0)
+        if cut.any():
             for i in np.flatnonzero(cut.any(axis=1)):
                 lost[i] += math.fsum(w[i, cut[i]]) * ((rn + terms * tiny) / lam + tiny)
             w[cut] = step[cut] = 0.0
-            low = np.min(step, where=step > 0.0, initial=1.0)
         val += step if rn == 1.0 else rn * step
         w.fill(0.0)
         for t, s, c, o in bands:
             np.add(t, np.multiply(s, c, out=o), out=t)
-        rn, low, pad = rn * r, low * shrink, 1.0 + (terms * (b + 4) + 8) * _ULP
+        rn, pad = rn * r, 1.0 + (terms * (b + 4) + 8) * _ULP
         weight = (rn + terms * tiny) / lam + tiny  # r^K / lam, rounded up past its rounding and underflow
         # pairwise sums lie far within 1e-9 of fsum: a row's stop reads its fsum alone
         limit = tol / (weight * pad) * (1.0 + 1e-9) if terms < _SERIES_MAX_TERMS else math.inf

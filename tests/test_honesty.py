@@ -467,6 +467,9 @@ class TestGridRoute:
             assert dp.a0 == a0_on_integral(m_two_state, t, e0)
             assert abs(res.bracket.mid - dp.bracket.mid) <= 1e-8
 
+    def test_an_empty_grid_has_no_rows(self, m_bd_kill):
+        assert delta_by_routes(m_bd_kill, (), e0) == []
+
     @pytest.mark.parametrize("t", [-0.5, math.inf, math.nan])
     def test_rejects_bad_times(self, m_bd_kill, t):
         with pytest.raises(ValueError):
