@@ -40,7 +40,7 @@ import numpy as np
 from .l1 import PosSeq
 from . import minimal
 from .minimal import _block_rows, _blocked_sums, _from_power_0, _make_stepper, _poisson_read
-from .models import ModelError, ModelSpec, OperatorWindow, apply_B, apply_U
+from .models import ModelSpec, OperatorWindow, apply_B, apply_U
 
 __all__ = [
     "DPState",
@@ -71,9 +71,10 @@ class DPState:
     """The terms V_n(t)u and int_0^t e^{-lam s} V_n(s)u ds, n <= ``n_max``,
     at every time t of ``ts``, from one counted-uniformization pass.
 
-    The window [lo, hi) is sized so that no transition from an occupied
-    state leaves it for any term up to ``n_max``; a model whose kernel
-    cannot be windowed this way is rejected.  Each time is read by
+    The window [lo, hi) reaches ``n_max`` + 1 jumps of the kernel's stride
+    past u's support, so no term up to ``n_max`` sends mass out of it; a
+    counted chain of more than ``minimal._N_MAX`` states, (n_max + 1)(hi -
+    lo), is refused with a ValueError.  Each time is read by
     ``minimal._poisson_read``, whose larger error times |u| it keeps; the
     pass runs ``level`` steps, to the last power a time reads within
     ``minimal._STEP_BUDGET`` (0 on a grid of t = 0 alone).  With lam > 0 a
@@ -93,15 +94,12 @@ class DPState:
         self.n_max = n_max
         self.lam = lam
         supp = u.support or (0,)
-        stride = model.stride
-        self.lo = max(0, min(supp) - (n_max + 1) * stride)
-        self.hi = max(supp) + (n_max + 1) * stride + 1
+        reach = (n_max + 1) * model.stride
+        self.lo, self.hi = max(0, min(supp) - reach), max(supp) + reach + 1
+        size, limit = (n_max + 1) * (self.hi - self.lo), minimal._N_MAX  # read at call time, as the step budget is
+        if size > limit:
+            raise ValueError(f"DPState: a counted chain of {size} states exceeds {limit}")
         self.window = OperatorWindow(model, self.lo, self.hi)
-        # states this deep inside the window are reachable by the tracked
-        # terms, so a leak there would silently truncate
-        margin = (n_max + 1) * max(stride, 1)
-        if np.any(self.window.leak[margin : self.hi - self.lo - margin] > 0):
-            raise ModelError("DPState: kernel leaks outside its stride window")
         self.c = float(self.window.a.max()) or 1.0  # any c >= max a uniformizes
         self._run(ts)
 

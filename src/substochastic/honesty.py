@@ -333,16 +333,17 @@ class AhatResult:
 
 
 def _ahat_terms(m: ModelSpec, t: float, u: PosSeq, tol: float) -> int:
-    """The last expansion term ``ahat_dp`` reads at t.
+    """The last expansion term of a state that ``ahat_dp`` reads at t.
 
-    With beta the largest column sum of B on the states the terms reach,
+    With beta the largest column sum of B on the states the terms reach
+    (none past ``Kernel.extent``, where every column is empty),
     |B int_0^t V_n u| <= (beta t)^{n+1}/(n+1)! |u|; this is the least n
     meeting ``tol`` (at most ``_AHAT_N_CAP``).  It is nondecreasing in t,
-    so a state sized at the largest time of a grid holds every time's terms.
+    so a state sized at the largest time of a grid meets tol at every time.
     """
     reach = (_AHAT_N_CAP + 1) * m.stride
-    win = OperatorWindow(m, max(0, min(u.support) - reach), max(u.support) + reach + 1)
-    beta_t = t * win.colsum.max(initial=0.0)
+    lo, hi = max(0, min(u.support) - reach), min(max(u.support) + reach + 1, m.kernel.extent)
+    beta_t = t * OperatorWindow(m, lo, hi).colsum.max(initial=0.0) if lo < hi else 0.0
     n_max = 0
     bound = beta_t * u.head_sum()
     while bound > tol and n_max < _AHAT_N_CAP:
@@ -361,31 +362,26 @@ def ahat_dp(
 ) -> AhatResult:
     """sum_n a_frak(int_0^t V_n(s)u ds), bracketed.
 
-    Terms n <= ``_ahat_terms(m, t, u, tol)`` are read at t from ``st``, a
-    state of (m, u) that serves t, or from one built here.  The remainder
-    after them telescopes to at most the computed |B int_0^t V_n u| of the
-    last one; the upper edge is additionally capped by the upper edge of
+    Every term of ``st``, a state of (m, u) that serves t, is read at t;
+    without one, a state of ``_ahat_terms(m, t, u, tol)`` terms is built
+    here.  The remainder after any term n telescopes to at most the
+    computed |B int_0^t V_n u|, so the state's last term certifies the
+    sum; the upper edge is additionally capped by the upper edge of
     the mass loss ``a0`` = |u| - |V(t)u| (evolved here when not given).
     Both edges widen by c times the state's certified l1 error, as every
     read weighs a state by a_k <= c, and by the reads' own rounding.
     """
     if u.tail_bound != 0.0:
         raise ValueError("ahat_dp requires finitely supported input")
-    if m.conservative:
+    if m.conservative or t == 0.0 or u.is_zero:
         return AhatResult(Bracket(0.0, 0.0), (), ())
-    if t == 0.0 or u.is_zero:
-        return AhatResult(Bracket(0.0, 0.0), (), ())
-    n_max = _ahat_terms(m, t, u, tol)
     if st is None:
-        st = DPState(m, u, (t,), n_max)
+        st = DPState(m, u, (t,), _ahat_terms(m, t, u, tol))
     rows, err = st.integral(t)
     colsums = st.window.colsum
     deficits = st.window.a - colsums
-    terms = []
-    b_norms = []
-    for arr in rows[: min(n_max, st.n_max) + 1]:
-        terms.append(math.fsum(deficits * arr))
-        b_norms.append(math.fsum(colsums * arr))
+    terms = [math.fsum(deficits * arr) for arr in rows]
+    b_norms = [math.fsum(colsums * arr) for arr in rows]
     partial = math.fsum(terms)
     # each product rounds once and each sum is correctly rounded
     pad = st.c * err + 3.0 * _ULP * (partial + b_norms[-1])
@@ -435,7 +431,8 @@ def delta_by_routes(
     pair per time, computed independently by the two routes, which share
     the evolutions at tolerance ``tol``: one pass per time, all run first.
 
-    Expansion route: one ``DPState`` serves every time of the grid.
+    Expansion route: one ``DPState``, sized at the largest time, serves
+    every time of the grid, and each time reads all of its terms.
 
     Resolvent route: the trajectory integral w satisfies G w = V(t)u - u,
     so w = (lam-G)^{-1}(lam w + u - V(t)u) and abar(w) is the resolvent

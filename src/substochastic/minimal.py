@@ -245,17 +245,17 @@ def _block_rows(n: int) -> int:
     return min(max(_BLOCK_BYTES // (8 * n), 1), _BLOCK_ROWS)
 
 
-def _make_stepper(win, c: float, rows: int):
+def _make_stepper(chain, c: float, rows: int):
     """Return (block, fill): an uninitialised (rows + 1, N) block, and fill
     with fill(k): block[i+1] <- (I + Q/c) block[i] for i < k, in turn;
     positive and substochastic.
 
-    ``win`` is an ``OperatorWindow`` or a pair (a, shifts) of arrays in its
-    form.  Columns leaving the vector are dropped, i.e. counted as kill.  Every
-    row's band views and one scratch vector per band are built here, as a
-    flat list of (ufunc, in, in, out) calls, so a step allocates nothing.
+    ``chain`` is a pair (a, shifts) in an ``OperatorWindow``'s form.  Columns
+    leaving the vector are dropped, i.e. counted as kill.  Every row's band
+    views and one scratch vector per band are built here, as a flat list of
+    (ufunc, in, in, out) calls, so a step allocates nothing.
     """
-    a, shifts = win if isinstance(win, tuple) else (win.a, win.shifts())
+    a, shifts = chain
     diag = 1.0 - a / c
     bands = [(tgt, src, r / c, np.empty(r.size)) for tgt, src, r in shifts]
     block = np.empty((rows + 1, diag.size))
@@ -454,7 +454,7 @@ def _uniformized(
     first, steps, v_w, head, i_w, v_err, i_err = _poisson_read(c, 0.0, t, math.inf, per_step)
     # the window's transients peak before any N-vector of the pass exists,
     # and the stepper keeps what it needs of it
-    stepper = _make_stepper(win, c, min(_block_rows(n), max(steps, 1)))
+    stepper = _make_stepper((win.a, win.shifts()), c, min(_block_rows(n), max(steps, 1)))
     del win
     weights = [(first, v_w), (0, _from_power_0(c, 0.0, first, head, i_w))] if want_integral else [(first, v_w)]
     sums, mass = _blocked_sums(stepper, u.entries, steps, weights, strata is not None)
@@ -538,7 +538,8 @@ def _drift_reach(m: ModelSpec, top: int, n: int, t: float) -> float:
             # g_k V(k) / V(n), the exponential good to about x (n - k) ulps
             h = np.nan_to_num(g * np.exp(x * (ks - n)) * (1.0 + 4 * _ULP * (2.0 + x * (n - ks))), nan=np.inf)
         best = min(best, _exp_bounds(-(n - top) * x)[1] + t * float(h.max(initial=0.0)) * (1.0 + 4 * _ULP))
-    rises = np.maximum(phi[:-1], phi[1:]) * (1.0 + 4 * _ULP)
+    with np.errstate(over="ignore"):
+        rises = np.maximum(phi[:-1], phi[1:]) * (1.0 + 4 * _ULP)
     for k_off, rise in zip(kk, rises.T):
         cum = np.concatenate(([0.0], np.cumsum(np.minimum(np.diff(xs) / np.maximum(rise, 1e-300), 4.0 * t))))
         # the time from grid point i up to j is cum[j] - cum[i], good to xs.size ulps of cum[-1]

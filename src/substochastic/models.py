@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -302,17 +302,16 @@ class Kernel:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A generator pair: diagonal loss rates plus a dissipative kernel."""
+    """A generator pair: diagonal loss rates plus a dissipative kernel.
+    ``stride``, the kernel's longest jump, is read from the kernel."""
 
     name: str
     a: RateFn
     kernel: Kernel
     conservative: bool
-    stride: int = field(default=-1)
 
     def __post_init__(self) -> None:
-        if self.stride < 0:
-            object.__setattr__(self, "stride", self.kernel.stride)
+        object.__setattr__(self, "stride", self.kernel.stride)
         if self.a.c <= 0:
             raise ModelError(f"model {self.name!r}: diagonal rate tail must be > 0")
         depth = _audit_depth(self.a, self.kernel.birth, self.kernel.death)

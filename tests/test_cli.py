@@ -12,6 +12,7 @@ from substochastic.l1 import PosSeq
 from substochastic.models import dump_model, load_model
 from substochastic.montecarlo import CSV_HEADER
 from substochastic.zoo import bd_kill, pure_loss, quadratic_birth, two_state, yule
+from test_minimal import FAR_OK
 
 EXP1 = math.exp(-1.0)
 EXP2 = math.exp(-2.0)
@@ -235,6 +236,23 @@ def test_table_state_past_the_state_limit_exits_one(tmp_path, capsys, command, f
     err = capsys.readouterr().err
     assert rc == 1 and err.count("error:") == 1 and err.startswith("error:")
     assert "2^21" in err and not out.exists()
+
+
+@pytest.mark.parametrize("args", [["trajectory", "--t-grid", "0.5,1"], ["compare"]])
+def test_a_far_table_target_exits_one(tmp_path, capsys, args):
+    # a valid model, but the Dyson-Phillips state of trajectory and compare
+    # would hold about 1.7e8 counted states
+    path = tmp_path / "far_ok.json"
+    path.write_text(json.dumps(FAR_OK))
+    out = tmp_path / "r.out"
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*args, "--model", str(path), "--out", str(out)])
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1 and err.startswith("error:")
+    assert "counted chain" in err and not out.exists()
 
 
 class TestVerdictCommand:

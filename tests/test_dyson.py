@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,7 +24,6 @@ from substochastic.minimal import _poisson_weights, semigroup_V
 from substochastic.models import (
     _ULP,
     Kernel,
-    ModelError,
     ModelSpec,
     RateFn,
     apply_J,
@@ -222,17 +222,39 @@ class TestTimeZero:
 
 
 class TestDPStateWindow:
-    def test_under_declared_stride_is_rejected(self):
-        # state 3 feeds state 12, but the declared stride of 1 sizes the
-        # window [1, 6) for n_max = 1, so the leak sits inside the margin
+    def test_the_kernel_stride_window_holds_a_far_target(self):
+        # state 3 feeds state 12: the stride of 9 is the kernel's, so the
+        # window holds 12 and leaks nothing
         kernel = Kernel("table", columns=((3, ((12, 0.5),)),))
-        leaky = ModelSpec("leaky", RateFn.power(1.0, 0.0), kernel, conservative=False, stride=1)
-        with pytest.raises(ModelError):
-            DPState(leaky, PosSeq.basis(3), (1.0,), 1)
-        declared = ModelSpec("declared", RateFn.power(1.0, 0.0), kernel, conservative=False)
-        st = DPState(declared, PosSeq.basis(3), (1.0,), 1)
+        m = ModelSpec("far", RateFn.power(1.0, 0.0), kernel, conservative=False)
+        assert m.stride == kernel.stride == 9
+        st = DPState(m, PosSeq.basis(3), (1.0,), 1)
         assert not st.window.leak.any()
         assert st.term(1.0)[0][1][12 - st.lo] > 0.0
+
+    def test_the_stride_is_not_settable(self):
+        assert [f.name for f in dataclasses.fields(ModelSpec)] == ["name", "a", "kernel", "conservative"]
+        with pytest.raises(TypeError):
+            ModelSpec("s", RateFn.power(1.0, 0.0), Kernel("zero"), conservative=True, stride=1)
+
+    @pytest.mark.parametrize("k0", [0, 5])
+    def test_no_tracked_term_reaches_the_window_edge(self, zoo, k0):
+        # the window reaches n_max + 1 strides past u, and the n_max + 1
+        # jumps that feed the terms up to n_max stay inside it: no state
+        # that deep inside leaks, on any zoo model
+        for m in zoo:
+            st = DPState(m, PosSeq.basis(k0), (0.5,), 3)
+            margin = 4 * m.stride
+            assert not st.window.leak[margin : st.hi - st.lo - margin].any(), m.name
+
+    def test_a_chain_past_the_largest_truncation_is_refused(self, m_bd_kill, monkeypatch):
+        # e0 with n_max = 3 on a stride-1 walk: a window [0, 5), four rows
+        assert DPState(m_bd_kill, e0, (0.5,), 3).window.hi == 5
+        monkeypatch.setattr(minimal, "_N_MAX", 19)
+        with pytest.raises(ValueError, match="counted chain of 20 states"):
+            DPState(m_bd_kill, e0, (0.5,), 3)
+        monkeypatch.setattr(minimal, "_N_MAX", 20)
+        DPState(m_bd_kill, e0, (0.5,), 3)
 
 
 class TestCountedRows:

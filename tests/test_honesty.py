@@ -325,6 +325,33 @@ class TestAhat:
         r = ahat_dp(m_bd_kill, 2.0, e0)
         assert builds == [len(r.terms) - 1]
 
+    def test_a_given_state_is_read_whole(self, m_bd_kill, monkeypatch):
+        # a state sized at t = 2 serves t = 0.5: every one of its terms is
+        # read there, and nothing sizes or builds another window
+        st = honesty.DPState(m_bd_kill, e0, (2.0, 0.5), honesty._ahat_terms(m_bd_kill, 2.0, e0, 1e-8))
+        own = ahat_dp(m_bd_kill, 0.5, e0)
+        a0 = a0_on_integral(m_bd_kill, 0.5, e0)
+
+        def refuse(*args):
+            raise AssertionError("ahat_dp sized or built a window")
+
+        monkeypatch.setattr(honesty, "_ahat_terms", refuse)
+        monkeypatch.setattr(honesty, "OperatorWindow", refuse)
+        r = ahat_dp(m_bd_kill, 0.5, e0, a0=a0, st=st)
+        assert len(r.terms) == len(r.b_integral_norms) == st.n_max + 1 > len(own.terms)
+        assert r.b_integral_norms[-1] < own.b_integral_norms[-1]
+        assert r.bracket.lo <= -math.expm1(-0.25) <= r.bracket.hi
+
+    def test_a_start_past_every_listed_column_reads_one_term(self):
+        # state 100 sits past the table's extent of 2: B is 0 on every state
+        # the terms reach, so one term is exact, 1 - e^{-t} at a = 1
+        from substochastic.models import Kernel, ModelSpec, RateFn
+
+        m = ModelSpec("low_table", RateFn.power(1.0, 0.0), Kernel("table", columns=((0, ((1, 0.5),)),)), conservative=False)
+        assert honesty._ahat_terms(m, 1.0, PosSeq.basis(100), 1e-8) == 0
+        r = ahat_dp(m, 1.0, PosSeq.basis(100))
+        assert len(r.terms) == 1 and r.bracket.contains(-math.expm1(-1.0))
+
     @pytest.mark.parametrize("name", ["m_bd_kill", "m_closed_chain", "m_two_state"])
     def test_bound_sized_state_meets_tol(self, name, request):
         # the term count comes from (beta t)^{n+1}/(n+1)! |u| <= tol, so the
@@ -423,6 +450,18 @@ class TestGridRoute:
         monkeypatch.setattr(honesty, "DPState", Counting)
         rows = delta_by_routes(m_bd_kill, self.GRID, e0)
         assert len(builds) == 1 and max(builds[0]) == 2.0 and len(rows) == len(self.GRID)
+
+    def test_one_term_count_per_grid(self, m_bd_kill, monkeypatch):
+        sized = []
+
+        def spy(m, t, u, tol):
+            sized.append(t)
+            return real(m, t, u, tol)
+
+        real = honesty._ahat_terms
+        monkeypatch.setattr(honesty, "_ahat_terms", spy)
+        delta_by_routes(m_bd_kill, self.GRID, e0)
+        assert sized == [2.0]
 
     def test_grid_brackets_hold_the_closed_form(self, m_bd_kill):
         # bd_kill loses mass at rate 1/2 from every state and is honest, so

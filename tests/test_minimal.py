@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,19 @@ from substochastic.minimal import (
     resolvent_G,
     semigroup_V,
 )
-from substochastic.models import _ULP, Kernel, ModelSpec, OperatorWindow, RateFn, apply_J, apply_resolvent_A
+from substochastic.models import _ULP, Kernel, ModelSpec, OperatorWindow, RateFn, apply_J, apply_resolvent_A, model_from_json
 
 e0 = PosSeq.basis(0)
+
+# a table column that feeds 2^21 - 1, the largest state a model file may
+# name, from state 0
+FAR_OK = {
+    "name": "far_ok",
+    "space": "l1",
+    "A": {"kind": "power", "c": 1.0, "p": 0.0},
+    "B": {"kind": "table", "columns": [[0, [[(1 << 21) - 1, 0.5]]]], "tail": None},
+    "conservative": False,
+}
 
 EXP1 = math.exp(-1.0)
 EXP2 = math.exp(-2.0)
@@ -625,6 +636,43 @@ class TestReachBound:
         assert res.n_used == n and not res.flagged
         assert res.mass_bracket.contains(1.0) and res.mass_bracket.width <= 1e-9
 
+    def test_a_dead_up_rate_keeps_the_first_level(self):
+        # b = (1, 0, 1, 1, ...), d = 1: from e0 the walk never passes state
+        # 1, whose band has no up rate, so the band bound is 0
+        m = model_from_json(
+            {
+                "name": "stuck",
+                "space": "l1",
+                "A": {"kind": "table", "values": [1.0, 1.0], "tail": {"c": 2.0, "p": 0.0}},
+                "B": {
+                    "kind": "birth_death",
+                    "b": {"kind": "table", "values": [1.0, 0.0], "tail": {"c": 1.0, "p": 0.0}},
+                    "d": {"kind": "power", "c": 1.0, "p": 0.0},
+                    "kill": {"kind": "power", "c": 0.0, "p": 0.0},
+                },
+                "conservative": True,
+            }
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert minimal._reach(m, 0, 64, 1.0) == 0.0
+            res = evolve(m, 1.0, e0, want_integral=False)
+        assert res.n_used == 64 and not res.flagged
+        assert res.mass_bracket.contains(1.0) and res.mass_bracket.width <= 1e-12
+
+    def test_a_stride_past_every_truncation_is_flagged_not_raised(self):
+        # state 0 feeds 2^21 - 1 at rate 1/2 and loses 1/2: no truncation up
+        # to _N_MAX = 2^20 holds a band, so the band bound is 1, and the drift
+        # bound's rises overflow; from e0 |V(t)e0| = e^{-t}(1 + t/2)
+        m = model_from_json(FAR_OK)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert minimal._reach(m, 0, minimal._N_MAX, 0.5) == 1.0
+            assert minimal._truncation(m, 0.5, 0, 1e-8, 0)[::2] == (minimal._N_MAX, "n_max reached")
+            res = evolve(m, 0.5, e0, want_integral=False)
+        assert res.n_used == minimal._N_MAX and res.flag_reason == "n_max reached"
+        assert res.mass_bracket.contains(math.exp(-0.5) * 1.25)
+
     def test_finite_table_keeps_the_first_level(self, m_closed_chain):
         # no column is listed past state 7, so no path ever reaches 64
         assert minimal._reach(m_closed_chain, 0, 64, 1e12) == 0.0
@@ -731,7 +779,8 @@ class TestBlockedKernel:
         refs, powers = sequential_pass(m_quadratic, times, self.U, self.N, True)
         u = self.U.head_sum()
         c = minimal._poisson_window(m_quadratic, self.N, t)[0]
-        stepper = minimal._make_stepper(OperatorWindow(m_quadratic, 0, self.N), c, rows)
+        win = OperatorWindow(m_quadratic, 0, self.N)
+        stepper = minimal._make_stepper((win.a, win.shifts()), c, rows)
         _, mass = minimal._blocked_sums(stepper, self.U.entries, steps, [], masses=True)
         assert mass.size == steps + 1
         assert all(abs(mj - math.fsum(p)) <= self.N * _ULP * u for mj, p in zip(mass, powers))
@@ -745,7 +794,8 @@ class TestBlockedKernel:
         t = times_for_steps(m_bd_kill, self.N, steps)
         _, powers = sequential_pass(m_bd_kill, (t,), self.U, self.N, False)
         c = minimal._poisson_window(m_bd_kill, self.N, t)[0]
-        block, fill = minimal._make_stepper(OperatorWindow(m_bd_kill, 0, self.N), c, 5)
+        win = OperatorWindow(m_bd_kill, 0, self.N)
+        block, fill = minimal._make_stepper((win.a, win.shifts()), c, 5)
         block[0] = powers[0]
         for j0 in range(0, steps - 5, 5):
             fill(5)

@@ -233,6 +233,14 @@ class TestApplyB:
         with pytest.raises(ModelError):
             apply_A(m_yule, PosSeq({0: 1.0}, 0.1))
 
+    def test_bounded_rates_carry_the_tail(self, m_bd_kill):
+        # bd_kill's rates are at most 2.5 (b = d = 1, kill 1/2), so a tail
+        # of mass 1/4 feeds at most 2.5/4 through A and through B
+        u = PosSeq({0: 1.0}, 0.25)
+        assert m_bd_kill.a.sup_bound() == 2.5
+        assert apply_B(m_bd_kill, u).tail_bound == 0.25 * 2.5
+        assert apply_A(m_bd_kill, u).minus.tail_bound == 0.25 * 2.5
+
 
 class TestResolventAndU:
     def test_resolvent_scaling(self, m_quadratic):
