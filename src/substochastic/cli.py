@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .honesty import (
     DISHONEST,
@@ -23,39 +22,12 @@ from .l1 import PosSeq
 from .models import STATE_LIMIT, ModelError, load_model
 from .montecarlo import CSV_HEADER, simulate
 
-__all__ = ["main", "parse_t_grid", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated batch-run configuration."""
-
-    command: str
-    model_path: str
-    lam: float
-    tol: float
-    t_grid: tuple[float, ...]
-    paths: int
-    seed: int
-    initial: int
-    out: str | None
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lambda must be finite and > 0")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be finite and > 0")
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
-        if not 0 <= self.initial < STATE_LIMIT:
-            raise ValueError("initial state must be >= 0 and < 2**21")
-        if list(self.t_grid) != sorted(set(self.t_grid)) or not all(0 <= t < math.inf for t in self.t_grid):
-            raise ValueError("t grid must be strictly increasing, finite and nonnegative")
+__all__ = ["main", "parse_t_grid"]
 
 
 def parse_t_grid(spec: str) -> tuple[float, ...]:
     """Grid syntax: 'a:b:step' (inclusive of both ends), a comma list, or a
-    single value."""
+    single value; every grid is strictly increasing, finite and nonnegative."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -64,24 +36,23 @@ def parse_t_grid(spec: str) -> tuple[float, ...]:
         a, b, step = (float(x) for x in parts)
         if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
             raise ValueError(f"bad t-grid {spec!r}: want finite a <= b and step > 0")
-        out = []
+        vals = []
         k = 0
         while True:
             t = a + k * step
             if t > b + 1e-12 * max(1.0, abs(b)):
                 break
-            out.append(min(t, b))
+            vals.append(min(t, b))
             k += 1
-        if out and abs(out[-1] - b) > 1e-12 * max(1.0, abs(b)):
-            out.append(b)
-        return tuple(out)
-    if "," in spec:
-        vals = tuple(float(x) for x in spec.split(",") if x.strip())
+        if vals and abs(vals[-1] - b) > 1e-12 * max(1.0, abs(b)):
+            vals.append(b)
+    elif "," in spec:
+        vals = [float(x) for x in spec.split(",") if x.strip()]
     else:
-        vals = (float(spec),)
-    if not all(0 <= t < math.inf for t in vals) or list(vals) != sorted(set(vals)):
+        vals = [float(spec)]
+    if not all(0 <= t < math.inf for t in vals) or vals != sorted(set(vals)):
         raise ValueError(f"bad t-grid {spec!r}: want strictly increasing, finite, nonnegative")
-    return vals
+    return tuple(vals)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +80,7 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _cmd_verdict(cfg: RunConfig, model) -> int:
+def _cmd_verdict(cfg: argparse.Namespace, model) -> int:
     u = PosSeq.basis(cfg.initial)
     report = honesty_verdict(model, u, cfg.lam, cfg.tol)
     doc = report.to_json()
@@ -127,7 +98,7 @@ def _cmd_verdict(cfg: RunConfig, model) -> int:
     return 20
 
 
-def _cmd_trajectory(cfg: RunConfig, model) -> int:
+def _cmd_trajectory(cfg: argparse.Namespace, model) -> int:
     u = PosSeq.basis(cfg.initial)
     u_norm = u.head_sum()
     lines = ["t,mass_lo,mass_hi,abar,ahat,delta_lo,delta_hi"]
@@ -142,7 +113,7 @@ def _cmd_trajectory(cfg: RunConfig, model) -> int:
     return 0
 
 
-def _cmd_compare(cfg: RunConfig, model) -> int:
+def _cmd_compare(cfg: argparse.Namespace, model) -> int:
     u = PosSeq.basis(cfg.initial)
     rows = []
     worst = 0.0
@@ -170,7 +141,7 @@ def _cmd_compare(cfg: RunConfig, model) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig, model) -> int:
+def _cmd_simulate(cfg: argparse.Namespace, model) -> int:
     u = PosSeq.basis(cfg.initial)
     lines = [CSV_HEADER]
     for t in cfg.t_grid:
@@ -204,19 +175,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig(
-            command=args.command,
-            model_path=args.model,
-            lam=args.lam,
-            tol=args.tol,
-            t_grid=parse_t_grid(args.t_grid),
-            paths=args.paths,
-            seed=args.seed,
-            initial=args.initial,
-            out=args.out,
-        )
-        model = load_model(cfg.model_path)
-        return _COMMANDS[cfg.command](cfg, model)
+        args.t_grid = parse_t_grid(args.t_grid)
+        if not (math.isfinite(args.lam) and args.lam > 0):
+            raise ValueError("lambda must be finite and > 0")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValueError("tol must be finite and > 0")
+        if args.paths < 1:
+            raise ValueError("paths must be >= 1")
+        if not 0 <= args.initial < STATE_LIMIT:
+            raise ValueError("initial state must be >= 0 and < 2**21")
+        return _COMMANDS[args.command](args, load_model(args.model))
     except (ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

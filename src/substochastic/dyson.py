@@ -18,15 +18,14 @@ The recurrence is the evolution's uniformized chain on counted states:
 term n of window state lo + k is entry n W + k of one (n_max + 1) W vector,
 W the window's width, with the window's loss rates tiled n_max + 1 times
 and each band d of B as band W + d, from row n to row n + 1.  So the
-evolution's ``minimal._make_stepper`` and ``_blocked_sums`` run it.  The
-window zeroes every rate whose target leaves it, so an edge state sends
-exactly +0 across a row boundary and the rows never mix.  What row n_max
-sends leaves the vector and is dropped: it feeds only terms past n_max.
+evolution's pass, ``minimal._uniformized``, runs it.  The window zeroes
+every rate whose target leaves it, so an edge state sends exactly +0
+across a row boundary and the rows never mix.  What row n_max sends leaves
+the vector and is dropped: it feeds only terms past n_max.
 
 Every word is nonnegative and sum_n |w_{j,n}| <= |u|, because D + E is
-substochastic.  So the error that ``minimal._poisson_read`` certifies for
-a read of the evolution bounds the sum over n of every term's l1 error; the
-state takes each time's window, weights and error from that read alone.
+substochastic.  So the error that the pass certifies for a read of the
+evolution bounds the sum over n of every term's l1 error.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 
 from .l1 import PosSeq
 from . import minimal
-from .minimal import _block_rows, _blocked_sums, _from_power_0, _make_stepper, _poisson_read
+from .minimal import _uniformized
 from .models import ModelSpec, OperatorWindow, apply_B, apply_U
 
 __all__ = [
@@ -74,8 +73,8 @@ class DPState:
     The window [lo, hi) reaches ``n_max`` + 1 jumps of the kernel's stride
     past u's support, so no term up to ``n_max`` sends mass out of it; a
     counted chain of more than ``minimal._N_MAX`` states, (n_max + 1)(hi -
-    lo), is refused with a ValueError.  Each time is read by
-    ``minimal._poisson_read``, whose larger error times |u| it keeps; the
+    lo), is refused with a ValueError.  Each time is read by the pass,
+    ``minimal._uniformized``, whose larger error times |u| it keeps; the
     pass runs ``level`` steps, to the last power a time reads within
     ``minimal._STEP_BUDGET`` (0 on a grid of t = 0 alone).  With lam > 0 a
     time may be inf (the Laplace transform); V_n(t)u is kept for lam = 0.
@@ -109,18 +108,11 @@ class DPState:
         rows, W = self.n_max + 1, self.hi - self.lo
         L = rows * W
         tiled = {W + d: np.tile(r, rows) for d, r in self.window.bands.items() if W + d < L}
-        budget = minimal._STEP_BUDGET  # read at call time, so a patched budget holds
-        reads = [_poisson_read(self.c, self.lam, t, budget, len(tiled) + 2) for t in ts]
-        steps = self.level = max((rd[1] for rd in reads if rd[1] <= budget), default=0)
-        u_norm = self.u.head_sum()
-        weights, self.errors = [], {}
-        for t, (first, _, vw, head, iw, v_err, i_err) in zip(ts, reads):
-            weights += [(first, vw), (0, _from_power_0(self.c, self.lam, first, head, iw))]
-            self.errors[t] = (v_err[1] * u_norm, i_err[1] * u_norm)
         shifts = [(slice(s, L), slice(0, L - s), r[: L - s]) for s, r in tiled.items()]
-        stepper = _make_stepper((np.tile(self.window.a, rows), shifts), self.c, min(_block_rows(L), max(steps, 1)))
         start = {k - self.lo: v for k, v in self.u.entries.items()}
-        sums, _ = _blocked_sums(stepper, start, steps, weights)
+        sums, errors, self.level, _ = _uniformized((np.tile(self.window.a, rows), shifts), self.c, self.lam, start, ts)
+        u_norm = self.u.head_sum()
+        self.errors = {t: (v_err[1] * u_norm, i_err[1] * u_norm) for t, (v_err, i_err) in zip(ts, errors)}
         self.values = {t: sums[2 * i].reshape(rows, W) for i, t in enumerate(ts)}
         self.integrals = {t: sums[2 * i + 1].reshape(rows, W) for i, t in enumerate(ts)}
 

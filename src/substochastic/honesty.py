@@ -294,7 +294,8 @@ def _abar_cone_series(m: ModelSpec, lam: float, inputs: Sequence[PosSeq], tol: f
     deficits) pads both edges.  Each term equals |J^n u| - |J^{n+1} u| -
     lam |(lam-A)^{-1} J^n u|, so the remainder after K terms is |J^K u| -
     xi(u), at most lam times the block's rem; when that exceeds tol, the
-    certified lower edge of xi(u) is credited, input by input.
+    certified lower edge of xi(u) is credited, input by input, on a
+    pure-birth kernel: elsewhere xi's lower edge is 0.
     """
     if m.conservative:
         return [AbarResult(Bracket(0.0, 0.0), 0, True) for _ in inputs]
@@ -305,7 +306,7 @@ def _abar_cone_series(m: ModelSpec, lam: float, inputs: Sequence[PosSeq], tol: f
         total = math.fsum(deficits[first - lo : first - lo + acc.size] * acc)
         pad = err * total + int(np.count_nonzero(acc)) * _SUBNORMAL
         rem_hi = lam * rem
-        if rem_hi > tol:
+        if rem_hi > tol and m.kernel.kind == "pure_birth":
             rem_hi = max(0.0, rem_hi - xi(m, lam, u, tol).bracket.lo)
         out.append(AbarResult(Bracket(max(0.0, total - pad), total + pad + rem_hi), terms, rem_hi <= tol))
     return out

@@ -27,8 +27,9 @@ The same Poisson pass also yields ``int_0^t V(s) u ds`` exactly (the time
 integral of the Poisson weights has a closed form), which downstream
 functionals consume.  The pass is blocked: the stepper writes the powers
 into a preallocated block of rows, and each time adds its weights on the
-block by one matrix product.  ``_poisson_read`` decides for every reader of
-a pass (evolve, its renewal strata, the Dyson-Phillips state) which powers a
+block by one matrix product.  ``_uniformized`` is the one pass, which evolve
+and the Dyson-Phillips state run; ``_poisson_read`` decides for every reader
+of it (evolve, its renewal strata, the Dyson-Phillips state) which powers a
 time reads, with which weights, and how far the read may be off.  The pass
 is capped by the Poisson steps and by the work, N times the steps; a
 truncation short of the certified one is flagged with the cap that bound.
@@ -436,30 +437,25 @@ def _from_power_0(c: float, lam: float, first: int, head: float, integrals: np.n
     return np.concatenate((head * (c / (c + lam)) ** np.arange(first + 0.0), integrals))
 
 
-def _uniformized(
-    m: ModelSpec,
-    t: float,
-    u: PosSeq,
-    n: int,
-    want_integral: bool,
-    strata: np.ndarray | None = None,
-):
-    """One truncation level, one stepper pass: (v, i, (v_err, i_err), steps,
-    rows), V_N(t)u and int_0^t V_N(s)u ds (None without the integral) read
-    by ``_poisson_read`` with its errors, the pass's steps, and with
-    ``strata`` the ``_stratum_sums`` rows at those times (else None)."""
-    c = _poisson_window(m, n, 0.0)[0]  # depends on the truncation alone
-    win = OperatorWindow(m, 0, n)
-    per_step = len(win.bands) + 2
-    first, steps, v_w, head, i_w, v_err, i_err = _poisson_read(c, 0.0, t, math.inf, per_step)
-    # the window's transients peak before any N-vector of the pass exists,
-    # and the stepper keeps what it needs of it
-    stepper = _make_stepper((win.a, win.shifts()), c, min(_block_rows(n), max(steps, 1)))
-    del win
-    weights = [(first, v_w), (0, _from_power_0(c, 0.0, first, head, i_w))] if want_integral else [(first, v_w)]
-    sums, mass = _blocked_sums(stepper, u.entries, steps, weights, strata is not None)
+def _uniformized(chain, c: float, lam: float, start: dict, ts, integrals: bool = True, strata: np.ndarray | None = None):
+    """The one uniformized pass over the powers (I + Q/c)^j of ``start`` on
+    ``chain``, a pair (a, shifts) in an ``OperatorWindow``'s form: (sums,
+    errors, steps, rows).  Each time of ``ts`` adds its value, then with
+    ``integrals`` its integral, to sums, and its ``_poisson_read`` error pairs
+    to errors; the pass runs to the last power a time reads within
+    ``_STEP_BUDGET`` (0 when none does).  rows: ``_stratum_sums`` at ``strata``."""
+    a, shifts = chain[0], list(chain[1])
+    per_step = len(shifts) + 2
+    reads = [_poisson_read(c, lam, t, _STEP_BUDGET, per_step) for t in ts]
+    steps = max((rd[1] for rd in reads if rd[1] <= _STEP_BUDGET), default=0)
+    weights = []
+    for first, _, v_w, head, i_w, *_ in reads:
+        weights += [(first, v_w), (0, _from_power_0(c, lam, first, head, i_w))] if integrals else [(first, v_w)]
+    stepper = _make_stepper((a, shifts), c, min(_block_rows(a.size), max(steps, 1)))
+    del a, shifts  # the stepper keeps what it needs of the chain
+    sums, mass = _blocked_sums(stepper, start, steps, weights, strata is not None)
     rows = None if strata is None else _stratum_sums(mass, c, strata, per_step)
-    return sums[0], sums[1] if want_integral else None, (v_err, i_err), steps, rows
+    return sums, [rd[5:] for rd in reads], steps, rows
 
 
 def _reach(m: ModelSpec, top: int, n: int, t: float) -> float:
@@ -728,11 +724,16 @@ def evolve(
             flag_reason=reason,
         )
     strata = np.maximum(t - r, 0.0) if renewal else None
-    v_t, i_t, (v_err, i_err), steps, sums = _uniformized(m, t, u, n, want_integral, strata)
+    c = _poisson_window(m, n, 0.0)[0]  # depends on the truncation alone
+    win = OperatorWindow(m, 0, n)  # its transients peak before any N-vector of the pass exists
+    chain = win.a, win.shifts()
+    del win
+    sums, [(v_err, i_err)], steps, rows = _uniformized(chain, c, 0.0, u.entries, (t,), want_integral, strata)
+    v_t, i_t = sums[0], sums[1] if want_integral else None
     if renewal:
         if kills:
             cdf_hi = np.ones(cdf_hi.size)
-        g, i_g, g_lo, g_hi, i_lo, i_hi = sums
+        g, i_g, g_lo, g_hi, i_lo, i_hi = rows
         # what the strata's reads leave out: a mass is a row sum of N
         # entries, and an edge adds at most three roundings per stratum
         pad = (n + 3 * r.size) * _ULP

@@ -217,14 +217,14 @@ class _JumpTable:
             size = self.hi - self.lo
             lo = max(min(bottom, self.lo - size), 0) if bottom < self.lo else self.lo
             hi = max(top + 1, self.hi + size) if top >= self.hi else self.hi
-        cols = [m.column(k) for k in range(lo, hi)]
+        self.a = m.a.array(lo, hi)  # the window's one read of the rates
+        cols = [m.kernel.column(k, a_k) for k, a_k in zip(range(lo, hi), self.a.tolist())]
         width = 1 + max(map(len, cols))
         rates = np.zeros((hi - lo, width))
         tgt = np.full((hi - lo, width), -1, dtype=np.int64)
         for row, col in enumerate(cols):
             if col:
                 tgt[row, : len(col)], rates[row, : len(col)] = zip(*col)
-        self.a = m.a.array(lo, hi)
         self.cum = np.cumsum(rates / self.a[:, None], axis=1)
         self.cum[tgt < 0] = np.inf
         self.tgt = tgt

@@ -45,7 +45,7 @@ class TestGridParsing:
         assert parse_t_grid("0.5,1,2") == (0.5, 1.0, 2.0)
 
     def test_rejects_bad_specs(self):
-        for spec in ("1:0:0.5", "0:1:0", "2,1", "0:1:0.1:9"):
+        for spec in ("1:0:0.5", "0:1:0", "2,1", "0:1:0.1:9", "-1:1:0.5"):
             with pytest.raises(ValueError):
                 parse_t_grid(spec)
 
@@ -255,6 +255,30 @@ def test_a_far_table_target_exits_one(tmp_path, capsys, args):
     assert "counted chain" in err and not out.exists()
 
 
+def test_command_line_exit_codes(model_files, capsys):
+    # an unknown command and --help end in argparse's SystemExit, which
+    # main turns into its exit code; a check of main's own ends in one line
+    assert main(["bogus"]) == 1
+    assert main(["--help"]) == 0
+    assert main(["simulate", "--model", model_files["pure_loss"], "--paths", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: paths must be >= 1\n")
+
+
+_POWER = {"kind": "power", "c": 1.0, "p": 0.0}
+
+# one malformed piece each, in an otherwise valid model, and its message
+_MALFORMED = {
+    "not_an_object": ([], "model file: expected a JSON object"),
+    "B_not_an_object": ({"B": []}, "B: expected an object"),
+    "B_tail_not_null": ({"B": {"kind": "table", "columns": [], "tail": {}}}, "B.tail: only null is supported"),
+    "unknown_kernel_kind": ({"B": {"kind": "jump"}}, "B: unknown kernel kind 'jump'"),
+    "rate_not_an_object": ({"A": 5}, "A: expected an object"),
+    "rate_tail_not_an_object": ({"A": {"kind": "table", "values": [1.0], "tail": 5}}, "A.tail: expected an object"),
+    "unknown_rate_kind": ({"A": {"kind": "exp"}}, "A: unknown rate kind 'exp'"),
+}
+
+
 class TestVerdictCommand:
     def test_honest_exit_zero(self, model_files, tmp_path):
         out = tmp_path / "r.json"
@@ -274,6 +298,15 @@ class TestVerdictCommand:
         assert main(["verdict", "--model", model_files["bad"]]) == 1
         assert "error:" in capsys.readouterr().err
         assert main(["verdict", "--model", model_files["notjson"]]) == 1
+
+    @pytest.mark.parametrize("change, message", list(_MALFORMED.values()), ids=list(_MALFORMED))
+    def test_malformed_model_file_exit_one(self, tmp_path, capsys, change, message):
+        doc = {"name": "x", "space": "l1", "A": _POWER, "B": {"kind": "zero"}, "conservative": False}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({**doc, **change} if isinstance(change, dict) else change))
+        assert main(["verdict", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and message in err
 
     def test_deep_column_violation_exit_one(self, tmp_path, capsys):
         # a column at k = 300 feeding rate 5 while a_300 = 1

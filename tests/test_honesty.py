@@ -127,6 +127,23 @@ class TestAbarResolvent:
         assert r.bracket.contains(0.5)
         assert r.bracket.width <= 1e-5
 
+    @pytest.mark.parametrize(
+        "model, bracket",
+        [
+            ("m_bd_kill", (0.32252894627238377, 0.3549421074552301)),
+            ("m_closed_chain", (0.09950416301748016, 0.12680559517817055)),
+        ],
+    )
+    def test_no_xi_credit_off_pure_birth(self, model, bracket, request, monkeypatch):
+        # a series cut at 5 terms leaves a remainder past tol; off a pure
+        # birth xi's lower edge is 0, so it is not asked for one
+        calls = []
+        monkeypatch.setattr(minimal, "_SERIES_MAX_TERMS", 5)
+        monkeypatch.setattr(honesty, "xi", lambda *args: calls.append(args))
+        r = abar_resolvent(request.getfixturevalue(model), 1.0, e0)
+        assert calls == [] and not r.converged
+        assert (r.bracket.lo, r.bracket.hi) == bracket
+
 
 class TestXi:
     def test_quadratic_against_product_oracle(self, m_quadratic):

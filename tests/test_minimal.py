@@ -299,7 +299,8 @@ class TestSemigroupV:
         # each truncation's pass is called directly
         values = []
         for n in (64, 128, 256, 512, 1024):
-            v_arr, *_ = minimal._uniformized(m_quadratic, 1.0, e0, n, False)
+            win, c = OperatorWindow(m_quadratic, 0, n), minimal._poisson_window(m_quadratic, n, 0.0)[0]
+            (v_arr,), *_ = minimal._uniformized((win.a, win.shifts()), c, 0.0, e0.entries, (1.0,), False)
             values.append(PosSeq.from_array(v_arr))
         masses = [v.head_sum() for v in values]
         assert masses[-1] > masses[0]
@@ -756,7 +757,9 @@ class TestBlockedKernel:
         times = (t, 0.6 * t, 0.0)  # a full window, a shorter one and the identity
         refs, _ = sequential_pass(m, times, self.U, self.N, want_integral)
         for s, (v_ref, i_ref) in zip(times, refs):
-            v_acc, i_acc, _, got_steps, _ = minimal._uniformized(m, s, self.U, self.N, want_integral)
+            win, c = OperatorWindow(m, 0, self.N), minimal._poisson_window(m, self.N, 0.0)[0]
+            sums, _, got_steps, _ = minimal._uniformized((win.a, win.shifts()), c, 0.0, self.U.entries, (s,), want_integral)
+            v_acc, i_acc = sums[0], sums[1] if want_integral else None
             assert got_steps == (steps if s == t else minimal._poisson_window(m, self.N, s)[1])
             fp_slack = (got_steps + 16) * _ULP * self.U.head_sum()
             assert float(np.abs(v_acc - v_ref).sum()) <= fp_slack
@@ -775,11 +778,11 @@ class TestBlockedKernel:
         steps = 2 * rows + 1 if edge == "2rows+1" else rows + edge
         t = times_for_steps(m_quadratic, self.N, steps)
         times = (t, 0.6 * t, 0.0)
-        *_, sums = minimal._uniformized(m_quadratic, t, self.U, self.N, False, np.array(times))
-        refs, powers = sequential_pass(m_quadratic, times, self.U, self.N, True)
-        u = self.U.head_sum()
         c = minimal._poisson_window(m_quadratic, self.N, t)[0]
         win = OperatorWindow(m_quadratic, 0, self.N)
+        *_, sums = minimal._uniformized((win.a, win.shifts()), c, 0.0, self.U.entries, (t,), False, np.array(times))
+        refs, powers = sequential_pass(m_quadratic, times, self.U, self.N, True)
+        u = self.U.head_sum()
         stepper = minimal._make_stepper((win.a, win.shifts()), c, rows)
         _, mass = minimal._blocked_sums(stepper, self.U.entries, steps, [], masses=True)
         assert mass.size == steps + 1
@@ -802,18 +805,17 @@ class TestBlockedKernel:
             assert np.array_equal(block, np.array(powers[j0 : j0 + 6]))
             block[0] = block[5]
 
-    def test_a_large_pass_allocates_a_few_vectors(self, m_two_state, monkeypatch):
+    def test_a_large_pass_allocates_a_few_vectors(self, m_two_state):
         # N = 2^21 holds one row per block, so the pass keeps seven
         # N-vectors: the block's two rows, diag, the band's rates and
         # scratch, the accumulator and the product; a 256-row block would be
         # 257.  The window is built untraced, as its own transients are not
         # the pass's.
         n = 1 << 21
-        win = OperatorWindow(m_two_state, 0, n)
-        monkeypatch.setattr(minimal, "OperatorWindow", lambda m, lo, hi: win)
+        win, c = OperatorWindow(m_two_state, 0, n), minimal._poisson_window(m_two_state, n, 0.0)[0]
         tracemalloc.start()
         try:
-            _, _, _, steps, _ = minimal._uniformized(m_two_state, 0.5, PosSeq.basis(1 << 19), n, False)
+            _, _, steps, _ = minimal._uniformized((win.a, win.shifts()), c, 0.0, PosSeq.basis(1 << 19).entries, (0.5,), False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

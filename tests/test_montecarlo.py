@@ -187,6 +187,22 @@ class TestStepper:
         assert np.array_equal(window.tgt, full.tgt[rows])
 
 
+    def test_a_cover_reads_the_rates_once(self, m_closed_chain, monkeypatch):
+        # one evaluation of the diagonal rates for the whole window, not one
+        # per state (a table kernel reads no rate of its own)
+        calls = []
+        at = RateFn.at
+
+        def spy(rate, ks):
+            calls.append(np.size(ks))
+            return at(rate, ks)
+
+        monkeypatch.setattr(RateFn, "at", spy)
+        table = montecarlo._JumpTable()
+        table.cover(m_closed_chain, 0, 7)
+        assert calls == [table.hi - table.lo]
+
+
 def _cascade(name: str, a0: float, birth: RateFn) -> ModelSpec:
     """a_0 = a0 feeds state 1 at rate 1 and kills the rest; past it a = birth = (k+1)^2."""
     return ModelSpec(name, RateFn.table([a0], tail_c=1.0, tail_p=2.0), Kernel("pure_birth", birth=birth), False)
