@@ -20,8 +20,10 @@ closure-extension of A + B:
   lower bound of the true one.  The truncation loses exactly the paths
   that reach N, so a bound on the chance of reaching N by time t certifies
   the upper edge; an explosive pure-birth cascade, which reaches N with
-  high probability, is certified instead by tail bounds on the time it
-  spends beyond N (the renewal sandwich).
+  high probability, is certified instead by bounds on the law of the time
+  it spends beyond N (the renewal sandwich): Chernoff bounds, narrowed,
+  from a start that cannot die, by a second pass from e_N, as that law is
+  the cascade's own mass from N.
 
 The same Poisson pass also yields ``int_0^t V(s) u ds`` exactly (the time
 integral of the Poisson weights has a closed form), which downstream
@@ -62,7 +64,7 @@ _SERIES_MAX_TERMS = 50_000
 # a slack of 2 (its stride + 1) as at 32, and under 10% less at 128
 _SERIES_SLACK = 32
 _N_START = 64  # least truncation of the evolution
-_RENEWAL_N = 256  # least truncation of the renewal route (explosive cascades)
+_RENEWAL_N = 128  # least truncation of the renewal route (explosive cascades), and of its inner level
 # least truncation of the renewal route from a start with a killing state at
 # or above it, whose lower edge is the truncated mass at t alone
 _RENEWAL_N_KILLING = 512
@@ -437,6 +439,14 @@ def _from_power_0(c: float, lam: float, first: int, head: float, integrals: np.n
     return np.concatenate((head * (c / (c + lam)) ** np.arange(first + 0.0), integrals))
 
 
+def _chain(m: ModelSpec, n: int):
+    """The chain (a, shifts) of the [0, n) truncation, in ``OperatorWindow``'s
+    form; the window's transients are freed before any N-vector of a pass
+    exists."""
+    win = OperatorWindow(m, 0, n)
+    return win.a, win.shifts()
+
+
 def _uniformized(chain, c: float, lam: float, start: dict, ts, integrals: bool = True, strata: np.ndarray | None = None):
     """The one uniformized pass over the powers (I + Q/c)^j of ``start`` on
     ``chain``, a pair (a, shifts) in an ``OperatorWindow``'s form: (sums,
@@ -594,43 +604,180 @@ def _renewal_applies(m: ModelSpec) -> bool:
     return m.kernel.kind == "pure_birth" and not m.a.reciprocal_sum_diverges()
 
 
+def _log_moments(a: RateFn, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(th_lo, k_lo, th_hi, k_hi): the Chernoff grid of R = sum_{m >= n}
+    E_m / a_m, th < 0 on a geometric grid and 0 < th < inf_{m >= n} a_m
+    dense near both ends, with K(th) = log E[e^{th R}] rounded up by
+    ``RateFn.log_moment`` (summed term by term over the head n <= m < M and
+    bounded past M)."""
+    m_hi = max(n + min(16 * n, _RENEWAL_HEAD), len(a.values))
+    th_max = min(float(a.array(n, m_hi).min()), a(m_hi))
+    th_lo = -th_max * np.geomspace(1e4, 1e-4, 128)
+    th_hi = th_max * np.concatenate((np.geomspace(1e-4, 0.5, 64), 1.0 - np.geomspace(0.5, 1e-6, 65)[1:]))
+    k_lo, k_hi = np.split(a.log_moment(n, np.concatenate((th_lo, th_hi)), m_hi)[1], [th_lo.size])
+    return th_lo, k_lo, th_hi, k_hi
+
+
+def _least_bound(th: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """min over th (the first axis of th and k, which broadcast against r)
+    of e^{K(th) - th r} at each point of r, rounded up: each exponent is
+    padded past its rounding, then capped at 0."""
+    e = k - th * r
+    e += 4 * _ULP * (np.abs(k) + np.abs(th * r))
+    return np.exp(np.minimum(e, 0.0)).min(axis=0) * (1.0 + 2 * _ULP)
+
+
+def _cdf_edges(above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lo <= F(r) <= hi along the last axis, from bounds ``above`` >= P(R >
+    r) and ``below`` >= P(R <= r) at increasing r: 1 - above one ulp down
+    for the subtraction, each in [0, 1].  F is nondecreasing, so a lower
+    bound holds at every later r and an upper one at every earlier one:
+    both are forced nondecreasing."""
+    lo = np.maximum.accumulate(np.maximum(0.0, 1.0 - above - _ULP), axis=-1)
+    hi = np.minimum.accumulate(np.minimum(1.0, below)[..., ::-1], axis=-1)[..., ::-1]
+    return lo, hi
+
+
+def _quantile_edges(grid: tuple, eps: float) -> tuple[float, float]:
+    """(r_lo, r_hi) with F(r_lo) <= eps and 1 - F(r_hi) <= eps: the grid's
+    best eps-quantile bounds, moved outward by 1e-12 of themselves past the
+    rounding of their exponents."""
+    th_lo, k_lo, th_hi, k_hi = grid
+    log_e = math.log(1.0 / eps)
+    r_hi = max(0.0, float(((k_hi + log_e) / th_hi).min()) * (1.0 + 1e-12))
+    r_lo = min(max(0.0, float(((k_lo + log_e) / th_lo).max()) * (1.0 - 1e-12)), r_hi)
+    return r_lo, r_hi
+
+
 def _renewal_tails(a: RateFn, n: int, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Strata r and bounds lo <= F(r[1:]) <= hi on the CDF F(r) = P(R <= r)
     of the time R = sum_{m >= n} E_m / a_m a cascade spends at or beyond
     state n (E_m independent standard exponentials).  r = (0, r_lo, ...,
     r_hi) holds _RENEWAL_STRATA equally spaced strata past 0, with
-    F(r_lo) <= eps and 1 - F(r_hi) <= eps.
+    F(r_lo) <= eps and 1 - F(r_hi) <= eps (``_quantile_edges``).
 
     Chernoff: with K(th) = log E[e^{th R}] = -sum_{m >= n} log(1 - th/a_m),
     P(R > r) <= e^{K(th) - th r} for 0 < th < inf_{m>=n} a_m and P(R <= r)
-    <= e^{K(th) - th r} for th < 0.  Every th of one grid gives a bound, and
-    the least counts.  K comes rounded up from ``RateFn.log_moment``,
-    summed term by term over the head n <= m < M and bounded past M.  Each
-    exponent is rounded up; r_lo and r_hi, the grid's best eps-quantiles,
-    move outward by 1e-12 of themselves, past that rounding.  F is
-    nondecreasing, so a lower bound holds at every later stratum and an
-    upper one at every earlier one: both are forced nondecreasing.
+    <= e^{K(th) - th r} for th < 0.  Every th of one grid (``_log_moments``)
+    gives a bound, and the least counts (``_least_bound``); ``_cdf_edges``
+    turns the two into lo and hi.
     """
-    m_hi = max(n + min(16 * n, _RENEWAL_HEAD), len(a.values))
-    th_max = min(float(a.array(n, m_hi).min()), a(m_hi))
-    # th < 0 on a geometric grid, 0 < th < th_max dense near both ends
-    th_lo = -th_max * np.geomspace(1e4, 1e-4, 128)
-    th_hi = th_max * np.concatenate((np.geomspace(1e-4, 0.5, 64), 1.0 - np.geomspace(0.5, 1e-6, 65)[1:]))
-    k_lo, k_hi = np.split(a.log_moment(n, np.concatenate((th_lo, th_hi)), m_hi)[1], [th_lo.size])
-    log_e = math.log(1.0 / eps)
-    r_hi = max(0.0, float(((k_hi + log_e) / th_hi).min()) * (1.0 + 1e-12))
-    r_lo = min(max(0.0, float(((k_lo + log_e) / th_lo).max()) * (1.0 - 1e-12)), r_hi)
+    grid = _log_moments(a, n)
+    r_lo, r_hi = _quantile_edges(grid, eps)
     r = np.concatenate(([0.0], np.linspace(r_lo, r_hi, _RENEWAL_STRATA)))
+    th_lo, k_lo, th_hi, k_hi = (x[:, None] for x in grid)
+    return (r, *_cdf_edges(_least_bound(th_hi, k_hi, r[1:]), _least_bound(th_lo, k_lo, r[1:])))
 
-    def least_bound(th: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """min over th of e^{K(th) - th r} at each stratum past 0, rounded up."""
-        e = k[:, None] - th[:, None] * r[1:]
-        e += 4 * _ULP * (np.abs(k)[:, None] + np.abs(th[:, None] * r[1:]))
-        return np.exp(np.minimum(e, 0.0)).min(axis=0) * (1.0 + 2 * _ULP)
 
-    lo = np.maximum.accumulate(np.maximum(0.0, 1.0 - least_bound(th_hi, k_hi) - _ULP))
-    hi = np.minimum.accumulate(np.minimum(1.0, least_bound(th_lo, k_lo))[::-1])[::-1]
-    return r, lo, hi
+def _sandwich(vals, lo_err, hi_err, cdf_lo, cdf_hi, top) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) edges on E[g(R)] for g nondecreasing with g <= top,
+    from g's values at strata 0 = r_0 < r_1 < ... < r_J (the last axis),
+    which may lie ``lo_err`` above and ``hi_err`` below them, and lo <=
+    P(R <= r_j) <= hi at j >= 1.  On [r_j, r_{j+1}) g lies between g_j and
+    g_{j+1} (g_{J+1} = top), so
+
+        E[g(R)] <= top - sum_{j=1}^J lo_j (g_{j+1} - g_j),
+        E[g(R)] >= g_J - sum_{j=1}^J hi_j (g_j - g_{j-1}),
+
+    which needs the edges' values nondecreasing: as g is, a lower value
+    still holds past a smaller later one, and an upper value before a
+    larger earlier one."""
+    below = np.maximum.accumulate(vals - lo_err, axis=-1)
+    above = np.concatenate((vals + hi_err, np.full((*vals.shape[:-1], 1), top)), axis=-1)
+    above = np.minimum.accumulate(above[..., ::-1], axis=-1)[..., ::-1]
+    lo = below[..., -1] - (cdf_hi * np.diff(below, axis=-1)).sum(axis=-1)
+    hi = top - (cdf_lo * np.diff(above, axis=-1)[..., 1:]).sum(axis=-1)
+    return np.maximum(0.0, lo), np.minimum(top, hi)
+
+
+def _cascade_tails(m: ModelSpec, n: int, r: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float, steps_left: float, work_left: float):
+    """(lo, hi, steps): ``_renewal_tails``' bounds lo <= F(r) <= hi on F(r)
+    = P(R_n <= r) at the strata r[1:], narrowed by the cascade's own law,
+    and the Poisson steps that took (0: the Chernoff bounds alone).
+
+    The identity: when nothing kills at or past n, P(R_n > r) = |V(r)e_n|,
+    as a path from n keeps its mass exactly until it explodes.  That mass
+    is a renewal sandwich of its own (see ``evolve``): with N' the
+    truncation ``_truncation`` picks from top n on the renewal route (512
+    for n = 128), R' = R_{N'} and h(s) = |V_{N'}(s)e_n| (h = 1 for s <= 0),
+    P(R_n > r) = E[h(r - R')], nondecreasing in R'.  One uniformized pass
+    from e_n on N' keeps its masses, each h is a ``_stratum_sums`` read of
+    them (padded by N' + 3 (J' + 1) ulps, as the outer reads are), and
+    ``_sandwich`` takes Chernoff bounds on R''s CDF from one
+    ``_log_moments`` grid at N', whose eps-quantiles rho_lo and rho_hi
+    (eps = tol/4) the inner strata span.
+
+    The combination: P(R_n > r_j) in [s_lo, s_hi] gives 1 - s_hi <= F(r_j)
+    <= 1 - s_lo, each edge one ulp outward for the subtraction
+    (``_cdf_edges``).  The tighter bound counts, the larger lower and the
+    smaller upper one, so the result is never wider than Chernoff's (on
+    quadratic_birth at n = 128 and 256 the cascade's is the tighter at
+    every stratum).
+
+    Exact, shared reads: row j (for F(r_j)) has strata 0 and r_j - k eta,
+    for k = q_j - o, q_j = floor(r_j / eta), and the offsets o over
+    max(0, floor(rho_lo / eta) - 1) .. ceil(rho_hi / eta), so its first
+    stratum past 0 lies below rho_lo and its last at or past rho_hi.  eta
+    is the largest power of two at most half the outer strata's spacing;
+    a whole spacing left the cascade's widest bracket at 1.63e-4 against
+    1.41e-4, a quarter narrows it 7% for 20% more time.  Every row then
+    reads h at the lattice times k eta, shared: those from r_lo - rho_hi to
+    r_hi, about (r_hi - r_lo + rho_hi)/eta reads (245 at n = 128) instead
+    of J (J' + 1) (1,600) at each row's own times.  The
+    difference r_j - k eta is exact, so the stratum a Chernoff bound is
+    taken at is the stratum whose h is read: r_j and k eta are multiples
+    of ulp(r_j) <= eta, and 0 <= r_j - k eta <= r_j (a k < 0 reads h = 1
+    at time 0, as at every time <= 0).  Stratum 0 reads h at (q_j + 1) eta
+    >= r_j, a lower value of h(r_j), as h is nonincreasing.  The rows' strata
+    differ by their offsets r_j mod eta, where the outer strata stay
+    ``_renewal_tails``' own; every th gives a bound, so a stratum in [b, b
+    + eta), b on the lattice, takes the least of e^{K(th) - th rho} over
+    the two th that are best at b and at b + eta, not the whole grid.
+
+    The pass is skipped, and the Chernoff bounds kept, when something kills
+    at or past n, when it does not fit the Poisson steps and the work (N'
+    times its steps) that the evolution has left, or when the tail sums at
+    N' leave floating point.
+    """
+    rs = r[1:]
+    spacing = (rs[-1] - rs[0]) / max(rs.size - 1, 1)
+    if m.kills_from(n) or not spacing > 0.0:
+        return lo, hi, 0
+    n2 = _truncation(m, float(rs[-1]), n, tol, _RENEWAL_N)[0]
+    if n2 == 0:
+        return lo, hi, 0
+    eta = 2.0 ** (math.floor(math.log2(spacing)) - 1)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            grid = _log_moments(m.a, n2)
+            rho_lo, rho_hi = _quantile_edges(grid, tol / 4.0)
+    except ArithmeticError:
+        return lo, hi, 0
+    offs = np.arange(max(0, math.floor(rho_lo / eta) - 1), math.ceil(rho_hi / eta) + 1)
+    q = np.floor(rs / eta)[:, None]
+    k = np.concatenate((q + 1.0, q - offs), axis=1)  # (J, J' + 1) read lattice indices
+    rho = rs[:, None] - k[:, 1:] * eta  # exact
+    k0 = max(0, int(k.min()))
+    times = np.arange(k0, int(k.max()) + 1) * eta
+    c2, steps = _poisson_window(m, n2, float(times[-1]))
+    if steps > steps_left or n2 * steps > work_left:
+        return lo, hi, 0
+    _, _, steps, rows = _uniformized(_chain(m, n2), c2, 0.0, {n: 1.0}, (float(times[-1]),), False, times)
+    vals, g_lo, g_hi = rows[[0, 2, 3]][:, np.maximum(k, 0).astype(np.int64) - k0]
+    pad = (n2 + 3 * k.shape[1]) * _ULP
+    # the two th best at the lattice points bounding each stratum
+    th_lo, k_lo, th_hi, k_hi = grid
+    edges = np.arange(offs[0], offs[-1] + 2) * eta
+
+    def sides(th: np.ndarray, kk: np.ndarray) -> np.ndarray:
+        best = (kk[:, None] - th[:, None] * edges).argmin(axis=0)
+        pick = np.stack((best[:-1], best[1:]))[:, None, :]
+        return _least_bound(th[pick], kk[pick], rho)
+
+    s_lo, s_hi = _sandwich(vals, g_lo + pad, g_hi + pad, *_cdf_edges(sides(th_hi, k_hi), sides(th_lo, k_lo)), 1.0)
+    # lo and hi are nondecreasing already, so the tighter edge is too
+    c_lo, c_hi = _cdf_edges(s_hi, 1.0 - s_lo + _ULP)
+    return np.maximum(lo, c_lo), np.minimum(hi, c_hi), steps
 
 
 def _stratum_sums(mass: np.ndarray, c: float, times: np.ndarray, per_step: int) -> np.ndarray:
@@ -683,7 +830,16 @@ def evolve(
     The integral likewise with G(r) = min(t, r)|u| + int_0^{t-r} |V_N(s)u| ds,
     also nondecreasing, and G_{J+1} = t|u|.  The pass keeps the mass of
     each power, and every g_j and G_j is its stratum's read of those masses
-    (``_stratum_sums``).
+    (``_stratum_sums``).  lo_j and hi_j are ``_renewal_tails``' Chernoff
+    bounds, narrowed by ``_cascade_tails`` from a start that cannot die:
+    then nothing kills at or past N either, so P(R > r) = |V(r)e_N|, which a
+    second pass from e_N at N' brackets by the same sandwich, one level down
+    (N = 128, N' = 512).  ``steps_used`` counts both passes, which share the
+    step and work budgets; an inner pass that does not fit leaves the
+    Chernoff bounds, unflagged.  From a start that can die the lower edge
+    is g_0 whatever the CDF, and the upper one keeps Chernoff's bounds: an
+    inner pass at N' = 2048 narrowed head_kill's from e_0 by 3% for 60%
+    more work.
 
     A result short of the certified N keeps a certified, wider bracket and
     is flagged; with no level at all it is [0, |u|] around the zero vector.
@@ -725,14 +881,14 @@ def evolve(
         )
     strata = np.maximum(t - r, 0.0) if renewal else None
     c = _poisson_window(m, n, 0.0)[0]  # depends on the truncation alone
-    win = OperatorWindow(m, 0, n)  # its transients peak before any N-vector of the pass exists
-    chain = win.a, win.shifts()
-    del win
-    sums, [(v_err, i_err)], steps, rows = _uniformized(chain, c, 0.0, u.entries, (t,), want_integral, strata)
+    sums, [(v_err, i_err)], steps, rows = _uniformized(_chain(m, n), c, 0.0, u.entries, (t,), want_integral, strata)
     v_t, i_t = sums[0], sums[1] if want_integral else None
     if renewal:
+        inner = 0
         if kills:
             cdf_hi = np.ones(cdf_hi.size)
+        else:
+            cdf_lo, cdf_hi, inner = _cascade_tails(m, n, r, cdf_lo, cdf_hi, tol, _STEP_BUDGET - steps, _WORK_BUDGET - n * steps)
         g, i_g, g_lo, g_hi, i_lo, i_hi = rows
         # what the strata's reads leave out: a mass is a row sum of N
         # entries, and an edge adds at most three roundings per stratum
@@ -741,15 +897,12 @@ def evolve(
         def bracket(vals: np.ndarray, lo_err: np.ndarray, hi_err: np.ndarray, scale: float) -> Bracket:
             """The two edges from a nondecreasing function's values at the
             strata, at most ``scale`` |u| everywhere."""
-            top = u_norm * scale
-            below = vals - (lo_err + pad * scale) * u_norm
-            above = np.append(vals + (hi_err + pad * scale) * u_norm, top)
-            lo = below[-1] - cdf_hi @ np.diff(below)
-            hi = top - cdf_lo @ np.diff(above)[1:]
-            return Bracket(float(max(0.0, lo)), float(min(top, hi)))
+            lo_err, hi_err = (lo_err + pad * scale) * u_norm, (hi_err + pad * scale) * u_norm
+            return Bracket(*map(float, _sandwich(vals, lo_err, hi_err, cdf_lo, cdf_hi, u_norm * scale)))
 
         mass_bracket = bracket(g, g_lo, g_hi, 1.0)
         integral_bracket = bracket(np.minimum(t, r) * u_norm + i_g, i_lo, i_hi, t) if want_integral else None
+        steps += inner
     else:
 
         def bracket(acc: np.ndarray, err: tuple[float, float], scale: float) -> Bracket:

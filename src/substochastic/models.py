@@ -18,6 +18,7 @@ power-law tail) so that a model is reproducible from its JSON file alone.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -197,42 +198,73 @@ class RateFn:
         tail (-inf, 0] or [0, inf].
         """
         th = np.asarray(th, dtype=float)
-        neg, x = th < 0.0, np.abs(th)
-        inv = 1.0 / self.array(k0, head)
+        neg = th < 0.0
+        n_neg = int(np.count_nonzero(neg))
+        # negatives first (as every caller passes them), so each sign is one slice
+        order = None if np.count_nonzero(neg[:n_neg]) == n_neg else np.argsort(~neg, kind="stable")
+        if order is not None:
+            th = th[order]
+        rates = self.array(k0, head + 1)  # a_k0 .. a_head, the tail's a_head read with the head
+        inv, a_head = 1.0 / rates[:-1], float(rates[-1])
+        finite = head >= len(self.values) and self.c > 0 and not self.reciprocal_sum_diverges()
+        sums = _power_tail_sums(self.c, self.p, head) if finite else None
         lo, hi = np.empty(th.size), np.empty(th.size)
         rows = max(1, _THETA_BLOCK // max(inv.size, 1))
-        for part in (np.flatnonzero(neg), np.flatnonzero(~neg)):  # blocks of one sign
-            for i in range(0, part.size, rows):
-                at = part[i : i + rows]
+        for below, start, stop in ((True, 0, n_neg), (False, n_neg, th.size)):
+            # a head and a tail of one sign: their sum rounds by one ulp of itself
+            out, inward = (1.0 + _ULP, 1.0 - _ULP) if below else (1.0 - _ULP, 1.0 + _ULP)
+            for i in range(start, stop, rows):  # blocks of one sign
+                at = np.s_[i : min(i + rows, stop)]
                 z = -th[at, None] * inv  # -y
                 t = np.log1p(z)
                 s = -t.sum(axis=1)
-                if neg[at[0]]:
-                    lo[at], hi[at] = s * (1.0 + (inv.size + 3) * _ULP), s * (1.0 - (inv.size + 3) * _ULP)
+                if below:
+                    h_lo, h_hi = s * (1.0 + (inv.size + 3) * _ULP), s * (1.0 - (inv.size + 3) * _ULP)
                 else:
                     np.divide(z, np.add(z, 1.0, out=t), out=t)  # -y/(1 - y), in place: two blocks at most
                     err = _ULP * (3.0 * -t.sum(axis=1) + inv.size * s)
-                    lo[at], hi[at] = s - err, s + err
-        if head < len(self.values) or self.c <= 0 or self.reciprocal_sum_diverges():
-            t_lo, t_hi = np.where(neg, -math.inf, 0.0), np.where(neg, 0.0, math.inf)
-        else:
-            log_c, q1, q2 = math.log(self.c), self.p - 1.0, 2.0 * self.p - 1.0
-            mid, edge = math.log(head + 0.5), math.log(head + 1.0)
-            s1_hi = _exp_bounds(-q1 * mid, -log_c, -math.log(q1))[1]
-            trap = _exp_bounds(-q1 * edge, -log_c, -math.log(q1))[0]
-            half = _exp_bounds(-self.p * edge, -log_c, -math.log(2.0))[0]
-            half_s2 = _exp_bounds(-q2 * mid, -2.0 * log_c, -math.log(2.0 * q2))[1]  # S2_hi / 2
-            near = x / self(head)  # |th| / a_head, good to 3 ulps
-            up = x * (trap + half) * (1.0 - 3.0 * _ULP)  # |th| S1_lo
-            over = x * s1_hi * (1.0 + 2.0 * _ULP)  # |th| S1_hi
-            soft = up / (1.0 + near) * (1.0 - 4.0 * _ULP)
-            if half_s2 < math.inf:
-                soft = np.maximum(soft, (up - x * (x * half_s2) * (1.0 + 3.0 * _ULP)) * (1.0 - _ULP))
-            gap = 1.0 - near - 2.0 * _ULP  # 1 - th/a_head, rounded down
-            beyond = np.divide(over, gap, out=np.full(th.size, math.inf), where=gap > 0.0) * (1.0 + 2.0 * _ULP)
-            t_lo, t_hi = np.where(neg, -over, up), np.where(neg, -soft, beyond)
-        # a head and a tail of one sign: their sum rounds by one ulp of itself
-        return (lo + t_lo) * np.where(neg, 1.0 + _ULP, 1.0 - _ULP), (hi + t_hi) * np.where(neg, 1.0 - _ULP, 1.0 + _ULP)
+                    h_lo, h_hi = s - err, s + err
+                # the tail past head: one th takes it on floats, far cheaper per operation
+                x = abs(float(th[i])) if s.size == 1 else np.abs(th[at])
+                t_lo, t_hi = _tail_terms(x, below, a_head, sums)
+                lo[at], hi[at] = (h_lo + t_lo) * out, (h_hi + t_hi) * inward
+        if order is not None:  # back to the caller's order
+            lo[order], hi[order] = lo.copy(), hi.copy()
+        return lo, hi
+
+
+@functools.lru_cache(maxsize=64)
+def _power_tail_sums(c: float, p: float, head: int) -> tuple[float, float, float]:
+    """(S1_lo, S1_hi, S2_hi / 2) of ``RateFn.log_moment``'s power tail past
+    ``head``, from its trapezoid and midpoint rules, rounded outward (S2_hi
+    / 2 may overflow to inf).  Free of th, so kept across calls."""
+    log_c, q1, q2 = math.log(c), p - 1.0, 2.0 * p - 1.0
+    mid, edge = math.log(head + 0.5), math.log(head + 1.0)
+    s1_hi = _exp_bounds(-q1 * mid, -log_c, -math.log(q1))[1]
+    trap = _exp_bounds(-q1 * edge, -log_c, -math.log(q1))[0]
+    half = _exp_bounds(-p * edge, -log_c, -math.log(2.0))[0]
+    half_s2 = _exp_bounds(-q2 * mid, -2.0 * log_c, -math.log(2.0 * q2))[1]
+    return trap + half, s1_hi, half_s2
+
+
+def _tail_terms(x, below: bool, a_head: float, sums: tuple[float, float, float] | None):
+    """(lo, hi) on ``RateFn.log_moment``'s tail past head at |th| = x (a
+    float or an array of one sign), from ``_power_tail_sums``; (-inf, 0] or
+    [0, inf] with no finite sums."""
+    if sums is None:
+        return (-math.inf, 0.0) if below else (0.0, math.inf)
+    s1_lo, s1_hi, half_s2 = sums
+    near = x / a_head  # |th| / a_head, good to 3 ulps
+    up = x * s1_lo * (1.0 - 3.0 * _ULP)  # |th| S1_lo
+    over = x * s1_hi * (1.0 + 2.0 * _ULP)  # |th| S1_hi
+    if below:
+        soft = up / (1.0 + near) * (1.0 - 4.0 * _ULP)
+        if half_s2 < math.inf:
+            alt = (up - x * (x * half_s2) * (1.0 + 3.0 * _ULP)) * (1.0 - _ULP)
+            soft = max(soft, alt) if isinstance(x, float) else np.maximum(soft, alt)
+        return -over, -soft
+    gap = 1.0 - near - 2.0 * _ULP  # 1 - th/a_head, rounded down
+    return up, np.divide(over, gap, out=np.full(np.shape(gap), math.inf), where=gap > 0.0) * (1.0 + 2.0 * _ULP)
 
 
 @dataclass(frozen=True)

@@ -323,8 +323,8 @@ class TestSemigroupV:
                 assert v_comp.get(k) == pytest.approx(v_ts.get(k), rel=1e-8, abs=1e-10)
 
     def test_budget_flagging(self, m_quadratic, monkeypatch):
-        # N = 256 needs 67,880 steps at t = 1
-        monkeypatch.setattr(minimal, "_STEP_BUDGET", 40_000)
+        # N = 128 needs 17,576 steps at t = 1 (and its inner level 3,360 more)
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 10_000)
         _, br, res = semigroup_V(m_quadratic, 1.0, e0)
         assert res.flagged and res.flag_reason
         assert br.width > 0
@@ -414,20 +414,21 @@ class TestRenewalRoute:
     def test_theta_oracle(self, m_quadratic, t):
         res = evolve(m_quadratic, t, e0, want_integral=False)
         assert res.mass_bracket.contains(theta_mass(t))
-        assert res.mass_bracket.width <= 3e-4
+        assert res.mass_bracket.width <= 1.5e-4
         assert not res.flagged
-        assert res.ladder.levels == (256,) and res.n_used == 256
+        assert res.ladder.levels == (128,) and res.n_used == 128
 
     def test_theta_oracle_on_a_fine_grid(self, m_quadratic):
-        # the stratified edges at N = 256 hold the exact mass at every t;
-        # the widest, 2.3e-4 near t = 1, is under the 3.7e-4 of the
-        # epsilon-quantile edges at N = 512 they replace
+        # the stratified edges at N = 128, their CDF bounds narrowed by the
+        # inner level at N' = 512, hold the exact mass at every t; the
+        # widest, 1.43e-4 near t = 1, is under the 2.3e-4 of the Chernoff
+        # bounds alone at N = 256
         for t in np.arange(1, 41) * 0.05:
             res = evolve(m_quadratic, float(t), e0, want_integral=False)
             assert res.mass_bracket.contains(theta_mass(float(t))), t
-            assert not res.flagged and res.n_used == 256
+            assert not res.flagged and res.n_used == 128
             if t <= 1.0:
-                assert res.mass_bracket.width <= 3e-4, t
+                assert res.mass_bracket.width <= 1.5e-4, t
 
     def test_zero_death_walk_takes_the_renewal_route(self, m_quadratic):
         walk = ModelSpec.birth_death(RateFn.power(1.0, 2.0), 0.0)
@@ -442,15 +443,19 @@ class TestRenewalRoute:
         assert res.integral_bracket.contains(exact)
         # the truncated integral is a lower bound that the sandwich beats
         assert res.integral.head_sum() < res.integral_bracket.lo
-        assert res.integral_bracket.width <= 3e-4
+        assert res.integral_bracket.width <= 1.5e-4
 
     @pytest.mark.parametrize(("t", "width"), [(0.25, 1.178e-6), (0.5, 2.464e-5), (1.0, 1.934e-4), (2.0, 4.680e-4)])
     def test_integral_is_no_wider_than_the_quantile_edges(self, m_quadratic, t, width):
         # ``width`` is the integral bracket's width with one edge at each
-        # epsilon-quantile of R_512, the sandwich the strata replace
+        # epsilon-quantile of R_512, the sandwich the strata replace; at
+        # N = 128 with the inner level the bracket is under ``inner``, and
+        # under the 1.40e-7, 1.38e-5, 1.15e-4 and 2.79e-4 of the Chernoff
+        # strata alone at N = 256
+        inner = {0.25: 8.75e-8, 0.5: 8.60e-6, 1.0: 7.17e-5, 2.0: 1.741e-4}[t]
         res = evolve(m_quadratic, t, e0)
         assert res.integral_bracket.contains(theta_integral(t))
-        assert res.integral_bracket.width <= width
+        assert res.integral_bracket.width <= min(width, inner)
 
     @pytest.mark.parametrize("t", [0.1, 0.5])
     def test_start_e3_holds_the_exact_law(self, m_quadratic, t):
@@ -463,7 +468,7 @@ class TestRenewalRoute:
         )
         res = evolve(m_quadratic, t, PosSeq.basis(3), want_integral=False)
         assert res.mass_bracket.contains(exact)
-        assert not res.flagged and res.ladder.levels == (256,)
+        assert not res.flagged and res.ladder.levels == (128,)
 
     def test_several_sources_are_linear(self, m_quadratic):
         u = PosSeq({0: 0.25, 3: 0.5})
@@ -473,9 +478,10 @@ class TestRenewalRoute:
         assert res.mass_bracket.hi <= 0.25 * parts[0].hi + 0.5 * parts[1].hi + 1e-12
 
     def test_budget_halves_the_truncation(self, m_quadratic, monkeypatch):
-        monkeypatch.setattr(minimal, "_STEP_BUDGET", 40_000)
+        # N = 128 needs 17,576 steps at t = 1, N = 64 4,712
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 10_000)
         res = evolve(m_quadratic, 1.0, e0)
-        assert res.ladder.levels == (128,) and res.steps_used <= 40_000
+        assert res.ladder.levels == (64,) and res.steps_used <= 10_000
         assert res.flagged and res.flag_reason == "step budget reached"
         assert res.mass_bracket.contains(theta_mass(1.0))
 
@@ -502,6 +508,77 @@ class TestRenewalRoute:
         res = evolve(m, t, e0, want_integral=False)
         assert res.mass_bracket.contains(exact)
         assert not res.flagged and res.ladder.levels == (512,)
+
+    def test_inner_level_holds_the_exact_law(self, m_quadratic):
+        # nothing kills from e_3, so P(R_3 > r) = |V(r)e_3|, the series of
+        # test_start_e3_holds_the_exact_law; trivial outer bounds leave the
+        # inner level's bracket (at N' = 128) alone
+        r, lo_c, hi_c = minimal._renewal_tails(m_quadratic.a, 3, 2.5e-9)
+        trivial = np.zeros(r.size - 1), np.ones(r.size - 1)
+        lo, hi, steps = minimal._cascade_tails(m_quadratic, 3, r, *trivial, 1e-8, minimal._STEP_BUDGET, minimal._WORK_BUDGET)
+        assert steps > 0
+        for x, below, above in zip(r[1:].tolist(), lo, hi):
+            survival = math.fsum(
+                2.0 * (-1) ** (n + 1) * math.prod((m * m - n * n) / (m * m) for m in range(1, 4)) * math.exp(-n * n * x)
+                for n in range(4, 200)
+            )
+            assert below <= 1.0 - survival <= above, x
+        # near the median the cascade's own law is the tighter one
+        assert (hi - lo).max() < 0.1 < (hi_c - lo_c).max()
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_inner_level_narrows_the_chernoff_bounds(self, m_quadratic, n):
+        # the combined bounds are the tighter edge of the two, monotone, in
+        # [0, 1], inside the Chernoff ones and far narrower
+        r, lo_c, hi_c = minimal._renewal_tails(m_quadratic.a, n, 2.5e-9)
+        budgets = 1e-8, minimal._STEP_BUDGET, minimal._WORK_BUDGET
+        lo, hi, steps = minimal._cascade_tails(m_quadratic, n, r, lo_c, hi_c, *budgets)
+        lo_i, hi_i, _ = minimal._cascade_tails(m_quadratic, n, r, np.zeros(lo.size), np.ones(hi.size), *budgets)
+        assert steps > 0
+        assert np.array_equal(lo, np.maximum(lo_c, lo_i)) and np.array_equal(hi, np.minimum(hi_c, hi_i))
+        assert np.all(0.0 <= lo) and np.all(lo <= hi) and np.all(hi <= 1.0)
+        assert np.all(np.diff(lo) >= 0.0) and np.all(np.diff(hi) >= 0.0)
+        assert np.all(lo_c <= lo) and np.all(hi <= hi_c) and (hi - lo).sum() < 0.5 * (hi_c - lo_c).sum()
+
+    def test_inner_reads_carry_the_pad(self, m_quadratic, monkeypatch):
+        # with the reads' own errors zeroed, every inner read lies (N' + 3
+        # strata) ulps from the sandwich's values
+        stratum_sums, sandwich, seen = minimal._stratum_sums, minimal._sandwich, []
+
+        def exact_reads(*args):
+            rows = stratum_sums(*args)
+            rows[2:] = 0.0
+            return rows
+
+        def spy(vals, lo_err, hi_err, *rest):
+            seen.append((vals.shape, lo_err, hi_err))
+            return sandwich(vals, lo_err, hi_err, *rest)
+
+        monkeypatch.setattr(minimal, "_stratum_sums", exact_reads)
+        monkeypatch.setattr(minimal, "_sandwich", spy)
+        r, lo, hi = minimal._renewal_tails(m_quadratic.a, 128, 2.5e-9)
+        minimal._cascade_tails(m_quadratic, 128, r, lo, hi, 1e-8, minimal._STEP_BUDGET, minimal._WORK_BUDGET)
+        ((shape, lo_err, hi_err),) = seen
+        pad = (512 + 3 * shape[1]) * _ULP
+        assert shape[0] == r.size - 1
+        for err in (lo_err, hi_err):
+            assert np.all(err == pad)
+
+    @pytest.mark.parametrize(("budget", "value"), [("_STEP_BUDGET", 20_000), ("_WORK_BUDGET", 3_000_000)])
+    def test_budget_that_rejects_the_inner_pass(self, m_quadratic, monkeypatch, budget, value):
+        # N = 128 takes 17,576 steps at t = 1 (2.25e6 state-steps), its inner
+        # level 3,360 more at N' = 512 (1.72e6): a budget that fits the first
+        # alone keeps the Chernoff bracket, certified and not flagged
+        full = evolve(m_quadratic, 1.0, e0)
+        assert full.steps_used == 17_576 + 3_360
+        monkeypatch.setattr(minimal, budget, value)
+        res = evolve(m_quadratic, 1.0, e0)
+        assert not res.flagged and res.n_used == 128 and res.steps_used == 17_576
+        assert res.mass_bracket.contains(theta_mass(1.0)) and res.integral_bracket.contains(theta_integral(1.0))
+        assert full.mass_bracket.width < res.mass_bracket.width
+        monkeypatch.setattr(minimal, "_cascade_tails", lambda m, n, r, lo, hi, *_: (lo, hi, 0))
+        chernoff = evolve(m_quadratic, 1.0, e0)
+        assert (res.mass_bracket, res.integral_bracket) == (chernoff.mass_bracket, chernoff.integral_bracket)
 
     def test_tails_of_the_time_beyond_n(self, m_quadratic):
         # R_512 = sum_{n > 512} E_n/n^2 has mean sum_{n > 512} 1/n^2, which
@@ -534,13 +611,24 @@ class TestRenewalRoute:
     @pytest.mark.parametrize("t", [0.25, 1.0])
     def test_start_past_the_killing_head_takes_the_strata(self, t):
         # head_kill from e_1 never meets its killing state 0: the lower edge
-        # is stratified at N = 256, and the law is the explosion time from
+        # is stratified at N = 128, and the law is the explosion time from
         # state 1, sum_{n>=2} 2(-1)^n (n^2-1) e^{-n^2 t}
         exact = math.fsum(2.0 * (-1) ** n * (n * n - 1) * math.exp(-n * n * t) for n in range(2, 400))
         m = ModelSpec("head_kill", RateFn.table([5.0], tail_c=1.0, tail_p=2.0), Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)), False)
         res = evolve(m, t, PosSeq.basis(1), want_integral=False)
-        assert res.mass_bracket.contains(exact) and res.mass_bracket.width <= 3e-4
-        assert not res.flagged and res.ladder.levels == (256,)
+        assert res.mass_bracket.contains(exact) and res.mass_bracket.width <= 1.5e-4
+        assert not res.flagged and res.ladder.levels == (128,)
+
+    def test_only_a_start_that_cannot_die_runs_the_inner_level(self, monkeypatch):
+        # from e0 the lower edge is the truncated mass whatever the CDF, so
+        # head_kill keeps the Chernoff bounds; from e_1 the inner level runs
+        m = ModelSpec("head_kill", RateFn.table([5.0], tail_c=1.0, tail_p=2.0), Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)), False)
+        tails, seen = minimal._cascade_tails, []
+        monkeypatch.setattr(minimal, "_cascade_tails", lambda m, n, *rest: seen.append(n) or tails(m, n, *rest))
+        evolve(m, 0.25, e0, want_integral=False)
+        assert seen == []
+        evolve(m, 0.25, PosSeq.basis(1), want_integral=False)
+        assert seen == [128]
 
     def test_which_models_take_the_renewal_route(self, zoo):
         for m in zoo:

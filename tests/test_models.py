@@ -110,6 +110,20 @@ class TestRateFn:
                     if head == 1024:
                         assert hi - lo <= 1e-9
 
+    @pytest.mark.parametrize(("k0", "head"), [(19, 1043), (128, 2176), (3, 40)])
+    def test_log_moment_reads_each_th_alone(self, k0, head):
+        # a th's K is the same bits alone as inside a 256-th call, in any order
+        r = RateFn.power(1.0, 2.0)
+        a = float((k0 + 1) ** 2)
+        th = np.concatenate((-a * np.geomspace(1e4, 1e-4, 128), a * np.geomspace(1e-4, 0.999, 128)))
+        lo, hi = r.log_moment(k0, th, head)
+        for i, x in enumerate(th.tolist()):
+            one_lo, one_hi = r.log_moment(k0, [x], head)
+            assert (one_lo[0], one_hi[0]) == (lo[i], hi[i])
+        perm = np.random.default_rng(0).permutation(th.size)
+        mixed_lo, mixed_hi = r.log_moment(k0, th[perm], head)
+        assert np.array_equal(mixed_lo, lo[perm]) and np.array_equal(mixed_hi, hi[perm])
+
     def test_log_moment_widens_instead_of_overflowing(self):
         # 1/c^2 overflows: the bracket drops the S2 form, never raises
         with np.errstate(all="raise"):
