@@ -430,7 +430,8 @@ def delta_by_routes(
 ) -> list[tuple[DeltaResult, DeltaResult]]:
     """Delta at every time of the grid ``ts``, as one (resolvent, expansion)
     pair per time, computed independently by the two routes, which share
-    the evolutions at tolerance ``tol``: one pass per time, all run first.
+    the evolutions at tolerance ``tol``: one pass per time, all run first
+    from the largest down, and one renewal law per grid (see ``evolve``).
 
     Expansion route: one ``DPState``, sized at the largest time, serves
     every time of the grid, and each time reads all of its terms.
@@ -447,10 +448,10 @@ def delta_by_routes(
     st = None
     if not (m.conservative or u.is_zero) and grid and grid[0] > 0.0:
         st = DPState(m, u, grid, _ahat_terms(m, grid[0], u, tol))
-    rows, sides = {}, []
+    rows, sides, laws = {}, [], {}
     for t in grid:
         # the integral feeds only the resolvent route, which is 0 on conservative models
-        ev = evolve(m, t, u, tol, want_integral=not m.conservative)
+        ev = evolve(m, t, u, tol, want_integral=not m.conservative, _laws=laws)
         a0 = a0_on_integral(m, t, u, ev=ev)
         ahat = ahat_dp(m, t, u, tol=tol, a0=a0, st=st)
         rows[t] = (a0, DeltaResult(_clamp_nonpos(ahat.bracket - a0), a0, ahat.bracket, "dyson_phillips"))

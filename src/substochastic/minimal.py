@@ -690,10 +690,11 @@ def _sandwich(vals, lo_err, hi_err, cdf_lo, cdf_hi, top) -> tuple[np.ndarray, np
     return np.maximum(0.0, lo), np.minimum(top, hi)
 
 
-def _cascade_tails(m: ModelSpec, n: int, r: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float, steps_left: float, work_left: float):
+def _cascade_tails(m: ModelSpec, n: int, r: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float, steps_left: float, work_left: float, law=None):
     """(lo, hi, steps): ``_renewal_tails``' bounds lo <= F(r) <= hi on F(r)
     = P(R_n <= r) at the strata r[1:], narrowed by the cascade's own law,
-    and the Poisson steps that took (0: the Chernoff bounds alone).
+    and the Poisson steps that took (0: the Chernoff bounds alone, or the
+    narrowed ones of a pass that ``law`` keeps).
 
     The identity: when nothing kills at or past n, P(R_n > r) = |V(r)e_n|,
     as a path from n keeps its mass exactly until it explodes.  That mass
@@ -737,8 +738,13 @@ def _cascade_tails(m: ModelSpec, n: int, r: np.ndarray, lo: np.ndarray, hi: np.n
     The pass is skipped, and the Chernoff bounds kept, when something kills
     at or past n, when it does not fit the Poisson steps and the work (N'
     times its steps) that the evolution has left, or when the tail sums at
-    N' leave floating point.
+    N' leave floating point.  ``law``, the ``_renewal_law`` that lo and hi
+    come from, keeps the pass's (n2, steps, lo, hi) once it has run: a
+    later call reads them where the pass fits its own budgets.
     """
+    if law is not None and law.inner:
+        n2, steps, k_lo, k_hi = law.inner
+        return (k_lo, k_hi, 0) if steps <= steps_left and n2 * steps <= work_left else (lo, hi, 0)
     rs = r[1:]
     spacing = (rs[-1] - rs[0]) / max(rs.size - 1, 1)
     if m.kills_from(n) or not spacing > 0.0:
@@ -777,7 +783,22 @@ def _cascade_tails(m: ModelSpec, n: int, r: np.ndarray, lo: np.ndarray, hi: np.n
     s_lo, s_hi = _sandwich(vals, g_lo + pad, g_hi + pad, *_cdf_edges(sides(th_hi, k_hi), sides(th_lo, k_lo)), 1.0)
     # lo and hi are nondecreasing already, so the tighter edge is too
     c_lo, c_hi = _cdf_edges(s_hi, 1.0 - s_lo + _ULP)
+    if law is not None:
+        law.inner = n2, steps, np.maximum(lo, c_lo), np.minimum(hi, c_hi)
     return np.maximum(lo, c_lo), np.minimum(hi, c_hi), steps
+
+
+def _renewal_law(m: ModelSpec, n: int, tol: float, kills: bool) -> SimpleNamespace | None:
+    """R_N's law at N and tol, whatever t: ``_renewal_tails``' strata r and
+    bounds lo, hi (hi = 1 from a start that can die), and ``inner``, the
+    pass that ``_cascade_tails`` keeps; None when the tail sums leave
+    floating point (a rate or its reciprocal overflows)."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            r, lo, hi = _renewal_tails(m.a, n, tol / 4.0)
+    except ArithmeticError:
+        return None
+    return SimpleNamespace(r=r, lo=lo, hi=np.ones(hi.size) if kills else hi, inner=None)
 
 
 def _stratum_sums(mass: np.ndarray, c: float, times: np.ndarray, per_step: int) -> np.ndarray:
@@ -801,6 +822,8 @@ def evolve(
     u: PosSeq,
     tol: float = 1e-8,
     want_integral: bool = True,
+    *,
+    _laws: dict | None = None,
 ) -> EvolveResult:
     """V(t)u and int_0^t V(s)u ds, bracketed: one uniformized pass at one
     truncation N (see ``_truncation``), certified on one of two routes.
@@ -834,12 +857,19 @@ def evolve(
     bounds, narrowed by ``_cascade_tails`` from a start that cannot die:
     then nothing kills at or past N either, so P(R > r) = |V(r)e_N|, which a
     second pass from e_N at N' brackets by the same sandwich, one level down
-    (N = 128, N' = 512).  ``steps_used`` counts both passes, which share the
-    step and work budgets; an inner pass that does not fit leaves the
-    Chernoff bounds, unflagged.  From a start that can die the lower edge
-    is g_0 whatever the CDF, and the upper one keeps Chernoff's bounds: an
-    inner pass at N' = 2048 narrowed head_kill's from e_0 by 3% for 60%
-    more work.
+    (N = 128, N' = 512).  The two passes share the step and work budgets;
+    an inner pass that does not fit leaves the Chernoff bounds, unflagged.
+    From a start that can die the lower edge is g_0 whatever the CDF, and
+    the upper one keeps Chernoff's bounds: an inner pass at N' = 2048
+    narrowed head_kill's from e_0 by 3% for 60% more work.
+
+    R_N's law (``_renewal_law``: strata, Chernoff bounds, inner pass)
+    depends on N, tol and whether the start can die, not on t: ``_laws``, a
+    mapping the caller owns for one model (``delta_by_routes``, one per
+    grid), keeps it under that key for the calls that share it.  Budgets
+    stay per call: a kept inner pass is read only where it fits what this
+    call's pass left, so every value and bracket is the lone call's, and
+    ``steps_used`` counts the steps this call ran (the inner pass's once).
 
     A result short of the certified N keeps a certified, wider bracket and
     is flagged; with no level at all it is [0, |u|] around the zero vector.
@@ -861,11 +891,11 @@ def evolve(
         kills = renewal and m.kills_from(min(u.support))
         n, reach, reason = _truncation(m, t, top, tol, (_RENEWAL_N_KILLING if kills else _RENEWAL_N) if renewal else 0)
         if renewal and n:
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    r, cdf_lo, cdf_hi = _renewal_tails(m.a, n, tol / 4.0)
-            except ArithmeticError:
-                # the tail sums leave floating point (a rate or its reciprocal overflows)
+            laws = {} if _laws is None else _laws
+            if (n, kills, tol) not in laws:
+                laws[n, kills, tol] = _renewal_law(m, n, tol, kills)
+            law = laws[n, kills, tol]
+            if law is None:
                 renewal = False
                 n, reach, reason = _truncation(m, t, top, tol, 0)
     if n == 0:
@@ -879,16 +909,14 @@ def evolve(
             steps_used=0,
             flag_reason=reason,
         )
-    strata = np.maximum(t - r, 0.0) if renewal else None
+    strata = np.maximum(t - law.r, 0.0) if renewal else None
     c = _poisson_window(m, n, 0.0)[0]  # depends on the truncation alone
     sums, [(v_err, i_err)], steps, rows = _uniformized(_chain(m, n), c, 0.0, u.entries, (t,), want_integral, strata)
     v_t, i_t = sums[0], sums[1] if want_integral else None
     if renewal:
-        inner = 0
-        if kills:
-            cdf_hi = np.ones(cdf_hi.size)
-        else:
-            cdf_lo, cdf_hi, inner = _cascade_tails(m, n, r, cdf_lo, cdf_hi, tol, _STEP_BUDGET - steps, _WORK_BUDGET - n * steps)
+        r, cdf_lo, cdf_hi, inner = law.r, law.lo, law.hi, 0
+        if not kills:
+            cdf_lo, cdf_hi, inner = _cascade_tails(m, n, r, cdf_lo, cdf_hi, tol, _STEP_BUDGET - steps, _WORK_BUDGET - n * steps, law)
         g, i_g, g_lo, g_hi, i_lo, i_hi = rows
         # what the strata's reads leave out: a mass is a row sum of N
         # entries, and an edge adds at most three roundings per stratum

@@ -532,6 +532,98 @@ class TestGridRoute:
             delta_by_routes(m_bd_kill, (0.5, t), e0)
 
 
+def _head_kill():
+    """State 0 kills at rate 4 and feeds 1; past it a_k = (k+1)^2 all feeds k+1."""
+    from substochastic.models import Kernel, ModelSpec, RateFn
+
+    return ModelSpec("head_kill", RateFn.table([5.0], 1.0, 2.0), Kernel("pure_birth", birth=RateFn.power(1.0, 2.0)), False)
+
+
+class TestOneRenewalLawPerGrid:
+    """delta_by_routes hands R_N's law (strata, CDF bounds, inner pass) to
+    every evolve of its grid; each row is still the lone evolve's."""
+
+    GRIDS = [(0.25, 0.5, 1.0, 2.0), tuple(0.25 * k for k in range(9))]
+
+    @staticmethod
+    def grid_evolves(m, ts, u, monkeypatch) -> dict:
+        seen, real = {}, honesty.evolve
+
+        def spy(m, t, *args, **kwargs):
+            seen[t] = real(m, t, *args, **kwargs)
+            return seen[t]
+
+        monkeypatch.setattr(honesty, "evolve", spy)
+        delta_by_routes(m, ts, u)
+        monkeypatch.setattr(honesty, "evolve", real)
+        return seen
+
+    @staticmethod
+    def assert_lone(m, t, u, res):
+        lone = minimal.evolve(m, t, u, want_integral=res.integral is not None)
+        assert (res.mass_bracket, res.integral_bracket) == (lone.mass_bracket, lone.integral_bracket), t
+        assert (res.value, res.integral, res.n_used, res.flag_reason) == (lone.value, lone.integral, lone.n_used, lone.flag_reason)
+        return lone
+
+    @pytest.mark.parametrize("ts", GRIDS)
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_rows_are_the_lone_evolves(self, m_quadratic, ts, k, monkeypatch):
+        # the inner pass (3,360 steps at N' = 512) runs once, at the largest
+        # time, which the grid runs first; the grid wants no integral on a
+        # conservative model, so one mapping shared by hand checks those
+        u, laws = PosSeq.basis(k), {}
+        seen = self.grid_evolves(m_quadratic, ts, u, monkeypatch)
+        assert set(seen) == set(ts)
+        for t, res in seen.items():
+            lone = self.assert_lone(m_quadratic, t, u, res)
+            assert lone.steps_used - res.steps_used == (3_360 if 0.0 < t < max(ts) else 0), t
+            self.assert_lone(m_quadratic, t, u, minimal.evolve(m_quadratic, t, u, _laws=laws))
+
+    def test_a_start_that_can_die_shares_the_chernoff_law(self, monkeypatch):
+        # head_kill from e0 runs no inner pass: only the Chernoff law is shared
+        m = _head_kill()
+        seen = self.grid_evolves(m, (0.05, 0.1), e0, monkeypatch)
+        for t, res in seen.items():
+            assert res.n_used == 512
+            assert self.assert_lone(m, t, e0, res).steps_used == res.steps_used
+
+    def test_one_inner_pass_and_two_chernoff_grids(self, m_quadratic, monkeypatch):
+        # one lone evolve per time would run 3 inner passes and 6 grids
+        starts, grids = [], []
+        uniformized, log_moments = minimal._uniformized, minimal._log_moments
+        monkeypatch.setattr(minimal, "_uniformized", lambda chain, c, lam, start, *rest: starts.append(start) or uniformized(chain, c, lam, start, *rest))
+        monkeypatch.setattr(minimal, "_log_moments", lambda a, n: grids.append(n) or log_moments(a, n))
+        delta_by_routes(m_quadratic, (0.25, 0.5, 1.0), e0)
+        assert starts.count({128: 1.0}) == 1 and len(starts) == 4
+        assert sorted(grids) == [128, 512]
+
+    def test_budgets_stay_per_time(self, m_quadratic, monkeypatch):
+        # N = 128 takes 17,576 steps at t = 1 and the inner pass 3,360 more:
+        # under a budget of 20,000 the inner pass fits t <= 0.75 alone, so
+        # t = 1 keeps the Chernoff bounds, unflagged, in either order
+        monkeypatch.setattr(minimal, "_STEP_BUDGET", 20_000)
+        ts = (0.25, 0.5, 0.75, 1.0)
+        seen = self.grid_evolves(m_quadratic, ts, e0, monkeypatch)
+        assert seen[1.0].steps_used == 17_576 and seen[0.75].steps_used > 13_000 + 3_360
+        laws = {}
+        up = {t: minimal.evolve(m_quadratic, t, e0, _laws=laws) for t in ts}  # the inner bounds are kept before t = 1
+        for t in ts:
+            for res in (seen[t], up[t]):
+                self.assert_lone(m_quadratic, t, e0, res)
+                assert not res.flagged
+        assert up[1.0].steps_used == 17_576
+
+    def test_a_start_that_can_die_has_a_law_of_its_own(self):
+        # head_kill from e_200 cannot die and from e0 can, both at N = 512:
+        # one mapping keeps a law for each, and each call is its lone one
+        m, laws = _head_kill(), {}
+        for u in (PosSeq.basis(200), e0, PosSeq.basis(200), e0):
+            res = minimal.evolve(m, 0.05, u, _laws=laws)
+            assert res.n_used == 512
+            self.assert_lone(m, 0.05, u, res)
+        assert len(laws) == 2
+
+
 class TestVerdicts:
     @pytest.mark.parametrize("lam", [math.inf, math.nan])
     def test_non_finite_lambda_rejected(self, m_quadratic, lam):
